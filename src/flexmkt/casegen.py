@@ -31,6 +31,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
+from .clearing import add_network_block
 from .errors import GenerationError
 from .market_model import Bid, DistributionSystem, MarketCase
 from .mp_solver import INF, LinearProgram, solve_lp
@@ -45,27 +46,15 @@ def _max_absorbable_import(net: Network, e, bids: list[Bid]) -> float:
     """Largest interface flow the feeder can physically take, with its own
     bids free to help. Caps the benign styles' interface bounds so an
     import at the bound is always grid-feasible."""
-    sens = build_sensitivity(net)
     lp = LinearProgram()
     z = lp.add_variable("z", -INF, INF, cost=-1.0)
-    p = [lp.add_variable(f"p{b}", -INF, INF) for b in net.buses]
     at_bus: dict[int, list[tuple[int, float]]] = {}
     for b in bids:
         var = lp.add_variable(b.id, 0.0, b.quantity_max)
         at_bus.setdefault(b.bus, []).append(
             (var, 1.0 if b.direction == "up" else -1.0))
-    for k, bus in enumerate(net.buses):
-        coeffs = {p[k]: -1.0}
-        for var, sign in at_bus.get(bus, ()):
-            coeffs[var] = sign
-        if bus == net.root:
-            coeffs[z] = 1.0
-        lp.add_equality(coeffs, float(e[k]))
-    lp.add_equality({pv: 1.0 for pv in p}, 0.0)
-    for li, ln in enumerate(net.lines):
-        coeffs = {p[k]: sens.entries[li, k]
-                  for k in range(net.n_buses) if sens.entries[li, k] != 0.0}
-        lp.add_range(coeffs, ln.f_min, ln.f_max)
+    at_bus.setdefault(net.root, []).append((z, 1.0))
+    add_network_block(lp, net, [float(v) for v in e], at_bus, "feeder")
     sol = solve_lp(lp)
     if sol.status != "optimal":
         return 0.0

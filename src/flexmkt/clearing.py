@@ -1,8 +1,9 @@
 """Market-clearing problems: DSO layer, TSO layer and its idealized and
 fragmented variants, the common benchmark, and interface-pricing rules.
 
-Every system contributes the same constraint block to a program: one
-balance row per bus (upward volumes minus downward volumes minus the net
+Every system contributes the same constraint block to a program, and
+:func:`add_network_block` is the only code that writes it: one balance
+row per bus (upward volumes minus downward volumes minus the net
 injection, plus the interface flow at the root or coupling bus, equals
 the base injection), a row forcing the net injections to sum to zero so
 the interface flow genuinely couples the systems, and one range row per
@@ -18,7 +19,6 @@ side.
 
 from __future__ import annotations
 
-import math
 from dataclasses import dataclass, field
 
 import numpy as np
@@ -26,23 +26,20 @@ import numpy as np
 from .errors import ContractError, ModelError
 from .market_model import DIR_DOWN, DIR_UP, Bid, MarketCase
 from .mp_solver import INF, LinearProgram, Solution, solve_lp
-from .netmodel import Network, SensitivityMatrix, build_sensitivity
+from .netmodel import Network, SensitivityMatrix
 
 __all__ = [
     "ClearingResult", "PricingRule",
     "clear_dso_layer1", "clear_dso_fixed_interface", "clear_tso_layer2",
     "clear_idealized_layer2", "clear_fragmented_layer2", "clear_common",
-    "interface_price", "layer1_feasible", "bid_cost", "remaining_caps",
+    "interface_price", "layer1_feasible", "bid_cost", "add_network_block",
 ]
-
-_sens_cache: dict[Network, SensitivityMatrix] = {}
 
 
 def sensitivity(network: Network) -> SensitivityMatrix:
-    sens = _sens_cache.get(network)
-    if sens is None:
-        sens = _sens_cache[network] = build_sensitivity(network)
-    return sens
+    """The network's injection-to-flow sensitivities, built once per
+    network object and released with it."""
+    return network.sensitivity
 
 
 @dataclass(frozen=True)
@@ -82,12 +79,6 @@ class ClearingResult:
     def total_down(self, case: MarketCase, system: int) -> float:
         return sum(self.volume(b) for b in case.bids_of(system, DIR_DOWN))
 
-    def net_position(self, case: MarketCase, system: int) -> float:
-        """Net flexibility position: total upward minus total downward MW.
-        Its sign decides which clearing direction can be active at all in a
-        TSO-layer optimum under ordered bid prices."""
-        return self.total_up(case, system) - self.total_down(case, system)
-
 
 def bid_cost(case: MarketCase, upward: dict[str, float],
              downward: dict[str, float]) -> float:
@@ -102,17 +93,43 @@ def bid_cost(case: MarketCase, upward: dict[str, float],
     return total
 
 
-def remaining_caps(case: MarketCase, system: int, result: ClearingResult) -> dict[str, float]:
-    """Residual volume per bid of a system after one clearing."""
-    caps = {}
-    for b in case.bids_of(system):
-        caps[b.id] = max(0.0, b.quantity_max - result.volume(b))
-    return caps
-
-
 # ---------------------------------------------------------------------------
 # Program assembly
 # ---------------------------------------------------------------------------
+
+def add_network_block(lp: LinearProgram, net: Network, rhs: list[float],
+                      at_bus: dict[int, list[tuple[int, float]]], tag: int | str,
+                      flow_slack: int | None = None) -> tuple[list[int], dict[int, int]]:
+    """Write one system's DC block into ``lp`` and return its injection
+    variables and its balance rows keyed by bus.
+
+    Adds a free net-injection variable per bus, then per bus the balance
+    row ``sum(at_bus terms) - p = rhs``, the consistency row ``sum(p) = 0``,
+    and one row per line bounding the sensitivity-weighted injections by
+    the line's limits. With ``flow_slack`` each limit becomes a pair of
+    one-sided rows that the (non-negative) slack variable relaxes. ``tag``
+    names the rows and variables.
+    """
+    p_vars = [lp.add_variable(f"p[{tag},{bus}]", -INF, INF) for bus in net.buses]
+    rows: dict[int, int] = {}
+    for k, bus in enumerate(net.buses):
+        coeffs: dict[int, float] = {p_vars[k]: -1.0}
+        for var, coeff in at_bus.get(bus, ()):
+            coeffs[var] = coeffs.get(var, 0.0) + coeff
+        rows[bus] = lp.add_equality(coeffs, rhs[k], name=f"bal[{tag},{bus}]")
+    lp.add_equality({pv: 1.0 for pv in p_vars}, 0.0, name=f"netsum[{tag}]")
+
+    entries = sensitivity(net).entries
+    for li, ln in enumerate(net.lines):
+        coeffs = {p_vars[k]: entries[li, k]
+                  for k in range(net.n_buses) if entries[li, k] != 0.0}
+        if flow_slack is None:
+            lp.add_range(coeffs, ln.f_min, ln.f_max, name=f"flow[{tag},{li}]")
+        else:
+            lp.add_range({**coeffs, flow_slack: -1.0}, -INF, ln.f_max, name=f"fhi[{tag},{li}]")
+            lp.add_range({**coeffs, flow_slack: +1.0}, ln.f_min, INF, name=f"flo[{tag},{li}]")
+    return p_vars, rows
+
 
 class _CaseProgram:
     """Incrementally built program over one or more system blocks."""
@@ -135,75 +152,53 @@ class _CaseProgram:
         """Pin an interface flow with an explicit row so its dual is exposed."""
         return self.lp.add_equality({self.z_vars[m]: 1.0}, value, name=f"zpin[{m}]")
 
+    def add_bids(self, system: int, bid_caps: dict[str, float] | None = None,
+                 cost_scale: float = 1.0) -> dict[int, list[tuple[int, float]]]:
+        """One variable per bid of a system, capped by ``bid_caps`` (default:
+        its full volume); returns the balance-row terms keyed by bus."""
+        at_bus: dict[int, list[tuple[int, float]]] = {}
+        for b in self.case.bids_of(system):
+            cap = b.quantity_max if bid_caps is None else bid_caps.get(b.id, 0.0)
+            up = b.direction == DIR_UP
+            var = self.lp.add_variable(f"{b.direction}[{b.id}]", 0.0, cap,
+                                       cost_scale * (b.price if up else -b.price))
+            (self.up_vars if up else self.down_vars)[b.id] = var
+            at_bus.setdefault(b.bus, []).append((var, 1.0 if up else -1.0))
+        return at_bus
+
     def add_system(self, system: int, *,
                    bid_caps: dict[str, float] | None = None,
                    fixed_up: dict[str, float] | None = None,
                    fixed_down: dict[str, float] | None = None,
                    z_attach: list[tuple[int, int, float]] = (),
                    cost_scale: float = 1.0,
-                   variable_bids: bool = True) -> None:
-        """Add one system's balance, consistency, and flow constraints.
+                   flow_slack: int | None = None) -> None:
+        """Add one system's bids and its network block.
 
         ``bid_caps`` limits each bid variable (defaults to its full volume);
         ``fixed_up``/``fixed_down`` are constant, already-cleared volumes
         folded into the right-hand sides; ``z_attach`` lists
         (bus, variable, coefficient) interface terms to insert into balance
-        rows. With ``variable_bids=False`` the block carries constants only.
+        rows; ``flow_slack`` relaxes every line limit by one variable.
         """
         case = self.case
         net = case.system_network(system)
         e = case.system_injections(system)
-        sens = sensitivity(net)
         fixed_up = fixed_up or {}
         fixed_down = fixed_down or {}
 
-        up_at: dict[int, list[int]] = {}
-        down_at: dict[int, list[int]] = {}
-        if variable_bids:
-            for b in case.bids_of(system):
-                cap = b.quantity_max if bid_caps is None else bid_caps.get(b.id, 0.0)
-                cost = cost_scale * (b.price if b.direction == DIR_UP else -b.price)
-                var = self.lp.add_variable(f"{b.direction}[{b.id}]", 0.0, cap, cost)
-                if b.direction == DIR_UP:
-                    self.up_vars[b.id] = var
-                    up_at.setdefault(b.bus, []).append(var)
-                else:
-                    self.down_vars[b.id] = var
-                    down_at.setdefault(b.bus, []).append(var)
-
+        at_bus = self.add_bids(system, bid_caps, cost_scale)
         const_net: dict[int, float] = {}
         for b in case.bids_of(system):
             if b.direction == DIR_UP:
                 const_net[b.bus] = const_net.get(b.bus, 0.0) + fixed_up.get(b.id, 0.0)
             else:
                 const_net[b.bus] = const_net.get(b.bus, 0.0) - fixed_down.get(b.id, 0.0)
-
-        z_at: dict[int, list[tuple[int, float]]] = {}
         for bus, var, coeff in z_attach:
-            z_at.setdefault(bus, []).append((var, coeff))
-
-        p_vars = [self.lp.add_variable(f"p[{system},{b}]", -INF, INF)
-                  for b in net.buses]
-        self.p_vars[system] = p_vars
-        rows: dict[int, int] = {}
-        for k, bus in enumerate(net.buses):
-            coeffs: dict[int, float] = {p_vars[k]: -1.0}
-            for var in up_at.get(bus, ()):
-                coeffs[var] = coeffs.get(var, 0.0) + 1.0
-            for var in down_at.get(bus, ()):
-                coeffs[var] = coeffs.get(var, 0.0) - 1.0
-            for var, coeff in z_at.get(bus, ()):
-                coeffs[var] = coeffs.get(var, 0.0) + coeff
-            rhs = e[k] - const_net.get(bus, 0.0)
-            rows[bus] = self.lp.add_equality(coeffs, rhs, name=f"bal[{system},{bus}]")
-        self.balance_rows[system] = rows
-        self.lp.add_equality({pv: 1.0 for pv in p_vars}, 0.0, name=f"netsum[{system}]")
-
-        entries = sens.entries
-        for li, ln in enumerate(net.lines):
-            coeffs = {p_vars[k]: entries[li, k]
-                      for k in range(net.n_buses) if entries[li, k] != 0.0}
-            self.lp.add_range(coeffs, ln.f_min, ln.f_max, name=f"flow[{system},{li}]")
+            at_bus.setdefault(bus, []).append((var, coeff))
+        rhs = [e[k] - const_net.get(bus, 0.0) for k, bus in enumerate(net.buses)]
+        self.p_vars[system], self.balance_rows[system] = add_network_block(
+            self.lp, net, rhs, at_bus, system, flow_slack)
 
     def add_aggregate_balance(self, m: int, cleared_up: float, cleared_down: float) -> int:
         """Aggregated distribution balance: residual volumes plus the
@@ -340,13 +335,7 @@ def _layer2_program(case: MarketCase, layer1: dict[int, ClearingResult],
             prog.add_system(m, bid_caps=caps, fixed_up=fixed_up, fixed_down=fixed_down,
                             z_attach=[(dso.network.root, prog.z_vars[m], 1.0)])
         else:
-            for b in case.bids_of(m):
-                cost = b.price if b.direction == DIR_UP else -b.price
-                var = prog.lp.add_variable(f"{b.direction}[{b.id}]", 0.0, caps[b.id], cost)
-                if b.direction == DIR_UP:
-                    prog.up_vars[b.id] = var
-                else:
-                    prog.down_vars[b.id] = var
+            prog.add_bids(m, caps)
             prog.add_aggregate_balance(m, layer1[m].total_up(case, m),
                                        layer1[m].total_down(case, m))
         # Interface-flow revenue enters the TSO objective with a minus sign.
@@ -388,19 +377,27 @@ def clear_fragmented_layer2(case: MarketCase, layer1: dict[int, ClearingResult],
 # Common market
 # ---------------------------------------------------------------------------
 
+def _common_program(case: MarketCase, bound_interfaces: bool = True) -> _CaseProgram:
+    """Every grid in one program, coupled through the interface flows,
+    which keep their bounds unless ``bound_interfaces`` is false."""
+    prog = _CaseProgram(case)
+    for dso in case.dsos:
+        lo, hi = (dso.z_min, dso.z_max) if bound_interfaces else (-INF, INF)
+        prog.add_z(dso.index, lo, hi)
+    prog.add_system(0, z_attach=_tso_z_attach(prog))
+    for dso in case.dsos:
+        prog.add_system(dso.index,
+                        z_attach=[(dso.network.root, prog.z_vars[dso.index], 1.0)])
+    return prog
+
+
 def clear_common(case: MarketCase) -> ClearingResult:
     """Single co-optimized clearing over every grid; the benchmark.
 
     Duals of the transmission coupling-bus balances are retained for the
     optimal interface-pricing rule.
     """
-    prog = _CaseProgram(case)
-    for dso in case.dsos:
-        prog.add_z(dso.index, dso.z_min, dso.z_max, 0.0)
-    prog.add_system(0, z_attach=_tso_z_attach(prog))
-    for dso in case.dsos:
-        prog.add_system(dso.index,
-                        z_attach=[(dso.network.root, prog.z_vars[dso.index], 1.0)])
+    prog = _common_program(case)
     sol = solve_lp(prog.lp)
     return prog.extract(sol)
 

@@ -31,6 +31,7 @@ from .clearing import (
     ClearingResult,
     PricingRule,
     _CaseProgram,
+    _common_program,
     bid_cost,
     clear_common,
     clear_dso_fixed_interface,
@@ -38,12 +39,11 @@ from .clearing import (
     clear_fragmented_layer2,
     clear_idealized_layer2,
     clear_tso_layer2,
-    sensitivity,
 )
 from .errors import ContractError, ModelError
 from .market_model import DIR_DOWN, DIR_UP, MarketCase
 from .mp_solver import INF, MixedProgram, solve_lp, solve_milp
-from .safety import SafetyVerdict, inefficiency, is_grid_safe
+from .safety import _SAFE_TOL, SafetyVerdict, _dso_point, inefficiency, is_grid_safe
 
 __all__ = [
     "Outcome", "Rsf", "RsfStep", "FilterResult",
@@ -161,66 +161,28 @@ def _aborted(case, method, status, layer1, solves, t0, common) -> Outcome:
 # Three-layer corrective scheme
 # ---------------------------------------------------------------------------
 
-def _layer3_correction(case: MarketCase, m: int, fixed_up: dict[str, float],
-                       fixed_down: dict[str, float], z_value: float) -> ClearingResult:
+def _layer3_program(case: MarketCase, m: int, fixed_up: dict[str, float],
+                    fixed_down: dict[str, float], z_value: float,
+                    diagnostic: bool = False) -> tuple[_CaseProgram, int | None]:
     """Corrective DSO problem: prior volumes are constants, corrective
-    volumes fill the residual boxes, the interface flow is frozen."""
+    volumes fill the residual boxes, the interface flow is frozen.
+
+    The ``diagnostic`` variant drops the bid costs and relaxes every line
+    limit by one slack, whose optimum is the smallest possible max line
+    overload when the correction problem itself is infeasible. Returns
+    the program and that slack variable (None without ``diagnostic``).
+    """
     prog = _CaseProgram(case)
     zv = prog.add_z(m, z_value, z_value)
+    worst = prog.lp.add_variable("worst", 0.0, INF, 1.0) if diagnostic else None
     caps = {}
     for b in case.bids_of(m):
         used = fixed_up.get(b.id, 0.0) if b.direction == DIR_UP else fixed_down.get(b.id, 0.0)
         caps[b.id] = max(0.0, b.quantity_max - used)
     prog.add_system(m, bid_caps=caps, fixed_up=fixed_up, fixed_down=fixed_down,
-                    z_attach=[(case.dso(m).network.root, zv, 1.0)])
-    return prog.extract(solve_lp(prog.lp))
-
-
-def _layer3_violation(case: MarketCase, m: int, fixed_up: dict[str, float],
-                      fixed_down: dict[str, float], z_value: float) -> float:
-    """Smallest possible max line overload when the correction problem is
-    infeasible (diagnostic only)."""
-    prog = _CaseProgram(case)
-    lp = prog.lp
-    zv = prog.add_z(m, z_value, z_value)
-    caps = {}
-    for b in case.bids_of(m):
-        used = fixed_up.get(b.id, 0.0) if b.direction == DIR_UP else fixed_down.get(b.id, 0.0)
-        caps[b.id] = max(0.0, b.quantity_max - used)
-
-    net = case.system_network(m)
-    e = case.system_injections(m)
-    sens = sensitivity(net)
-    worst = lp.add_variable("worst", 0.0, INF, 1.0)
-
-    up_at: dict[int, list[int]] = {}
-    down_at: dict[int, list[int]] = {}
-    for b in case.bids_of(m):
-        var = lp.add_variable(f"{b.direction}[{b.id}]", 0.0, caps[b.id])
-        (up_at if b.direction == DIR_UP else down_at).setdefault(b.bus, []).append(var)
-    const: dict[int, float] = {}
-    for b in case.bids_of(m):
-        sign = 1.0 if b.direction == DIR_UP else -1.0
-        vol = fixed_up.get(b.id, 0.0) if b.direction == DIR_UP else fixed_down.get(b.id, 0.0)
-        const[b.bus] = const.get(b.bus, 0.0) + sign * vol
-    p_vars = [lp.add_variable(f"p[{bus}]", -INF, INF) for bus in net.buses]
-    for k, bus in enumerate(net.buses):
-        coeffs: dict[int, float] = {p_vars[k]: -1.0}
-        for v in up_at.get(bus, ()):
-            coeffs[v] = 1.0
-        for v in down_at.get(bus, ()):
-            coeffs[v] = -1.0
-        if bus == net.root:
-            coeffs[zv] = 1.0
-        lp.add_equality(coeffs, e[k] - const.get(bus, 0.0), name=f"bal[{bus}]")
-    lp.add_equality({pv: 1.0 for pv in p_vars}, 0.0, name="netsum")
-    for li, ln in enumerate(net.lines):
-        coeffs = {p_vars[k]: sens.entries[li, k]
-                  for k in range(net.n_buses) if sens.entries[li, k] != 0.0}
-        lp.add_range({**coeffs, worst: -1.0}, -INF, ln.f_max, name=f"fhi[{li}]")
-        lp.add_range({**coeffs, worst: +1.0}, ln.f_min, INF, name=f"flo[{li}]")
-    sol = solve_lp(lp)
-    return float(sol.x[worst]) if sol.status == "optimal" else float("inf")
+                    z_attach=[(case.dso(m).network.root, zv, 1.0)],
+                    cost_scale=0.0 if diagnostic else 1.0, flow_slack=worst)
+    return prog, worst
 
 
 def run_three_layer(case: MarketCase, pricing: PricingRule, *,
@@ -251,12 +213,15 @@ def run_three_layer(case: MarketCase, pricing: PricingRule, *,
         fixed_down = {b.id: layer1[m].volume(b) + layer2.volume(b)
                       for b in case.bids_of(m, DIR_DOWN)}
         z2 = layer2.interface_flows[m]
-        correction = _layer3_correction(case, m, fixed_up, fixed_down, z2)
+        prog, _ = _layer3_program(case, m, fixed_up, fixed_down, z2)
+        sol = solve_lp(prog.lp)
         solves += 1
-        layer3[m] = correction
-        feasible[m] = correction.status == "optimal"
+        layer3[m] = prog.extract(sol)
+        feasible[m] = sol.status == "optimal"
         if not feasible[m]:
-            overload[m] = _layer3_violation(case, m, fixed_up, fixed_down, z2)
+            prog, worst = _layer3_program(case, m, fixed_up, fixed_down, z2, diagnostic=True)
+            sol = solve_lp(prog.lp)
+            overload[m] = float(sol.x[worst]) if sol.status == "optimal" else float("inf")
 
     up, down = _final_volumes(case, *layer1.values(), layer2,
                               *(r for r in layer3.values() if r.status == "optimal"))
@@ -265,7 +230,6 @@ def run_three_layer(case: MarketCase, pricing: PricingRule, *,
         safe=all(feasible.values()),
         system_feasible=feasible,
         max_flow_violation=max(overload.values(), default=0.0),
-        max_balance_residual=0.0,
         max_interface_violation=0.0,
     )
     j_com = _common_cost(case, common)
@@ -283,6 +247,11 @@ def run_three_layer(case: MarketCase, pricing: PricingRule, *,
 
 @dataclass(frozen=True)
 class FilterResult:
+    """Bids one DSO forwards, per direction, and the number of corner
+    feasibility probes it took. Each probe counts as one solve (and so
+    in ``Outcome.lp_solves``) although it evaluates a single point and
+    solves no LP."""
+
     forward_up: tuple[str, ...]
     forward_down: tuple[str, ...]
     feasibility_solves: int
@@ -293,15 +262,13 @@ def _corner_feasible(case: MarketCase, m: int, layer1: ClearingResult,
     """Feasibility of one direction's candidate set at full activation.
 
     Volumes of the candidate set are pinned at their full remaining
-    capacity on top of the first-layer clearing, the opposite direction
-    stays at its first-layer volumes, and injections plus the interface
-    flow are free. Because the survivors are later cleared only partially
-    and only in one direction, feasibility of this corner certifies every
-    clearing the TSO layer can produce.
+    capacity on top of the first-layer clearing, and the opposite direction
+    stays at its first-layer volumes. Like the grid-safety check, the probe
+    evaluates the one injection and interface-flow point these volumes fix.
+    Because the survivors are later cleared only partially and only in one
+    direction, feasibility of this corner certifies every clearing the TSO
+    layer can produce.
     """
-    dso = case.dso(m)
-    prog = _CaseProgram(case)
-    zv = prog.add_z(m, dso.z_min, dso.z_max)
     fixed_up, fixed_down = {}, {}
     for b in case.bids_of(m):
         vol = layer1.volume(b)
@@ -311,9 +278,8 @@ def _corner_feasible(case: MarketCase, m: int, layer1: ClearingResult,
             fixed_up[b.id] = vol
         else:
             fixed_down[b.id] = vol
-    prog.add_system(m, fixed_up=fixed_up, fixed_down=fixed_down,
-                    z_attach=[(dso.network.root, zv, 1.0)], variable_bids=False)
-    return solve_lp(prog.lp).status == "optimal"
+    _, overload, z_excess = _dso_point(case, m, fixed_up, fixed_down)
+    return max(overload, z_excess) <= _SAFE_TOL
 
 
 def filter_bids(case: MarketCase, m: int, layer1: ClearingResult) -> FilterResult:
@@ -643,14 +609,7 @@ def _dso_flow_interval(case: MarketCase, m: int) -> tuple[float, float]:
 
 
 def _pinned_common_duals(case: MarketCase, zvec: dict[int, float]) -> dict[int, float] | None:
-    prog = _CaseProgram(case)
-    for dso in case.dsos:
-        prog.add_z(dso.index, -INF, INF)
-    prog.add_system(0, z_attach=[(d.coupling_bus, prog.z_vars[d.index], 1.0)
-                                 for d in case.dsos])
-    for dso in case.dsos:
-        prog.add_system(dso.index,
-                        z_attach=[(dso.network.root, prog.z_vars[dso.index], 1.0)])
+    prog = _common_program(case, bound_interfaces=False)
     pins = {m: prog.pin_z(m, zvec[m]) for m in case.dso_indices}
     sol = solve_lp(prog.lp)
     if sol.status != "optimal":

@@ -11,7 +11,7 @@ of the program (and of any export).
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 
 import numpy as np
 
@@ -141,7 +141,6 @@ class Solution:
     reduced_costs: np.ndarray
     iterations: int = 0
     nodes: int = 0
-    extra: dict = field(default_factory=dict)
 
     def __post_init__(self):
         for arr in (self.x, self.duals, self.reduced_costs):

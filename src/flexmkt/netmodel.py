@@ -87,6 +87,12 @@ class Network:
     def bus_index(self) -> dict[int, int]:
         return {b: i for i, b in enumerate(self.buses)}
 
+    @cached_property
+    def sensitivity(self) -> SensitivityMatrix:
+        """Injection-to-flow sensitivities, built on first use and kept for
+        the lifetime of this network object."""
+        return build_sensitivity(self)
+
     @property
     def n_buses(self) -> int:
         return len(self.buses)

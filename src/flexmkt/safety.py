@@ -3,11 +3,22 @@ oracle the test suite uses as an independent reference.
 
 Grid safety is an existence statement: cleared volumes are safe when some
 nodal injections and interface flows satisfy every balance, line limit,
-and interface bound at once. The check therefore solves one violation-
-minimization program with the volumes held constant; a zero optimum means
-such a point exists. Line flows, interface bounds, and the per-system
-consistency rows carry non-negative violation slacks so the verdict can
-report how badly an unsafe clearing misses.
+and interface bound at once. With the volumes held constant there is only
+one candidate point, so the check evaluates it instead of searching:
+
+* every balance row fixes its bus's net injection to the volumes there,
+  plus any interface flow entering the bus, minus the base injection;
+* each distribution system's consistency row (injections summing to
+  zero) then fixes its interface flow to its base injections minus its
+  volumes;
+* the root column of every sensitivity matrix is zero, so the injections
+  left free at a root (the transmission root is the slack toward the
+  wider grid) move no line flow.
+
+The verdict reports, per system, whether that point keeps every line
+within its limits and every interface flow within its bounds, and by how
+much it misses otherwise. Filtering's corner probes share the same
+evaluation.
 """
 
 from __future__ import annotations
@@ -18,10 +29,9 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .clearing import _CaseProgram, sensitivity
+from .clearing import sensitivity
 from .errors import ContractError, ModelError, OracleError
 from .market_model import DIR_DOWN, DIR_UP, MarketCase
-from .mp_solver import INF, solve_lp
 
 __all__ = ["SafetyVerdict", "EfficiencyReport", "OracleResult",
            "is_grid_safe", "inefficiency", "brute_force_oracle"]
@@ -34,7 +44,6 @@ class SafetyVerdict:
     safe: bool
     system_feasible: dict[int, bool]
     max_flow_violation: float
-    max_balance_residual: float
     max_interface_violation: float
 
     def __bool__(self) -> bool:
@@ -63,106 +72,63 @@ def inefficiency(j_total: float, j_common: float) -> EfficiencyReport:
     return EfficiencyReport(j_total=j_total, j_common=j_common, eta_pct=eta, gap=gap)
 
 
+def _volume_injections(case: MarketCase, system: int, upward: dict[str, float],
+                       downward: dict[str, float]) -> np.ndarray:
+    """Per-bus volumes of one system minus its base injections: the net
+    injections before any interface flow enters."""
+    net = case.system_network(system)
+    p = -np.asarray(case.system_injections(system), dtype=float)
+    for b in case.bids_of(system):
+        vol = upward.get(b.id, 0.0) if b.direction == DIR_UP else -downward.get(b.id, 0.0)
+        p[net.bus_index[b.bus]] += vol
+    return p
+
+
+def _line_overload(case: MarketCase, system: int, injections: np.ndarray) -> float:
+    """Largest excess of any line flow over its limits, or 0."""
+    net = case.system_network(system)
+    flows = sensitivity(net).entries @ injections
+    lo, hi = net.flow_bounds()
+    return float(max(0.0, np.max(flows - hi, initial=0.0), np.max(lo - flows, initial=0.0)))
+
+
+def _dso_point(case: MarketCase, m: int, upward: dict[str, float],
+              downward: dict[str, float]) -> tuple[float, float, float]:
+    """Distribution system ``m`` at the one point its volumes fix: the
+    interface flow its consistency row forces, the largest line overload,
+    and the excess of that flow over the interface bounds."""
+    dso = case.dso(m)
+    p = _volume_injections(case, m, upward, downward)
+    z = -float(np.sum(p))
+    return z, _line_overload(case, m, p), max(0.0, z - dso.z_max, dso.z_min - z)
+
+
 def is_grid_safe(case: MarketCase, upward: dict[str, float],
                  downward: dict[str, float]) -> SafetyVerdict:
     """Existence check for final cleared volumes.
 
-    Builds every system's balance block with the volumes as constants,
-    leaves injections and interface flows free, and minimizes the total
-    violation of line limits, interface bounds, and consistency rows.
+    Feasible injections and interface flows exist exactly when the single
+    point the volumes fix (see the module docstring) is feasible, so the
+    check evaluates that point with the cached sensitivities. A system is
+    feasible when its largest line overload, and for a distribution
+    system also its interface-bound excess, is at most 1e-6 MW. The
+    transmission grid is judged at the interface flows the distribution
+    systems force.
     """
-    prog = _CaseProgram(case)
-    lp = prog.lp
-    viol_flow: dict[int, list[int]] = {}
-    viol_balance: dict[int, int] = {}
-    viol_z: dict[int, int] = {}
-
-    def add_block(system: int) -> None:
-        net = case.system_network(system)
-        e = case.system_injections(system)
-        sens = sensitivity(net)
-        const: dict[int, float] = {}
-        for b in case.bids_of(system):
-            vol = upward.get(b.id, 0.0) if b.direction == DIR_UP else -downward.get(b.id, 0.0)
-            const[b.bus] = const.get(b.bus, 0.0) + vol
-        p_vars = [lp.add_variable(f"p[{system},{bus}]", -INF, INF) for bus in net.buses]
-        prog.p_vars[system] = p_vars
-        z_terms: dict[int, list[tuple[int, float]]] = {}
-        if system == 0:
-            for dso in case.dsos:
-                z_terms.setdefault(dso.coupling_bus, []).append((prog.z_vars[dso.index], 1.0))
-        else:
-            z_terms.setdefault(net.root, []).append((prog.z_vars[system], 1.0))
-        rows = {}
-        for k, bus in enumerate(net.buses):
-            coeffs = {p_vars[k]: -1.0}
-            for var, coeff in z_terms.get(bus, ()):
-                coeffs[var] = coeff
-            rows[bus] = lp.add_equality(coeffs, e[k] - const.get(bus, 0.0),
-                                        name=f"bal[{system},{bus}]")
-        prog.balance_rows[system] = rows
-        if system != 0:
-            # Distribution systems must balance internally: the consistency
-            # row pins the interface flow to the aggregated volumes. The
-            # transmission root is the slack toward the wider grid, so the
-            # transmission block checks flows only (a balancing completion
-            # by the system operator's own resources is presumed to exist).
-            resid = lp.add_variable(f"resid[{system}]", -INF, INF)
-            rp = lp.add_variable(f"resid+[{system}]", 0.0, INF, 1.0)
-            rn = lp.add_variable(f"resid-[{system}]", 0.0, INF, 1.0)
-            lp.add_equality({resid: 1.0, rp: -1.0, rn: 1.0}, 0.0,
-                            name=f"split[{system}]")
-            coeffs = {pv: 1.0 for pv in p_vars}
-            coeffs[resid] = -1.0
-            lp.add_equality(coeffs, 0.0, name=f"netsum[{system}]")
-            viol_balance[system] = resid
-        slacks = []
-        for li, ln in enumerate(net.lines):
-            v = lp.add_variable(f"vflow[{system},{li}]", 0.0, INF, 1.0)
-            coeffs = {p_vars[k]: sens.entries[li, k]
-                      for k in range(net.n_buses) if sens.entries[li, k] != 0.0}
-            lp.add_range({**coeffs, v: -1.0}, -INF, ln.f_max, name=f"fhi[{system},{li}]")
-            lp.add_range({**coeffs, v: +1.0}, ln.f_min, INF, name=f"flo[{system},{li}]")
-            slacks.append(v)
-        viol_flow[system] = slacks
-
+    p0 = _volume_injections(case, 0, upward, downward)
+    overload: dict[int, float] = {}
+    z_excess: dict[int, float] = {0: 0.0}
     for dso in case.dsos:
         m = dso.index
-        zv = prog.add_z(m, -INF, INF)
-        v = lp.add_variable(f"vz[{m}]", 0.0, INF, 1.0)
-        lp.add_range({zv: 1.0, v: -1.0}, -INF, dso.z_max, name=f"zhi[{m}]")
-        lp.add_range({zv: 1.0, v: +1.0}, dso.z_min, INF, name=f"zlo[{m}]")
-        viol_z[m] = v
-
-    add_block(0)
-    for dso in case.dsos:
-        add_block(dso.index)
-
-    sol = solve_lp(lp)
-    if sol.status != "optimal":
-        raise ModelError(f"safety check program unexpectedly {sol.status}")
-
-    def flow_violation(system: int) -> float:
-        return max((float(sol.x[v]) for v in viol_flow[system]), default=0.0)
-
-    def balance_residual(system: int) -> float:
-        if system not in viol_balance:
-            return 0.0
-        return abs(float(sol.x[viol_balance[system]]))
-
-    feasible = {}
-    systems = [0] + case.dso_indices
-    for system in systems:
-        worst = max(flow_violation(system), balance_residual(system))
-        if system != 0:
-            worst = max(worst, float(sol.x[viol_z[system]]))
-        feasible[system] = worst <= _SAFE_TOL
+        z, overload[m], z_excess[m] = _dso_point(case, m, upward, downward)
+        p0[case.transmission.bus_index[dso.coupling_bus]] += z
+    overload[0] = _line_overload(case, 0, p0)
+    feasible = {s: max(overload[s], z_excess[s]) <= _SAFE_TOL for s in z_excess}
     return SafetyVerdict(
         safe=all(feasible.values()),
         system_feasible=feasible,
-        max_flow_violation=max(flow_violation(s) for s in systems),
-        max_balance_residual=max(balance_residual(s) for s in systems),
-        max_interface_violation=max((float(sol.x[v]) for v in viol_z.values()), default=0.0),
+        max_flow_violation=max(overload.values()),
+        max_interface_violation=max(z_excess.values()),
     )
 
 

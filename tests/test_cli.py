@@ -2,6 +2,9 @@
 
 import csv
 import json
+import os
+import subprocess
+import sys
 from pathlib import Path
 
 import pytest
@@ -112,3 +115,16 @@ def test_three_layer_and_filtering_agree_on_benign_recipes(tmp_path):
         eta3 = float(methods["three_layer"]["eta_pct"])
         etaf = float(methods["filtering"]["eta_pct"])
         assert eta3 == pytest.approx(etaf, abs=1e-6)
+
+
+def test_reference_rows_unchanged():
+    # The benchmark's stored results.csv rows for fixed seeds are the
+    # regression oracle: a refactor must reproduce them byte for byte,
+    # wall_ms aside.
+    root = Path(__file__).resolve().parents[1]
+    env = {**os.environ, "OPENBLAS_NUM_THREADS": "1", "OMP_NUM_THREADS": "1",
+           "MKL_NUM_THREADS": "1"}
+    proc = subprocess.run([sys.executable, "perfbench/reference.py"], cwd=root,
+                          env=env, capture_output=True, text=True, timeout=300)
+    assert proc.returncode == 0, proc.stdout + proc.stderr
+    assert "reference rows match" in proc.stdout

@@ -1,5 +1,8 @@
 """Sensitivity matrices against path enumeration and direct DC solves."""
 
+import gc
+import weakref
+
 import numpy as np
 import pytest
 from hypothesis import given, settings
@@ -139,3 +142,16 @@ def test_root_column_zero_everywhere():
     for net in (chain(5), triangle()):
         sens = build_sensitivity(net)
         np.testing.assert_array_equal(sens.entries[:, net.bus_index[net.root]], 0.0)
+
+
+def test_sensitivity_cached_per_network_and_released_with_it():
+    from flexmkt.clearing import sensitivity
+
+    net = chain(4)
+    first = sensitivity(net)
+    assert sensitivity(net) is first
+    np.testing.assert_array_equal(first.entries, build_sensitivity(net).entries)
+    ref = weakref.ref(net)
+    del net, first
+    gc.collect()
+    assert ref() is None

@@ -1,12 +1,15 @@
 """Grid-safety verdicts, the inefficiency metric, and the shipped oracle."""
 
+from dataclasses import replace
+
 import numpy as np
 import pytest
 
 from flexmkt.casegen import CaseRecipe, generate_case
 from flexmkt.clearing import clear_common, clear_dso_layer1, interface_price
 from flexmkt.errors import ContractError, OracleError
-from flexmkt.market_model import DistributionSystem, MarketCase
+from flexmkt.forwarding import run_three_layer
+from flexmkt.market_model import Bid, DistributionSystem, MarketCase
 from flexmkt.netmodel import Line, Network
 from flexmkt.safety import brute_force_oracle, inefficiency, is_grid_safe
 
@@ -159,3 +162,159 @@ def test_oracle_cross_validates_solver_on_micro_cases():
         assert oracle.objective <= common.objective + band
         checked += 1
     assert checked >= 45
+
+
+# ---------------------------------------------------------------------------
+# Point evaluation against the violation-minimizing program
+# ---------------------------------------------------------------------------
+
+def reference_safe(case, upward, downward) -> bool:
+    """Grid safety as a violation-minimizing LP, solved by HiGHS.
+
+    Volumes are constants; injections and interface flows are free. Line
+    limits and interface bounds carry non-negative violation slacks, each
+    distribution system's consistency row a free residual split into two
+    non-negative parts; the transmission grid checks line flows only. The
+    volumes are safe when the largest slack at the optimum is at most 1e-6.
+    """
+    from scipy.optimize import linprog
+
+    from flexmkt.netmodel import build_sensitivity
+
+    systems = [(0, case.transmission, case.base_injections)] + [
+        (d.index, d.network, d.base_injections) for d in case.dsos]
+    n_dso = len(case.dsos)
+    z_col = {d.index: k for k, d in enumerate(case.dsos)}
+    col = n_dso
+    p_col = {}
+    for sid, net, _ in systems:
+        p_col[sid] = col
+        col += net.n_buses
+    first_slack = col
+    vz_col = {d.index: col + k for k, d in enumerate(case.dsos)}
+    col += n_dso
+    resid_col = {d.index: col + 2 * k for k, d in enumerate(case.dsos)}
+    col += 2 * n_dso
+    v_col = {}
+    for sid, net, _ in systems:
+        v_col[sid] = col
+        col += net.n_lines
+    n = col
+
+    a_eq, b_eq, a_ub, b_ub = [], [], [], []
+    for sid, net, e in systems:
+        vol = np.zeros(net.n_buses)
+        for b in case.bids_of(sid):
+            v = upward.get(b.id, 0.0) if b.direction == "up" else -downward.get(b.id, 0.0)
+            vol[net.bus_index[b.bus]] += v
+        for k, bus in enumerate(net.buses):
+            row = np.zeros(n)
+            row[p_col[sid] + k] = -1.0
+            if sid == 0:
+                for d in case.dsos:
+                    if d.coupling_bus == bus:
+                        row[z_col[d.index]] += 1.0
+            elif bus == net.root:
+                row[z_col[sid]] += 1.0
+            a_eq.append(row)
+            b_eq.append(e[k] - vol[k])
+        if sid != 0:
+            row = np.zeros(n)
+            row[p_col[sid]:p_col[sid] + net.n_buses] = 1.0
+            row[resid_col[sid]], row[resid_col[sid] + 1] = -1.0, 1.0
+            a_eq.append(row)
+            b_eq.append(0.0)
+        sens = build_sensitivity(net).entries
+        for li, ln in enumerate(net.lines):
+            for sign, limit in ((1.0, ln.f_max), (-1.0, -ln.f_min)):
+                row = np.zeros(n)
+                row[p_col[sid]:p_col[sid] + net.n_buses] = sign * sens[li]
+                row[v_col[sid] + li] = -1.0
+                a_ub.append(row)
+                b_ub.append(limit)
+    for d in case.dsos:
+        for sign, limit in ((1.0, d.z_max), (-1.0, -d.z_min)):
+            row = np.zeros(n)
+            row[z_col[d.index]] = sign
+            row[vz_col[d.index]] = -1.0
+            a_ub.append(row)
+            b_ub.append(limit)
+    c = np.zeros(n)
+    c[first_slack:] = 1.0
+    bounds = [(None, None)] * first_slack + [(0.0, None)] * (n - first_slack)
+    res = linprog(c, A_ub=np.array(a_ub), b_ub=b_ub, A_eq=np.array(a_eq), b_eq=b_eq,
+                  bounds=bounds, method="highs")
+    assert res.status == 0, res.message
+    return bool(np.max(res.x[first_slack:], initial=0.0) <= 1e-6)
+
+
+def _cut_transmission(case, limit):
+    tn = case.transmission
+    return replace(case, transmission=Network(
+        buses=tn.buses, root=tn.root,
+        lines=tuple(Line(ln.from_bus, ln.to_bus, ln.reactance, -limit, limit)
+                    for ln in tn.lines)))
+
+
+@pytest.mark.parametrize("style", "ABCD")
+def test_safe_agrees_with_violation_minimizing_program(style):
+    rng = np.random.default_rng(ord(style))
+    verdicts = []
+    for n_dsos in (1, 2, 3):
+        recipe = CaseRecipe(style=style, n_dsos=n_dsos, dso_buses=6, tn_buses=n_dsos + 2)
+        for seed in range(2):
+            base = generate_case(recipe, seed)
+            for limit in (None, 2.0, 5.0, 10.0):
+                case = base if limit is None else _cut_transmission(base, limit)
+                for _ in range(3):
+                    # Volume scales from far below to past full activation,
+                    # so the probes mix safe and unsafe points.
+                    scale = float(rng.choice([0.05, 0.3, 1.0]))
+                    up = {b.id: scale * float(rng.uniform(0.0, b.quantity_max))
+                          for b in case.bids if b.direction == "up"}
+                    down = {b.id: scale * float(rng.uniform(0.0, b.quantity_max))
+                            for b in case.bids if b.direction == "down"}
+                    verdict = is_grid_safe(case, up, down)
+                    assert verdict.safe == reference_safe(case, up, down)
+                    verdicts.append(verdict.safe)
+    assert any(verdicts) and not all(verdicts)
+
+
+def test_interface_flow_overloading_transmission_is_charged_to_both_systems():
+    # The DSO's consistency row forces z = 6 - 1 = 5 MW: one MW past its
+    # 4 MW interface bound, and 2 MW past the 3 MW transmission line that
+    # carries it from the root to the coupling bus. The feeder line itself
+    # carries 6 - 1 = 5 MW of its 10.
+    tn = Network(buses=(1, 2), lines=(Line(1, 2, 0.1, -3.0, 3.0),), root=1)
+    dn = Network(buses=(1, 2), lines=(Line(1, 2, 0.08, -10.0, 10.0),), root=1)
+    dso = DistributionSystem(index=1, network=dn, coupling_bus=2, z_min=-8.0,
+                             z_max=4.0, base_injections=(0.0, 6.0))
+    case = MarketCase(transmission=tn, base_injections=(0.0, 0.0), dsos=(dso,),
+                      bids=(Bid("t-u", 0, 1, "up", 35.0, 10.0),
+                            Bid("d-u", 1, 2, "up", 40.0, 5.0)),
+                      name="ring-overload")
+    verdict = is_grid_safe(case, {"d-u": 1.0}, {})
+    assert not verdict.safe
+    assert verdict.system_feasible == {0: False, 1: False}
+    assert verdict.max_flow_violation == pytest.approx(2.0, abs=1e-12)
+    assert verdict.max_interface_violation == pytest.approx(1.0, abs=1e-12)
+    assert not reference_safe(case, {"d-u": 1.0}, {})
+    # Two more MW of local upward volume bring z back to 3 MW: safe.
+    assert is_grid_safe(case, {"d-u": 3.0}, {}).safe
+
+
+def test_three_layer_verdict_matches_is_grid_safe():
+    # Safe exactly when every correction problem is feasible.
+    verdicts = []
+    for style in "ABCD":
+        for seed in range(4):
+            case = generate_case(CaseRecipe(style=style, congestion=0.7), seed)
+            common = clear_common(case)
+            for kind in ("none", "midpoint", "optimal"):
+                out = run_three_layer(case, interface_price(case, kind, common),
+                                      common=common)
+                assert out.status == "ok"
+                final = is_grid_safe(case, out.final_upward, out.final_downward)
+                assert out.safe == final.safe
+                verdicts.append(out.safe)
+    assert any(verdicts) and not all(verdicts)
