@@ -14,7 +14,6 @@ import csv
 import math
 import sys
 import time
-from concurrent.futures import ThreadPoolExecutor
 from dataclasses import dataclass
 from pathlib import Path
 
@@ -44,9 +43,11 @@ class ExperimentConfig:
     deltas: tuple[float, ...] = ()
     refine_rounds: int = 0
     out_dir: str = "."
-    workers: int = 1
+    workers: int = 1  # runs are serial; 1 is the only accepted value
 
     def __post_init__(self):
+        if self.workers != 1:
+            raise ContractError(f"workers must be 1, got {self.workers!r}")
         if not self.cases or not self.methods:
             raise ContractError("experiment needs at least one case and one method")
         for m in self.methods:
@@ -164,33 +165,23 @@ def run_experiment(config: ExperimentConfig) -> Path:
     """Run every (case, method, pricing / step size) combination and append
     the outcome rows to ``results.csv`` in a deterministic order. Component
     errors become rows with a status message; the run continues."""
-    jobs = []
+    common_cache: dict[str, ClearingResult] = {}
+    for case_id, _, case in config.cases:
+        common_cache[case_id] = clear_common(case)
+
+    rows = []
     for case_id, seed, case in config.cases:
         for method in config.methods:
             for pricing in config.pricings:
                 dlist = config.deltas if method.startswith("aggregation") else (None,)
                 for delta in dlist:
-                    jobs.append((case_id, seed, case, method, pricing, delta))
-
-    common_cache: dict[str, ClearingResult] = {}
-    for case_id, _, case in config.cases:
-        common_cache[case_id] = clear_common(case)
-
-    def work(job):
-        case_id, seed, case, method, pricing, delta = job
-        try:
-            out = _run_method(case, method, pricing, delta, config.refine_rounds,
-                              common_cache[case_id])
-            return _result_row(case_id, seed, method, pricing, delta, out)
-        except FlexmktError as exc:
-            return _result_row(case_id, seed, method, pricing, delta, None,
-                               error=f"error: {exc}")
-
-    if config.workers > 1:
-        with ThreadPoolExecutor(max_workers=config.workers) as pool:
-            rows = list(pool.map(work, jobs))
-    else:
-        rows = [work(j) for j in jobs]
+                    try:
+                        out = _run_method(case, method, pricing, delta,
+                                          config.refine_rounds, common_cache[case_id])
+                        rows.append(_result_row(case_id, seed, method, pricing, delta, out))
+                    except FlexmktError as exc:
+                        rows.append(_result_row(case_id, seed, method, pricing, delta,
+                                                None, error=f"error: {exc}"))
 
     out_dir = Path(config.out_dir)
     out_dir.mkdir(parents=True, exist_ok=True)
@@ -211,12 +202,12 @@ def cmd_run(args) -> int:
             deltas=tuple(args.delta or ()),
             refine_rounds=args.refine,
             out_dir=args.out,
-            workers=args.workers,
         )
     except ContractError as exc:
         raise SystemExit(str(exc)) from exc
     path = run_experiment(config)
-    rows = list(csv.DictReader(open(path, newline="", encoding="utf-8")))
+    with open(path, newline="", encoding="utf-8") as fh:
+        rows = list(csv.DictReader(fh))
     print(f"wrote {path} ({len(rows)} rows)")
     bad = [r for r in rows if str(r["status"]).startswith("error")]
     return 1 if bad else 0
@@ -304,7 +295,6 @@ def build_parser() -> argparse.ArgumentParser:
         p.add_argument("--refine", type=int, default=0)
         p.add_argument("--delta", type=float, action="append",
                        help="aggregation step size (repeatable)")
-        p.add_argument("--workers", type=int, default=1)
         if need_out:
             p.add_argument("--out", required=True, help="output directory")
 
@@ -339,8 +329,15 @@ def build_parser() -> argparse.ArgumentParser:
 
 
 def main(argv=None) -> int:
+    """Run one subcommand. A package error (bad case file, violated
+    precondition) or a file that cannot be read or decoded prints
+    ``error: <message>`` to stderr and returns 2."""
     args = build_parser().parse_args(argv)
-    return args.func(args)
+    try:
+        return args.func(args)
+    except (FlexmktError, OSError, UnicodeDecodeError) as exc:
+        print(f"error: {exc}", file=sys.stderr)
+        return 2
 
 
 if __name__ == "__main__":

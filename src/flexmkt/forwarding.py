@@ -78,19 +78,7 @@ class Outcome:
         return None if self.safety is None else self.safety.safe
 
 
-def _eta(total: float, j_common: float | None) -> float | None:
-    if j_common is None or not math.isfinite(total):
-        return None
-    return inefficiency(total, j_common).eta_pct
-
-
-def _common_cost(case: MarketCase, common: ClearingResult | None) -> float | None:
-    if common is None:
-        common = clear_common(case)
-    return common.objective if common.status == "optimal" else None
-
-
-def _final_volumes(case: MarketCase, *parts: ClearingResult | None):
+def _final_volumes(*parts: ClearingResult | None):
     up: dict[str, float] = {}
     down: dict[str, float] = {}
     for part in parts:
@@ -101,6 +89,57 @@ def _final_volumes(case: MarketCase, *parts: ClearingResult | None):
         for bid_id, v in part.downward.items():
             down[bid_id] = down.get(bid_id, 0.0) + v
     return up, down
+
+
+def _outcome(case: MarketCase, method: str, status: str, t0: float,
+             common: ClearingResult | None, *,
+             layer1: dict[int, ClearingResult], layer2: ClearingResult | None = None,
+             layer3: dict[int, ClearingResult] | None = None,
+             settled: tuple[ClearingResult, ...] = (), lp_solves: int,
+             milp_nodes: int = 0, details: dict | None = None) -> Outcome:
+    """The one way cleared parts become an Outcome.
+
+    The final volumes sum Layer 1, Layer 2, every feasible Layer-3
+    correction and the ``settled`` clearings. An "ok" run is priced and
+    judged by ``is_grid_safe`` on them; an aborted run gets neither cost
+    nor verdict. J_com comes from ``common``, cleared here when None.
+    """
+    layer3 = layer3 or {}
+    up, down = _final_volumes(*layer1.values(), layer2, *settled,
+                              *(r for r in layer3.values() if r.status == "optimal"))
+    total, verdict = float("nan"), None
+    if status == "ok":
+        total = bid_cost(case, up, down)
+        verdict = is_grid_safe(case, up, down)
+    if common is None:
+        common = clear_common(case)
+    j_com = common.objective if common.status == "optimal" else None
+    eta = (inefficiency(total, j_com).eta_pct
+           if j_com is not None and math.isfinite(total) else None)
+    return Outcome(method=method, status=status, layer1=layer1, layer2=layer2,
+                   layer3=layer3, final_upward=up, final_downward=down,
+                   total_cost=total, safety=verdict, j_common=j_com, eta_pct=eta,
+                   lp_solves=lp_solves, milp_nodes=milp_nodes,
+                   wall_ms=1e3 * (time.perf_counter() - t0), details=details or {})
+
+
+def _two_layers(case: MarketCase, pricing: PricingRule, method: str, t0: float,
+                common: ClearingResult | None, clear_layer2):
+    """Layer 1 for every DSO, then the TSO layer ``clear_layer2(layer1)``,
+    which returns its clearing and the solves it took. Returns
+    ``(layer1, layer2, solves)``, or the aborted Outcome when either layer
+    is infeasible."""
+    layer1 = {m: clear_dso_layer1(case, m, pricing) for m in case.dso_indices}
+    solves = len(layer1)
+    if any(r.status != "optimal" for r in layer1.values()):
+        return _outcome(case, method, "layer1_infeasible", t0, common,
+                        layer1=layer1, lp_solves=solves)
+    layer2, n = clear_layer2(layer1)
+    solves += n
+    if layer2.status != "optimal":
+        return _outcome(case, method, "layer2_infeasible", t0, common,
+                        layer1=layer1, lp_solves=solves)
+    return layer1, layer2, solves
 
 
 # ---------------------------------------------------------------------------
@@ -117,44 +156,19 @@ def run_sequential(case: MarketCase, pricing: PricingRule,
     forwarding, interface flows frozen).
     """
     t0 = time.perf_counter()
-    layer1 = {m: clear_dso_layer1(case, m, pricing) for m in case.dso_indices}
-    solves = len(layer1)
-    if any(r.status != "optimal" for r in layer1.values()):
-        return _aborted(case, f"sequential_{variant}", "layer1_infeasible",
-                        layer1, solves, t0, common)
-    if variant == "practical":
-        layer2 = clear_tso_layer2(case, layer1, pricing)
-    elif variant == "idealized":
-        layer2 = clear_idealized_layer2(case, layer1, pricing)
-    elif variant == "fragmented":
-        layer2 = clear_fragmented_layer2(case, layer1, pricing)
-    else:
+    layers = {"practical": ("sequential_raw", clear_tso_layer2),
+              "idealized": ("idealized", clear_idealized_layer2),
+              "fragmented": ("fragmented", clear_fragmented_layer2)}
+    if variant not in layers:
         raise ContractError(f"unknown sequential variant {variant!r}")
-    solves += 1
-    method = {"practical": "sequential_raw", "idealized": "idealized",
-              "fragmented": "fragmented"}[variant]
-    if layer2.status != "optimal":
-        return _aborted(case, method, "layer2_infeasible", layer1, solves, t0, common)
-
-    up, down = _final_volumes(case, *layer1.values(), layer2)
-    total = bid_cost(case, up, down)
-    j_com = _common_cost(case, common)
-    verdict = is_grid_safe(case, up, down)
-    return Outcome(method=method, status="ok", layer1=layer1, layer2=layer2,
-                   layer3={}, final_upward=up, final_downward=down,
-                   total_cost=total, safety=verdict, j_common=j_com,
-                   eta_pct=_eta(total, j_com), lp_solves=solves, milp_nodes=0,
-                   wall_ms=1e3 * (time.perf_counter() - t0))
-
-
-def _aborted(case, method, status, layer1, solves, t0, common) -> Outcome:
-    up, down = _final_volumes(case, *layer1.values())
-    return Outcome(method=method, status=status, layer1=layer1, layer2=None,
-                   layer3={}, final_upward=up, final_downward=down,
-                   total_cost=float("nan"), safety=None,
-                   j_common=_common_cost(case, common), eta_pct=None,
-                   lp_solves=solves, milp_nodes=0,
-                   wall_ms=1e3 * (time.perf_counter() - t0))
+    method, clear = layers[variant]
+    run = _two_layers(case, pricing, method, t0, common,
+                      lambda layer1: (clear(case, layer1, pricing), 1))
+    if isinstance(run, Outcome):
+        return run
+    layer1, layer2, solves = run
+    return _outcome(case, method, "ok", t0, common, layer1=layer1, layer2=layer2,
+                    lp_solves=solves)
 
 
 # ---------------------------------------------------------------------------
@@ -189,56 +203,37 @@ def run_three_layer(case: MarketCase, pricing: PricingRule, *,
                     common: ClearingResult | None = None) -> Outcome:
     """Corrective scheme: Layers 1 and 2, then one correction LP per DSO.
 
-    The outcome is grid safe iff every correction problem is feasible;
-    infeasible DSOs are reported with their residual overload in MW.
-    Infeasibility here is a verdict, not an exception.
+    The final volumes add every feasible correction to the first two
+    layers, and the verdict is ``is_grid_safe`` on them, as for every other
+    method: safe exactly when every correction problem is feasible. For a
+    DSO whose correction is infeasible, the least achievable line overload
+    (MW) is in ``details["layer3_overload_mw"]``. Infeasibility here is a
+    verdict, not an exception.
     """
     t0 = time.perf_counter()
-    layer1 = {m: clear_dso_layer1(case, m, pricing) for m in case.dso_indices}
-    solves = len(layer1)
-    if any(r.status != "optimal" for r in layer1.values()):
-        return _aborted(case, "three_layer", "layer1_infeasible", layer1, solves, t0, common)
-    layer2 = clear_tso_layer2(case, layer1, pricing)
-    solves += 1
-    if layer2.status != "optimal":
-        return _aborted(case, "three_layer", "layer2_infeasible", layer1, solves, t0, common)
+    run = _two_layers(case, pricing, "three_layer", t0, common,
+                      lambda layer1: (clear_tso_layer2(case, layer1, pricing), 1))
+    if isinstance(run, Outcome):
+        return run
+    layer1, layer2, solves = run
 
     layer3: dict[int, ClearingResult] = {}
-    feasible: dict[int, bool] = {0: True}
     overload: dict[int, float] = {}
-    for dso in case.dsos:
-        m = dso.index
-        fixed_up = {b.id: layer1[m].volume(b) + layer2.volume(b)
-                    for b in case.bids_of(m, DIR_UP)}
-        fixed_down = {b.id: layer1[m].volume(b) + layer2.volume(b)
-                      for b in case.bids_of(m, DIR_DOWN)}
+    for m in case.dso_indices:
+        fixed_up, fixed_down = _final_volumes(layer1[m], layer2)
         z2 = layer2.interface_flows[m]
         prog, _ = _layer3_program(case, m, fixed_up, fixed_down, z2)
         sol = solve_lp(prog.lp)
         solves += 1
         layer3[m] = prog.extract(sol)
-        feasible[m] = sol.status == "optimal"
-        if not feasible[m]:
+        if sol.status != "optimal":
             prog, worst = _layer3_program(case, m, fixed_up, fixed_down, z2, diagnostic=True)
             sol = solve_lp(prog.lp)
             overload[m] = float(sol.x[worst]) if sol.status == "optimal" else float("inf")
 
-    up, down = _final_volumes(case, *layer1.values(), layer2,
-                              *(r for r in layer3.values() if r.status == "optimal"))
-    total = bid_cost(case, up, down)
-    verdict = SafetyVerdict(
-        safe=all(feasible.values()),
-        system_feasible=feasible,
-        max_flow_violation=max(overload.values(), default=0.0),
-        max_interface_violation=0.0,
-    )
-    j_com = _common_cost(case, common)
-    return Outcome(method="three_layer", status="ok", layer1=layer1, layer2=layer2,
-                   layer3=layer3, final_upward=up, final_downward=down,
-                   total_cost=total, safety=verdict, j_common=j_com,
-                   eta_pct=_eta(total, j_com), lp_solves=solves, milp_nodes=0,
-                   wall_ms=1e3 * (time.perf_counter() - t0),
-                   details={"layer3_overload_mw": overload})
+    return _outcome(case, "three_layer", "ok", t0, common, layer1=layer1,
+                    layer2=layer2, layer3=layer3, lp_solves=solves,
+                    details={"layer3_overload_mw": overload})
 
 
 # ---------------------------------------------------------------------------
@@ -316,38 +311,25 @@ def run_bid_filtering(case: MarketCase, pricing: PricingRule, *,
     """Layer 1, per-DSO filtering, then the TSO layer restricted to the
     forwarded bids. Safe under price-ordering and radiality assumptions."""
     t0 = time.perf_counter()
-    layer1 = {m: clear_dso_layer1(case, m, pricing) for m in case.dso_indices}
-    solves = len(layer1)
-    if any(r.status != "optimal" for r in layer1.values()):
-        return _aborted(case, "filtering", "layer1_infeasible", layer1, solves, t0, common)
-
-    caps: dict[str, float] = {}
     filters: dict[int, FilterResult] = {}
-    for dso in case.dsos:
-        m = dso.index
-        filt = filter_bids(case, m, layer1[m])
-        filters[m] = filt
-        solves += filt.feasibility_solves
-        keep = set(filt.forward_up) | set(filt.forward_down)
-        for b in case.bids_of(m):
-            resid = max(0.0, b.quantity_max - layer1[m].volume(b))
-            caps[b.id] = resid if b.id in keep else 0.0
 
-    layer2 = clear_tso_layer2(case, layer1, pricing, dist_bid_caps=caps)
-    solves += 1
-    if layer2.status != "optimal":
-        return _aborted(case, "filtering", "layer2_infeasible", layer1, solves, t0, common)
+    def filtered_layer2(layer1):
+        caps: dict[str, float] = {}
+        for m in case.dso_indices:
+            filters[m] = filter_bids(case, m, layer1[m])
+            keep = set(filters[m].forward_up) | set(filters[m].forward_down)
+            for b in case.bids_of(m):
+                resid = max(0.0, b.quantity_max - layer1[m].volume(b))
+                caps[b.id] = resid if b.id in keep else 0.0
+        probes = sum(f.feasibility_solves for f in filters.values())
+        return clear_tso_layer2(case, layer1, pricing, dist_bid_caps=caps), probes + 1
 
-    up, down = _final_volumes(case, *layer1.values(), layer2)
-    total = bid_cost(case, up, down)
-    j_com = _common_cost(case, common)
-    verdict = is_grid_safe(case, up, down)
-    return Outcome(method="filtering", status="ok", layer1=layer1, layer2=layer2,
-                   layer3={}, final_upward=up, final_downward=down,
-                   total_cost=total, safety=verdict, j_common=j_com,
-                   eta_pct=_eta(total, j_com), lp_solves=solves, milp_nodes=0,
-                   wall_ms=1e3 * (time.perf_counter() - t0),
-                   details={"filters": filters})
+    run = _two_layers(case, pricing, "filtering", t0, common, filtered_layer2)
+    if isinstance(run, Outcome):
+        return run
+    layer1, layer2, solves = run
+    return _outcome(case, "filtering", "ok", t0, common, layer1=layer1, layer2=layer2,
+                    lp_solves=solves, details={"filters": filters})
 
 
 # ---------------------------------------------------------------------------
@@ -536,21 +518,14 @@ def run_bid_aggregation(case: MarketCase, delta_bar: float,
             grids[m] = _uniform_grid(lo, hi, rsf.delta / 10.0, must_include=(zhat,))
 
     chosen = {m: rsfs[m].steps[k] for m, k in selected.items()}
-    up, down = _final_volumes(case, result, *(s.clearing for s in chosen.values()))
-    total = bid_cost(case, up, down)
-    j_com = _common_cost(case, common)
-    verdict = is_grid_safe(case, up, down)
-    return Outcome(method=f"aggregation_{variant}", status="ok", layer1={},
-                   layer2=result, layer3={}, final_upward=up, final_downward=down,
-                   total_cost=total, safety=verdict, j_common=j_com,
-                   eta_pct=_eta(total, j_com), lp_solves=solves,
-                   milp_nodes=milp_nodes,
-                   wall_ms=1e3 * (time.perf_counter() - t0),
-                   details={
-                       "selected_flows": {m: s.z for m, s in chosen.items()},
-                       "realized_deltas": {m: rsfs[m].delta for m in rsfs},
-                       "variant": variant,
-                   })
+    return _outcome(case, f"aggregation_{variant}", "ok", t0, common, layer1={},
+                    layer2=result, settled=tuple(s.clearing for s in chosen.values()),
+                    lp_solves=solves, milp_nodes=milp_nodes,
+                    details={
+                        "selected_flows": {m: s.z for m, s in chosen.items()},
+                        "realized_deltas": {m: rsfs[m].delta for m in rsfs},
+                        "variant": variant,
+                    })
 
 
 # ---------------------------------------------------------------------------

@@ -16,11 +16,12 @@ and ``bids``; see :func:`parse_case`. MATPOWER ingestion reads only the
 from __future__ import annotations
 
 import json
+import math
 import re
 import warnings
 from dataclasses import dataclass
 
-from .errors import ParseError, ValidationError
+from .errors import ParseError, TopologyError, ValidationError
 from .netmodel import Line, Network, is_radial
 
 __all__ = [
@@ -165,17 +166,23 @@ class ValidationReport:
 def _want(obj, key, path, kind):
     if not isinstance(obj, dict) or key not in obj:
         raise ParseError(f"{path}: missing key '{key}'")
-    val = obj[key]
+    return _typed(obj[key], f"{path}.{key}", kind)
+
+
+def _typed(val, path, kind):
     if kind is float:
         if isinstance(val, bool) or not isinstance(val, (int, float)):
-            raise ParseError(f"{path}.{key}: expected a number")
-        return float(val)
+            raise ParseError(f"{path}: expected a number")
+        try:
+            return float(val)
+        except OverflowError as exc:  # an integer beyond the float range
+            raise ParseError(f"{path}: number out of range") from exc
     if kind is int:
         if isinstance(val, bool) or not isinstance(val, int):
-            raise ParseError(f"{path}.{key}: expected an integer")
+            raise ParseError(f"{path}: expected an integer")
         return val
     if not isinstance(val, kind):
-        raise ParseError(f"{path}.{key}: expected {kind.__name__}")
+        raise ParseError(f"{path}: expected {kind.__name__}")
     return val
 
 
@@ -185,14 +192,17 @@ def _parse_network(obj, path) -> Network:
     root = _want(obj, "root", path, int)
     lines = []
     for i, row in enumerate(raw_lines):
+        where = f"{path}.lines[{i}]"
         if not isinstance(row, list) or len(row) != 5:
-            raise ParseError(f"{path}.lines[{i}]: expected [from, to, x, f_min, f_max]")
-        lines.append(Line(int(row[0]), int(row[1]), float(row[2]),
-                          float(row[3]), float(row[4])))
+            raise ParseError(f"{where}: expected [from, to, x, f_min, f_max]")
+        frm, to = (_typed(row[k], f"{where}[{k}]", int) for k in (0, 1))
+        x, f_min, f_max = (_typed(row[k], f"{where}[{k}]", float) for k in (2, 3, 4))
+        lines.append(Line(frm, to, x, f_min, f_max))
     try:
-        return Network(buses=tuple(int(b) for b in buses), lines=tuple(lines),
-                       root=root)
-    except Exception as exc:
+        return Network(buses=tuple(_typed(b, f"{path}.buses[{k}]", int)
+                                   for k, b in enumerate(buses)),
+                       lines=tuple(lines), root=root)
+    except TopologyError as exc:
         raise ValidationError(f"{path}: {exc}") from exc
 
 
@@ -200,14 +210,14 @@ def _parse_injections(obj, path, net: Network) -> tuple[float, ...]:
     e = _want(obj, "e", path, list)
     if len(e) != net.n_buses:
         raise ParseError(f"{path}.e: expected {net.n_buses} entries")
-    return tuple(float(v) for v in e)
+    return tuple(_typed(v, f"{path}.e[{k}]", float) for k, v in enumerate(e))
 
 
 def parse_case(text: str, name: str = "case") -> MarketCase:
     """Parse the documented JSON case schema into a validated MarketCase."""
     try:
         doc = json.loads(text)
-    except json.JSONDecodeError as exc:
+    except (ValueError, RecursionError) as exc:  # JSONDecodeError is a ValueError
         raise ParseError(f"not valid JSON: {exc}") from exc
     if not isinstance(doc, dict):
         raise ParseError("top level must be a JSON object")
@@ -303,13 +313,20 @@ def _matpower_table(text: str, name: str) -> list[list[float]]:
     return rows
 
 
+def _bus_number(value: float, where: str) -> int:
+    if not math.isfinite(value) or value != int(value):
+        raise ParseError(f"MATPOWER case: {where}: bus number {value} is not an integer")
+    return int(value)
+
+
 def parse_matpower(text: str) -> Network:
     """Network topology from MATPOWER case text (bus/branch/baseMVA only).
 
     Reactances come from the branch table, limits from rateA (0 means
     unlimited and maps to the +/-1e9 MW sentinel with a warning). The root
     is the declared slack bus (type 3) or bus 1. Generator and cost tables
-    are ignored.
+    are ignored. Malformed text raises ParseError; a topology that is
+    unusable (self-loop, unknown bus, disconnected) raises ValidationError.
     """
     if re.search(r"mpc\.baseMVA\s*=", text) is None:
         raise ParseError("MATPOWER case: missing mpc.baseMVA")
@@ -318,11 +335,11 @@ def parse_matpower(text: str) -> Network:
     if not bus_rows:
         raise ParseError("MATPOWER case: empty bus table")
 
-    buses = tuple(int(r[0]) for r in bus_rows)
+    buses = tuple(_bus_number(r[0], f"bus row {i}") for i, r in enumerate(bus_rows))
     root = buses[0]
-    for r in bus_rows:
-        if len(r) > 1 and int(r[1]) == 3:
-            root = int(r[0])
+    for bus, r in zip(buses, bus_rows):
+        if len(r) > 1 and r[1] == 3:
+            root = bus
             break
 
     lines = []
@@ -338,8 +355,12 @@ def parse_matpower(text: str) -> Network:
             lo, hi = -UNLIMITED, UNLIMITED
         else:
             lo, hi = -rate, rate
-        lines.append(Line(int(r[0]), int(r[1]), x, lo, hi))
-    return Network(buses=buses, lines=tuple(lines), root=root)
+        lines.append(Line(_bus_number(r[0], f"branch row {i}"),
+                          _bus_number(r[1], f"branch row {i}"), x, lo, hi))
+    try:
+        return Network(buses=buses, lines=tuple(lines), root=root)
+    except TopologyError as exc:
+        raise ValidationError(f"MATPOWER case: {exc}") from exc
 
 
 # ---------------------------------------------------------------------------

@@ -9,7 +9,8 @@ from pathlib import Path
 
 import pytest
 
-from flexmkt.cli import RESULT_COLUMNS, main
+from flexmkt.cli import RESULT_COLUMNS, ExperimentConfig, main
+from flexmkt.errors import ContractError
 from flexmkt.market_model import parse_case
 
 
@@ -69,15 +70,37 @@ def test_run_columns_and_determinism(tmp_path):
         assert row["case_id"].startswith("recipeA-s")
 
 
-def test_run_with_workers_matches_serial(tmp_path):
-    args = ["run", "--recipe", "B", "--seed", "0,1,2",
-            "--method", "filtering", "--pricing", "none"]
-    main(args + ["--out", str(tmp_path / "serial")])
-    main(args + ["--workers", "3", "--out", str(tmp_path / "parallel")])
-    strip = lambda rows: [{k: v for k, v in r.items() if k != "wall_ms"}
-                          for r in rows]
-    assert strip(read_csv(tmp_path / "serial" / "results.csv")) == \
-        strip(read_csv(tmp_path / "parallel" / "results.csv"))
+# A line row whose reactance is text, not a number.
+MALFORMED_CASE = """{"transmission": {"buses": [1, 2], "lines": [[1, 2, "x", -9, 9]],
+ "root": 1, "e": [0, 0]}, "dsos": [], "bids": []}"""
+
+
+def test_workers_other_than_one_rejected(tmp_path):
+    with pytest.raises(SystemExit):
+        main(["run", "--recipe", "A", "--seed", "0", "--workers", "2",
+              "--out", str(tmp_path)])
+    case = parse_case(MALFORMED_CASE.replace('"x"', "0.1"))
+    with pytest.raises(ContractError, match="workers"):
+        ExperimentConfig(cases=(("c", 0, case),), methods=("three_layer",), workers=2)
+
+
+@pytest.mark.parametrize("command", [["validate"], ["run", "--out", "OUT"]])
+def test_bad_case_file_is_an_error_message_not_a_traceback(tmp_path, capsys, command):
+    bad = tmp_path / "bad.json"
+    bad.write_text(MALFORMED_CASE, encoding="utf-8")
+    argv = [str(tmp_path / "out") if a == "OUT" else a for a in command]
+    assert main(argv + ["--case", str(bad)]) == 2
+    err = capsys.readouterr().err
+    assert err.startswith("error: ") and "expected a number" in err
+    assert "Traceback" not in err
+
+
+def test_unreadable_case_file_is_an_error_message(tmp_path, capsys):
+    binary = tmp_path / "binary.json"
+    binary.write_bytes(b"\xff\xfe{")
+    for path in (binary, tmp_path / "missing.json"):
+        assert main(["validate", "--case", str(path)]) == 2
+        assert capsys.readouterr().err.startswith("error: ")
 
 
 def test_run_aggregation_requires_delta(tmp_path):

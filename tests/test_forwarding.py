@@ -26,6 +26,36 @@ def none_pricing(case):
 
 
 # ---------------------------------------------------------------------------
+# Plain sequential runs
+# ---------------------------------------------------------------------------
+
+def layer1_infeasible_case() -> MarketCase:
+    """One DSO with a 5 MW deficit, interface bounds of +/-1 MW and no
+    local bids: its Layer-1 market cannot balance."""
+    tn = Network(buses=(1, 2), lines=(Line(1, 2, 0.1, -100.0, 100.0),), root=1)
+    dn = Network(buses=(1, 2), lines=(Line(1, 2, 0.1, -10.0, 10.0),), root=1)
+    dso = DistributionSystem(index=1, network=dn, coupling_bus=2, z_min=-1.0,
+                             z_max=1.0, base_injections=(0.0, 5.0))
+    bids = (Bid("t-u", 0, 1, "up", 35.0, 10.0), Bid("t-d", 0, 1, "down", 12.0, 10.0))
+    return MarketCase(transmission=tn, base_injections=(0.0, 0.0), dsos=(dso,),
+                      bids=bids, name="layer1-infeasible")
+
+
+@pytest.mark.parametrize("variant,method", [("practical", "sequential_raw"),
+                                            ("idealized", "idealized"),
+                                            ("fragmented", "fragmented")])
+def test_sequential_layer1_abort_keeps_method_name(variant, method):
+    ok = run_sequential(micro_case(), none_pricing(micro_case()), variant)
+    assert (ok.status, ok.method) == ("ok", method)
+    case = layer1_infeasible_case()
+    out = run_sequential(case, none_pricing(case), variant)
+    assert out.method == method
+    assert out.status == "layer1_infeasible"
+    assert out.safe is None
+    assert out.lp_solves == 1
+
+
+# ---------------------------------------------------------------------------
 # Three-layer corrective scheme
 # ---------------------------------------------------------------------------
 

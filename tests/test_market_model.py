@@ -1,9 +1,14 @@
 """Case parsing, serialization round trips, MATPOWER ingestion, recipes."""
 
+import functools
 import json
+import re
+import warnings
 
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from flexmkt.casegen import CaseRecipe, generate_case
 from flexmkt.errors import GenerationError, ParseError, ValidationError
@@ -64,6 +69,84 @@ def test_parse_error_carries_path():
         parse_case("not json at all {")
 
 
+@pytest.mark.parametrize("path,value", [
+    (("transmission", "lines", 0, 2), "x"),
+    (("dsos", 0, "network", "lines", 0, 0), None),
+    (("transmission", "e", 1), "abc"),
+    (("transmission", "e", 0), True),
+    (("dsos", 0, "network", "buses", 1), 2.5),
+    (("dsos", 0, "z_max"), 10 ** 400),
+], ids=["text-reactance", "null-from-bus", "text-injection", "bool-injection",
+        "fractional-bus", "huge-integer"])
+def test_parse_rejects_bad_entries_with_parse_error(path, value):
+    doc = json.loads(MINIMAL_CASE)
+    *head, last = path
+    target = doc
+    for key in head:
+        target = target[key]
+    target[last] = value
+    with pytest.raises(ParseError):
+        parse_case(json.dumps(doc))
+
+
+def test_parse_rejects_unparsable_json_with_parse_error():
+    with pytest.raises(ParseError):
+        parse_case("1" * 5000)  # beyond the interpreter's integer digit limit
+    with pytest.raises(ParseError):
+        parse_case("[" * 100_000)  # deeper than the decoder's recursion limit
+
+
+def test_parse_wraps_topology_errors():
+    doc = json.loads(MINIMAL_CASE)
+    doc["dsos"][0]["network"]["lines"][0][1] = 1  # self-loop
+    with pytest.raises(ValidationError, match="self-loop"):
+        parse_case(json.dumps(doc))
+
+
+JSON_VALUES = st.recursive(
+    st.none() | st.booleans() | st.integers() | st.floats() | st.text(max_size=4),
+    lambda inner: st.lists(inner, max_size=3)
+    | st.dictionaries(st.text(max_size=3), inner, max_size=3),
+    max_leaves=4,
+)
+# Small integers and plain floats come first so that many mutations still
+# parse and reach the topology and invariant checks behind the parser.
+FUZZ_VALUES = st.one_of(st.integers(-2, 5), st.floats(), JSON_VALUES)
+
+
+def leaf_paths(node, prefix=()):
+    """Key paths to every scalar of a parsed JSON document."""
+    if isinstance(node, dict):
+        items = node.items()
+    elif isinstance(node, list):
+        items = enumerate(node)
+    else:
+        return [prefix]
+    return [p for key, child in items for p in leaf_paths(child, prefix + (key,))]
+
+
+@functools.lru_cache(maxsize=1)
+def fuzz_case_text() -> str:
+    return serialize_case(generate_case(CaseRecipe(style="A", n_dsos=1), 2))
+
+
+@settings(max_examples=300, deadline=None)
+@given(data=st.data())
+def test_parse_case_fuzz_raises_only_typed_errors(data):
+    doc = json.loads(fuzz_case_text())
+    paths = leaf_paths(doc)
+    for _ in range(data.draw(st.integers(1, 3))):
+        *head, last = data.draw(st.sampled_from(paths))
+        target = doc
+        for key in head:
+            target = target[key]
+        target[last] = data.draw(FUZZ_VALUES)
+    try:
+        parse_case(json.dumps(doc))
+    except (ParseError, ValidationError):
+        pass
+
+
 def test_serialize_round_trip_bit_exact():
     case = generate_case(CaseRecipe(style="B"), 17)
     again = parse_case(serialize_case(case), name=case.name)
@@ -115,6 +198,41 @@ def test_matpower_errors():
         parse_matpower(bad)
     with pytest.raises(ParseError, match="baseMVA"):
         parse_matpower("mpc.bus = [1 3;];\nmpc.branch = [1 2 0 0.1 0 1;];")
+
+
+@pytest.mark.parametrize("old,new,match", [
+    ("\n 2 3 0.02", "\n 3 3 0.02", "self-loop"),
+    ("\n 2 3 0.02", "\n 2 9 0.02", "unknown bus"),
+    ("\n 2 3 0.02 0.08 0 0 0 0 0 0 1 -360 360;", "", "disconnected"),
+], ids=["self-loop", "unknown-bus", "disconnected"])
+def test_matpower_topology_errors_are_validation_errors(old, new, match):
+    assert TOY_MATPOWER.count(old) == 1
+    with pytest.raises(ValidationError, match=match):
+        parse_matpower(TOY_MATPOWER.replace(old, new))
+
+
+def test_matpower_rejects_fractional_bus_numbers():
+    with pytest.raises(ParseError, match="bus number"):
+        parse_matpower(TOY_MATPOWER.replace("\n 2 1 0.1", "\n 2.5 1 0.1"))
+
+
+_MATPOWER_NUMBER = re.compile(r"-?\d+(?:\.\d+)?")
+
+
+@settings(max_examples=300, deadline=None)
+@given(data=st.data())
+def test_parse_matpower_fuzz_raises_only_typed_errors(data):
+    spans = [m.span() for m in _MATPOWER_NUMBER.finditer(TOY_MATPOWER)]
+    picked = data.draw(st.sets(st.sampled_from(spans), min_size=1, max_size=3))
+    text = TOY_MATPOWER
+    for lo, hi in sorted(picked, reverse=True):
+        text = text[:lo] + json.dumps(data.draw(FUZZ_VALUES)) + text[hi:]
+    try:
+        with warnings.catch_warnings():
+            warnings.simplefilter("ignore", UserWarning)
+            parse_matpower(text)
+    except (ParseError, ValidationError):
+        pass
 
 
 def synthetic_feeder_case(n_buses: int) -> str:

@@ -304,7 +304,6 @@ def test_interface_flow_overloading_transmission_is_charged_to_both_systems():
 
 
 def test_three_layer_verdict_matches_is_grid_safe():
-    # Safe exactly when every correction problem is feasible.
     verdicts = []
     for style in "ABCD":
         for seed in range(4):
@@ -316,5 +315,10 @@ def test_three_layer_verdict_matches_is_grid_safe():
                 assert out.status == "ok"
                 final = is_grid_safe(case, out.final_upward, out.final_downward)
                 assert out.safe == final.safe
+                # The paper's statement: safe exactly when every correction
+                # problem is feasible; the infeasible ones carry an overload.
+                assert out.safe == all(r.status == "optimal" for r in out.layer3.values())
+                assert set(out.details["layer3_overload_mw"]) == \
+                    {m for m, r in out.layer3.items() if r.status != "optimal"}
                 verdicts.append(out.safe)
     assert any(verdicts) and not all(verdicts)
