@@ -11,6 +11,15 @@ line limit through the injection-to-flow sensitivities. Summing a
 distribution system's balance rows therefore reproduces the aggregated
 balance used by the practical TSO layer.
 
+Every program enters its inputs the same way. Interface flows are
+declared first and attach themselves: a DSO's flow to its feeder root and
+to its coupling bus in the transmission system. Each later market is the
+residual of earlier ones: a clearing passed as ``prior`` turns its
+volumes into right-hand-side constants and leaves each bid only its
+residual volume ``max(0, quantity_max - used)``. The TSO layer and its
+idealized variant take Layer 1 as prior, and the Layer-3 correction
+takes Layers 1 and 2.
+
 Sign conventions: positive base injection = deficit the market must
 cover; positive interface flow = power delivered toward the distribution
 network; balance-row duals are EUR/MW shadow prices of the right-hand
@@ -20,8 +29,6 @@ side.
 from __future__ import annotations
 
 from dataclasses import dataclass, field
-
-import numpy as np
 
 from .errors import ContractError, ModelError
 from .market_model import DIR_DOWN, DIR_UP, Bid, MarketCase
@@ -55,15 +62,14 @@ class PricingRule:
 
 @dataclass(frozen=True)
 class ClearingResult:
-    """Primal volumes, injections, interface flows, duals and status of one
-    clearing problem. Volumes are keyed by bid id; injections and balance
-    duals by system (0 = transmission) and then bus."""
+    """Primal volumes, interface flows, duals and status of one clearing
+    problem. Volumes are keyed by bid id; balance duals by system
+    (0 = transmission) and then bus."""
 
     status: str
     objective: float
     upward: dict[str, float] = field(default_factory=dict)
     downward: dict[str, float] = field(default_factory=dict)
-    injections: dict[int, np.ndarray] = field(default_factory=dict)
     interface_flows: dict[int, float] = field(default_factory=dict)
     balance_duals: dict[int, dict[int, float]] = field(default_factory=dict)
     iterations: int = 0
@@ -99,9 +105,9 @@ def bid_cost(case: MarketCase, upward: dict[str, float],
 
 def add_network_block(lp: LinearProgram, net: Network, rhs: list[float],
                       at_bus: dict[int, list[tuple[int, float]]], tag: int | str,
-                      flow_slack: int | None = None) -> tuple[list[int], dict[int, int]]:
-    """Write one system's DC block into ``lp`` and return its injection
-    variables and its balance rows keyed by bus.
+                      flow_slack: int | None = None) -> dict[int, int]:
+    """Write one system's DC block into ``lp`` and return its balance rows
+    keyed by bus.
 
     Adds a free net-injection variable per bus, then per bus the balance
     row ``sum(at_bus terms) - p = rhs``, the consistency row ``sum(p) = 0``,
@@ -128,18 +134,24 @@ def add_network_block(lp: LinearProgram, net: Network, rhs: list[float],
         else:
             lp.add_range({**coeffs, flow_slack: -1.0}, -INF, ln.f_max, name=f"fhi[{tag},{li}]")
             lp.add_range({**coeffs, flow_slack: +1.0}, ln.f_min, INF, name=f"flo[{tag},{li}]")
-    return p_vars, rows
+    return rows
 
 
 class _CaseProgram:
-    """Incrementally built program over one or more system blocks."""
+    """Incrementally built program over one or more system blocks.
+
+    Declare the interface flows first with :meth:`add_z`, then add each
+    system with :meth:`add_system`, the only way bids, earlier clearings
+    and interface flows enter the program. A declared flow attaches
+    itself: a DSO's flow to its feeder root, and every declared flow to
+    its coupling bus in the transmission system (0).
+    """
 
     def __init__(self, case: MarketCase):
         self.case = case
         self.lp = LinearProgram()
         self.up_vars: dict[str, int] = {}
         self.down_vars: dict[str, int] = {}
-        self.p_vars: dict[int, list[int]] = {}
         self.z_vars: dict[int, int] = {}
         self.balance_rows: dict[int, dict[int, int]] = {}
 
@@ -152,69 +164,63 @@ class _CaseProgram:
         """Pin an interface flow with an explicit row so its dual is exposed."""
         return self.lp.add_equality({self.z_vars[m]: 1.0}, value, name=f"zpin[{m}]")
 
-    def add_bids(self, system: int, bid_caps: dict[str, float] | None = None,
-                 cost_scale: float = 1.0) -> dict[int, list[tuple[int, float]]]:
-        """One variable per bid of a system, capped by ``bid_caps`` (default:
-        its full volume); returns the balance-row terms keyed by bus."""
-        at_bus: dict[int, list[tuple[int, float]]] = {}
-        for b in self.case.bids_of(system):
-            cap = b.quantity_max if bid_caps is None else bid_caps.get(b.id, 0.0)
+    def add_system(self, system: int, *,
+                   prior: tuple[ClearingResult, ...] = (),
+                   bid_caps: dict[str, float] | None = None,
+                   aggregate: bool = False,
+                   step_terms: list[tuple[int, int, float]] = (),
+                   cost_scale: float = 1.0,
+                   flow_slack: int | None = None) -> None:
+        """Add one variable per bid of ``system``, then its network block.
+
+        The volumes the ``prior`` clearings already cleared are constants:
+        they shift the balance right-hand sides, and each bid may clear at
+        most its residual ``max(0, quantity_max - used)``, unless
+        ``bid_caps`` names that bid's cap. With ``aggregate`` a DSO's
+        network block is replaced by one balance row over all its buses;
+        ``step_terms`` are extra (bus, variable, coefficient) balance
+        terms; ``flow_slack`` relaxes every line limit by one variable.
+        """
+        case = self.case
+        bid_caps = bid_caps or {}
+        terms: list[tuple[int, int, float]] = []
+        const_net: dict[int, float] = {}
+        used_up, used_down = [], []
+        for b in case.bids_of(system):
+            used = 0.0
+            for r in prior:
+                used += r.volume(b)
+            cap = bid_caps.get(b.id, max(0.0, b.quantity_max - used))
             up = b.direction == DIR_UP
             var = self.lp.add_variable(f"{b.direction}[{b.id}]", 0.0, cap,
                                        cost_scale * (b.price if up else -b.price))
             (self.up_vars if up else self.down_vars)[b.id] = var
-            at_bus.setdefault(b.bus, []).append((var, 1.0 if up else -1.0))
-        return at_bus
+            terms.append((b.bus, var, 1.0 if up else -1.0))
+            const_net[b.bus] = const_net.get(b.bus, 0.0) + (used if up else -used)
+            (used_up if up else used_down).append(used)
 
-    def add_system(self, system: int, *,
-                   bid_caps: dict[str, float] | None = None,
-                   fixed_up: dict[str, float] | None = None,
-                   fixed_down: dict[str, float] | None = None,
-                   z_attach: list[tuple[int, int, float]] = (),
-                   cost_scale: float = 1.0,
-                   flow_slack: int | None = None) -> None:
-        """Add one system's bids and its network block.
+        if aggregate:
+            # Residual volumes plus the interface flow cover the total base
+            # imbalance net of what the prior clearings already cleared.
+            coeffs = {self.z_vars[system]: 1.0}
+            coeffs.update((var, coeff) for _, var, coeff in terms)
+            rhs = sum(case.dso(system).base_injections) - sum(used_up) + sum(used_down)
+            self.lp.add_equality(coeffs, rhs, name=f"agg[{system}]")
+            return
 
-        ``bid_caps`` limits each bid variable (defaults to its full volume);
-        ``fixed_up``/``fixed_down`` are constant, already-cleared volumes
-        folded into the right-hand sides; ``z_attach`` lists
-        (bus, variable, coefficient) interface terms to insert into balance
-        rows; ``flow_slack`` relaxes every line limit by one variable.
-        """
-        case = self.case
+        if system == 0:
+            terms += [(dso.coupling_bus, self.z_vars[dso.index], 1.0)
+                      for dso in case.dsos if dso.index in self.z_vars]
+        elif system in self.z_vars:
+            terms.append((case.dso(system).network.root, self.z_vars[system], 1.0))
+        at_bus: dict[int, list[tuple[int, float]]] = {}
+        for bus, var, coeff in (*terms, *step_terms):
+            at_bus.setdefault(bus, []).append((var, coeff))
         net = case.system_network(system)
         e = case.system_injections(system)
-        fixed_up = fixed_up or {}
-        fixed_down = fixed_down or {}
-
-        at_bus = self.add_bids(system, bid_caps, cost_scale)
-        const_net: dict[int, float] = {}
-        for b in case.bids_of(system):
-            if b.direction == DIR_UP:
-                const_net[b.bus] = const_net.get(b.bus, 0.0) + fixed_up.get(b.id, 0.0)
-            else:
-                const_net[b.bus] = const_net.get(b.bus, 0.0) - fixed_down.get(b.id, 0.0)
-        for bus, var, coeff in z_attach:
-            at_bus.setdefault(bus, []).append((var, coeff))
         rhs = [e[k] - const_net.get(bus, 0.0) for k, bus in enumerate(net.buses)]
-        self.p_vars[system], self.balance_rows[system] = add_network_block(
+        self.balance_rows[system] = add_network_block(
             self.lp, net, rhs, at_bus, system, flow_slack)
-
-    def add_aggregate_balance(self, m: int, cleared_up: float, cleared_down: float) -> int:
-        """Aggregated distribution balance: residual volumes plus the
-        interface flow must cover the total base imbalance net of what the
-        first layer already cleared."""
-        case = self.case
-        dso = case.dso(m)
-        coeffs: dict[int, float] = {self.z_vars[m]: 1.0}
-        for b in case.bids_of(m):
-            var = self.up_vars.get(b.id) if b.direction == DIR_UP \
-                else self.down_vars.get(b.id)
-            if var is None:
-                continue
-            coeffs[var] = coeffs.get(var, 0.0) + (1.0 if b.direction == DIR_UP else -1.0)
-        rhs = sum(dso.base_injections) - cleared_up + cleared_down
-        return self.lp.add_equality(coeffs, rhs, name=f"agg[{m}]")
 
     def extract(self, sol: Solution) -> ClearingResult:
         if sol.status != "optimal":
@@ -226,28 +232,18 @@ class _CaseProgram:
         down = {}
         for bid_id, var in self.down_vars.items():
             down[bid_id] = _clamp(sol.x[var], self.lp.var_lb[var], self.lp.var_ub[var])
-        injections = {
-            system: np.array([sol.x[v] for v in pvars])
-            for system, pvars in self.p_vars.items()
-        }
         zvals = {m: float(sol.x[v]) for m, v in self.z_vars.items()}
         duals = {
             system: {bus: float(sol.duals[row]) for bus, row in rows.items()}
             for system, rows in self.balance_rows.items()
         }
         return ClearingResult(status="optimal", objective=sol.objective,
-                              upward=up, downward=down, injections=injections,
-                              interface_flows=zvals, balance_duals=duals,
-                              iterations=sol.iterations)
+                              upward=up, downward=down, interface_flows=zvals,
+                              balance_duals=duals, iterations=sol.iterations)
 
 
 def _clamp(v: float, lo: float, hi: float) -> float:
     return float(min(max(v, lo), hi))
-
-
-def _tso_z_attach(prog: _CaseProgram) -> list[tuple[int, int, float]]:
-    return [(dso.coupling_bus, prog.z_vars[dso.index], 1.0)
-            for dso in prog.case.dsos]
 
 
 # ---------------------------------------------------------------------------
@@ -263,8 +259,8 @@ def clear_dso_layer1(case: MarketCase, m: int, pricing: PricingRule) -> Clearing
     """
     dso = case.dso(m)
     prog = _CaseProgram(case)
-    zv = prog.add_z(m, dso.z_min, dso.z_max, pricing.price(m))
-    prog.add_system(m, z_attach=[(dso.network.root, zv, 1.0)])
+    prog.add_z(m, dso.z_min, dso.z_max, pricing.price(m))
+    prog.add_system(m)
     sol = solve_lp(prog.lp)
     return prog.extract(sol)
 
@@ -275,10 +271,9 @@ def clear_dso_fixed_interface(case: MarketCase, m: int,
     replaced by a pinned flow. Returns the clearing and the pin's dual,
     which is the local marginal value of one more MW of import (the
     subgradient the dual-price residual supply function accumulates)."""
-    dso = case.dso(m)
     prog = _CaseProgram(case)
-    zv = prog.add_z(m, -INF, INF, 0.0)
-    prog.add_system(m, z_attach=[(dso.network.root, zv, 1.0)])
+    prog.add_z(m, -INF, INF, 0.0)
+    prog.add_system(m)
     pin_row = prog.pin_z(m, z_value)
     sol = solve_lp(prog.lp)
     result = prog.extract(sol)
@@ -290,8 +285,8 @@ def layer1_feasible(case: MarketCase, m: int) -> bool:
     """Phase-1 style feasibility probe of the Layer-1 problem."""
     dso = case.dso(m)
     prog = _CaseProgram(case)
-    zv = prog.add_z(m, dso.z_min, dso.z_max)
-    prog.add_system(m, z_attach=[(dso.network.root, zv, 1.0)], cost_scale=0.0)
+    prog.add_z(m, dso.z_min, dso.z_max)
+    prog.add_system(m, cost_scale=0.0)
     return solve_lp(prog.lp).status == "optimal"
 
 
@@ -301,7 +296,7 @@ def layer1_feasible(case: MarketCase, m: int) -> bool:
 
 def _layer2_program(case: MarketCase, layer1: dict[int, ClearingResult],
                     pricing: PricingRule, dist_bid_caps: dict[str, float] | None,
-                    mode: str) -> tuple[_CaseProgram, Solution]:
+                    mode: str) -> ClearingResult:
     if mode not in ("practical", "idealized", "fragmented"):
         raise ContractError(f"unknown layer-2 mode {mode}")
     for m in case.dso_indices:
@@ -311,49 +306,25 @@ def _layer2_program(case: MarketCase, layer1: dict[int, ClearingResult],
     prog = _CaseProgram(case)
     for dso in case.dsos:
         m = dso.index
-        prog.add_z(m, dso.z_min, dso.z_max, 0.0)
-
-    tso_caps = {b.id: b.quantity_max for b in case.bids_of(0)}
-    caps = dict(tso_caps)
-    for dso in case.dsos:
-        m = dso.index
-        for b in case.bids_of(m):
-            if mode == "fragmented":
-                caps[b.id] = 0.0
-            elif dist_bid_caps is not None and b.id in dist_bid_caps:
-                caps[b.id] = dist_bid_caps[b.id]
-            else:
-                caps[b.id] = max(0.0, b.quantity_max - layer1[m].volume(b))
-
-    prog.add_system(0, bid_caps=caps, z_attach=_tso_z_attach(prog))
-
-    for dso in case.dsos:
-        m = dso.index
-        if mode == "idealized":
-            fixed_up = {b.id: layer1[m].volume(b) for b in case.bids_of(m, DIR_UP)}
-            fixed_down = {b.id: layer1[m].volume(b) for b in case.bids_of(m, DIR_DOWN)}
-            prog.add_system(m, bid_caps=caps, fixed_up=fixed_up, fixed_down=fixed_down,
-                            z_attach=[(dso.network.root, prog.z_vars[m], 1.0)])
-        else:
-            prog.add_bids(m, caps)
-            prog.add_aggregate_balance(m, layer1[m].total_up(case, m),
-                                       layer1[m].total_down(case, m))
-        # Interface-flow revenue enters the TSO objective with a minus sign.
-        prog.lp.set_cost(prog.z_vars[m], -pricing.price(m))
+        lo, hi = dso.z_min, dso.z_max
         if mode == "fragmented":
-            prog.lp.fix_variable(prog.z_vars[m], layer1[m].interface_flows[m])
-
-    sol = solve_lp(prog.lp)
-    return prog, sol
+            lo = hi = layer1[m].interface_flows[m]
+        # Interface-flow revenue enters the TSO objective with a minus sign.
+        prog.add_z(m, lo, hi, -pricing.price(m))
+    prog.add_system(0)
+    for m in case.dso_indices:
+        prog.add_system(m, prior=(layer1[m],), bid_caps=dist_bid_caps,
+                        aggregate=mode != "idealized")
+    return prog.extract(solve_lp(prog.lp))
 
 
 def clear_tso_layer2(case: MarketCase, layer1: dict[int, ClearingResult],
                      pricing: PricingRule,
                      dist_bid_caps: dict[str, float] | None = None) -> ClearingResult:
     """Practical TSO clearing: full transmission model, aggregated
-    distribution balances, residual distribution bids."""
-    prog, sol = _layer2_program(case, layer1, pricing, dist_bid_caps, "practical")
-    return prog.extract(sol)
+    distribution balances, residual distribution bids. ``dist_bid_caps``
+    replaces the residual cap of every bid it names."""
+    return _layer2_program(case, layer1, pricing, dist_bid_caps, "practical")
 
 
 def clear_idealized_layer2(case: MarketCase, layer1: dict[int, ClearingResult],
@@ -361,16 +332,15 @@ def clear_idealized_layer2(case: MarketCase, layer1: dict[int, ClearingResult],
                            dist_bid_caps: dict[str, float] | None = None) -> ClearingResult:
     """TSO clearing with full per-DSO network constraints in place of the
     aggregated balances."""
-    prog, sol = _layer2_program(case, layer1, pricing, dist_bid_caps, "idealized")
-    return prog.extract(sol)
+    return _layer2_program(case, layer1, pricing, dist_bid_caps, "idealized")
 
 
 def clear_fragmented_layer2(case: MarketCase, layer1: dict[int, ClearingResult],
                             pricing: PricingRule) -> ClearingResult:
     """TSO clearing with distribution volumes pinned to zero and interface
     flows frozen at their Layer-1 values."""
-    prog, sol = _layer2_program(case, layer1, pricing, None, "fragmented")
-    return prog.extract(sol)
+    no_dist = {b.id: 0.0 for b in case.bids if b.system != 0}
+    return _layer2_program(case, layer1, pricing, no_dist, "fragmented")
 
 
 # ---------------------------------------------------------------------------
@@ -384,10 +354,9 @@ def _common_program(case: MarketCase, bound_interfaces: bool = True) -> _CasePro
     for dso in case.dsos:
         lo, hi = (dso.z_min, dso.z_max) if bound_interfaces else (-INF, INF)
         prog.add_z(dso.index, lo, hi)
-    prog.add_system(0, z_attach=_tso_z_attach(prog))
-    for dso in case.dsos:
-        prog.add_system(dso.index,
-                        z_attach=[(dso.network.root, prog.z_vars[dso.index], 1.0)])
+    prog.add_system(0)
+    for m in case.dso_indices:
+        prog.add_system(m)
     return prog
 
 

@@ -175,11 +175,12 @@ def run_sequential(case: MarketCase, pricing: PricingRule,
 # Three-layer corrective scheme
 # ---------------------------------------------------------------------------
 
-def _layer3_program(case: MarketCase, m: int, fixed_up: dict[str, float],
-                    fixed_down: dict[str, float], z_value: float,
+def _layer3_program(case: MarketCase, m: int, prior: tuple[ClearingResult, ...],
+                    z_value: float,
                     diagnostic: bool = False) -> tuple[_CaseProgram, int | None]:
-    """Corrective DSO problem: prior volumes are constants, corrective
-    volumes fill the residual boxes, the interface flow is frozen.
+    """Corrective DSO problem: the volumes of the ``prior`` clearings are
+    constants, corrective volumes fill the residual boxes, the interface
+    flow is frozen.
 
     The ``diagnostic`` variant drops the bid costs and relaxes every line
     limit by one slack, whose optimum is the smallest possible max line
@@ -187,15 +188,10 @@ def _layer3_program(case: MarketCase, m: int, fixed_up: dict[str, float],
     the program and that slack variable (None without ``diagnostic``).
     """
     prog = _CaseProgram(case)
-    zv = prog.add_z(m, z_value, z_value)
+    prog.add_z(m, z_value, z_value)
     worst = prog.lp.add_variable("worst", 0.0, INF, 1.0) if diagnostic else None
-    caps = {}
-    for b in case.bids_of(m):
-        used = fixed_up.get(b.id, 0.0) if b.direction == DIR_UP else fixed_down.get(b.id, 0.0)
-        caps[b.id] = max(0.0, b.quantity_max - used)
-    prog.add_system(m, bid_caps=caps, fixed_up=fixed_up, fixed_down=fixed_down,
-                    z_attach=[(case.dso(m).network.root, zv, 1.0)],
-                    cost_scale=0.0 if diagnostic else 1.0, flow_slack=worst)
+    prog.add_system(m, prior=prior, cost_scale=0.0 if diagnostic else 1.0,
+                    flow_slack=worst)
     return prog, worst
 
 
@@ -220,14 +216,14 @@ def run_three_layer(case: MarketCase, pricing: PricingRule, *,
     layer3: dict[int, ClearingResult] = {}
     overload: dict[int, float] = {}
     for m in case.dso_indices:
-        fixed_up, fixed_down = _final_volumes(layer1[m], layer2)
+        prior = (layer1[m], layer2)
         z2 = layer2.interface_flows[m]
-        prog, _ = _layer3_program(case, m, fixed_up, fixed_down, z2)
+        prog, _ = _layer3_program(case, m, prior, z2)
         sol = solve_lp(prog.lp)
         solves += 1
         layer3[m] = prog.extract(sol)
         if sol.status != "optimal":
-            prog, worst = _layer3_program(case, m, fixed_up, fixed_down, z2, diagnostic=True)
+            prog, worst = _layer3_program(case, m, prior, z2, diagnostic=True)
             sol = solve_lp(prog.lp)
             overload[m] = float(sol.x[worst]) if sol.status == "optimal" else float("inf")
 
@@ -314,15 +310,13 @@ def run_bid_filtering(case: MarketCase, pricing: PricingRule, *,
     filters: dict[int, FilterResult] = {}
 
     def filtered_layer2(layer1):
-        caps: dict[str, float] = {}
+        dropped: dict[str, float] = {}
         for m in case.dso_indices:
             filters[m] = filter_bids(case, m, layer1[m])
             keep = set(filters[m].forward_up) | set(filters[m].forward_down)
-            for b in case.bids_of(m):
-                resid = max(0.0, b.quantity_max - layer1[m].volume(b))
-                caps[b.id] = resid if b.id in keep else 0.0
+            dropped.update((b.id, 0.0) for b in case.bids_of(m) if b.id not in keep)
         probes = sum(f.feasibility_solves for f in filters.values())
-        return clear_tso_layer2(case, layer1, pricing, dist_bid_caps=caps), probes + 1
+        return clear_tso_layer2(case, layer1, pricing, dist_bid_caps=dropped), probes + 1
 
     run = _two_layers(case, pricing, "filtering", t0, common, filtered_layer2)
     if isinstance(run, Outcome):
@@ -421,7 +415,7 @@ def clear_tso_rsf(case: MarketCase,
             raise ContractError(f"missing RSF for DSO {m}")
     prog = _CaseProgram(case)
     y_vars: dict[int, list[int]] = {}
-    z_attach = []
+    step_terms = []
     for dso in case.dsos:
         m = dso.index
         ys = []
@@ -429,9 +423,9 @@ def clear_tso_rsf(case: MarketCase,
             y = prog.lp.add_variable(f"y[{m},{k}]", 0.0, 1.0, cost=step.cost)
             ys.append(y)
             if step.z != 0.0:
-                z_attach.append((dso.coupling_bus, y, step.z))
+                step_terms.append((dso.coupling_bus, y, step.z))
         y_vars[m] = ys
-    prog.add_system(0, z_attach=z_attach)
+    prog.add_system(0, step_terms=step_terms)
     mp = MixedProgram(prog.lp, [y_vars[m] for m in case.dso_indices])
     sol = solve_milp(mp)
     if sol.status != "optimal":
@@ -575,7 +569,7 @@ def _dso_flow_interval(case: MarketCase, m: int) -> tuple[float, float]:
     for sense in (+1.0, -1.0):
         prog = _CaseProgram(case)
         zv = prog.add_z(m, dso.z_min, dso.z_max, sense)
-        prog.add_system(m, z_attach=[(dso.network.root, zv, 1.0)], cost_scale=0.0)
+        prog.add_system(m, cost_scale=0.0)
         sol = solve_lp(prog.lp)
         if sol.status != "optimal":
             raise ModelError(f"DSO {m} has no feasible interface flow")

@@ -86,16 +86,11 @@ class MarketCase:
     base_injections: tuple[float, ...]
     dsos: tuple[DistributionSystem, ...]
     bids: tuple[Bid, ...]
-    interface_prices: tuple[float, ...] = ()
     name: str = "case"
 
     def __post_init__(self):
         if len(self.base_injections) != self.transmission.n_buses:
             raise ValidationError("transmission base injection vector length mismatch")
-        if not self.interface_prices:
-            object.__setattr__(self, "interface_prices", (0.0,) * len(self.dsos))
-        if len(self.interface_prices) != len(self.dsos):
-            raise ValidationError("one interface price required per DSO")
         seen_idx: set[int] = set()
         seen_coupling: set[int] = set()
         for dso in self.dsos:
@@ -174,9 +169,12 @@ def _typed(val, path, kind):
         if isinstance(val, bool) or not isinstance(val, (int, float)):
             raise ParseError(f"{path}: expected a number")
         try:
-            return float(val)
+            num = float(val)
         except OverflowError as exc:  # an integer beyond the float range
             raise ParseError(f"{path}: number out of range") from exc
+        if not math.isfinite(num):  # JSON NaN / Infinity; use +/-1e9 for unlimited
+            raise ParseError(f"{path}: expected a finite number")
+        return num
     if kind is int:
         if isinstance(val, bool) or not isinstance(val, int):
             raise ParseError(f"{path}: expected an integer")
@@ -391,10 +389,6 @@ def validate_case(case: MarketCase) -> ValidationReport:
         if not feas[m]:
             notes.append(f"DSO {m}: local bids plus interface capacity cannot "
                          "cover the base imbalance")
-        c_z = case.interface_prices[case.dso_indices.index(m)]
-        local = ups + downs
-        if local and c_z > max(local):
-            notes.append(f"DSO {m}: interface price {c_z} exceeds every local bid price")
     for ln in case.transmission.lines:
         if ln.f_max >= UNLIMITED:
             notes.append(f"transmission line {ln.from_bus}-{ln.to_bus} is unlimited")

@@ -56,15 +56,6 @@ class LinearProgram:
         self.var_cost.append(float(cost))
         return len(self.var_names) - 1
 
-    def set_cost(self, index: int, cost: float) -> None:
-        self._check_index(index)
-        self.var_cost[index] = float(cost)
-
-    def fix_variable(self, index: int, value: float) -> None:
-        self._check_index(index)
-        self.var_lb[index] = float(value)
-        self.var_ub[index] = float(value)
-
     def add_equality(self, coeffs: dict[int, float], rhs: float,
                      name: str | None = None) -> int:
         return self.add_range(coeffs, rhs, rhs, name)

@@ -88,18 +88,14 @@ class _Core:
         extra = np.zeros((m, k))
         for j, (i, g) in enumerate(zip(art_rows, art_cols)):
             extra[i, j] = g
+            self.basis[i] = n + m + j
         self.F = np.hstack([self.F, extra])
         self.lb = np.concatenate([self.lb, np.zeros(k)])
         self.ub = np.concatenate([self.ub, np.full(k, INF)])
         self.cost = np.concatenate([self.cost, np.zeros(k)])
         self.status = np.concatenate([self.status, np.full(k, _BASIC, dtype=np.int8)])
-        new_vals = np.zeros(k)
-        for j, (i, g) in enumerate(zip(art_rows, art_cols)):
-            # Row i reads a'x - s + g*art = 0 with s clamped to its bound.
-            new_vals[j] = -(self.F[i, : self.n_struct + self.m] @
-                            self.xval[: self.n_struct + self.m]) / g
-            self.basis[i] = self.n_struct + self.m + j
-        self.xval = np.concatenate([self.xval, new_vals])
+        # The refactorization sets every basic value, the artificials' too.
+        self.xval = np.concatenate([self.xval, np.zeros(k)])
         self._refactor()
         c1 = np.zeros(self.F.shape[1])
         c1[self.n_struct + self.m:] = 1.0

@@ -183,7 +183,7 @@ def test_criterion_06_no_mixed_direction_clearing():
 
 
 def test_criterion_07_rsf_selection_equals_enumeration():
-    from flexmkt.clearing import _CaseProgram, _tso_z_attach
+    from flexmkt.clearing import _CaseProgram
     from flexmkt.mp_solver import solve_lp
 
     t0 = time.perf_counter()
@@ -202,7 +202,7 @@ def test_criterion_07_rsf_selection_equals_enumeration():
             prog = _CaseProgram(case)
             for dso, step in zip(case.dsos, combo):
                 prog.add_z(dso.index, step.z, step.z)
-            prog.add_system(0, z_attach=_tso_z_attach(prog))
+            prog.add_system(0)
             sol = solve_lp(prog.lp)
             if sol.status == "optimal":
                 best = min(best, sol.objective + sum(s.cost for s in combo))

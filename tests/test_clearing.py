@@ -112,6 +112,16 @@ def test_layer2_full_micro_case(m1):
     assert res.interface_flows[1] == pytest.approx(8.0, abs=1e-7)
 
 
+def test_layer2_partial_caps_keep_residual_for_unnamed_bids(m1):
+    # dist_bid_caps names d-u only; d-d keeps its residual 5 - 0 = 5 MW.
+    layer1 = explicit_layer1({"d-u": 2.0}, {"d-d": 0.0}, 4.0)
+    oracle = layer2_grid_oracle(m1, {1: 2.0}, {1: 0.0}, {"d-u": 0.0, "d-d": 5.0},
+                                {1: 0.0}, 0.25)
+    res = clear_tso_layer2(m1, layer1, pricing(m1), dist_bid_caps={"d-u": 0.0})
+    assert res.objective == pytest.approx(oracle, abs=1e-7)
+    assert res.upward["d-u"] == 0.0
+
+
 def test_layer2_infeasibility_is_surfaced():
     case = micro_case(z_max=0.5, z_min=0.0, tso_need=8.0)
     # Freeze an inconsistent first layer: the aggregate balance demands an

@@ -317,14 +317,14 @@ def test_clear_tso_rsf_matches_exhaustive_enumeration(m1):
 
     # Enumerate every step: pin the interface flow, solve the TSO side as
     # an LP, add the stored step cost.
-    from flexmkt.clearing import _CaseProgram, _tso_z_attach
+    from flexmkt.clearing import _CaseProgram
     from flexmkt.mp_solver import solve_lp
 
     best = math.inf
     for step in rsf.steps:
         prog = _CaseProgram(m1)
         prog.add_z(1, step.z, step.z)
-        prog.add_system(0, z_attach=_tso_z_attach(prog))
+        prog.add_system(0)
         sol = solve_lp(prog.lp)
         if sol.status == "optimal":
             best = min(best, sol.objective + step.cost)
@@ -342,7 +342,7 @@ def test_rsf_selection_equals_step_enumeration(n_dsos, n_steps):
         rsfs[dso.index] = build_rsf(case, dso.index, grid)
     result, selected = clear_tso_rsf(case, rsfs)
 
-    from flexmkt.clearing import _CaseProgram, _tso_z_attach
+    from flexmkt.clearing import _CaseProgram
     from flexmkt.mp_solver import solve_lp
 
     best = math.inf
@@ -350,7 +350,7 @@ def test_rsf_selection_equals_step_enumeration(n_dsos, n_steps):
         prog = _CaseProgram(case)
         for dso, step in zip(case.dsos, combo):
             prog.add_z(dso.index, step.z, step.z)
-        prog.add_system(0, z_attach=_tso_z_attach(prog))
+        prog.add_system(0)
         sol = solve_lp(prog.lp)
         if sol.status == "optimal":
             best = min(best, sol.objective + sum(s.cost for s in combo))

@@ -76,8 +76,13 @@ def test_parse_error_carries_path():
     (("transmission", "e", 0), True),
     (("dsos", 0, "network", "buses", 1), 2.5),
     (("dsos", 0, "z_max"), 10 ** 400),
+    (("bids", 0, "price"), float("nan")),
+    (("dsos", 0, "z_max"), float("inf")),
+    (("dsos", 0, "e", 1), float("-inf")),
+    (("transmission", "lines", 0, 4), float("nan")),
 ], ids=["text-reactance", "null-from-bus", "text-injection", "bool-injection",
-        "fractional-bus", "huge-integer"])
+        "fractional-bus", "huge-integer", "nan-price", "infinite-z-max",
+        "minus-infinite-injection", "nan-line-limit"])
 def test_parse_rejects_bad_entries_with_parse_error(path, value):
     doc = json.loads(MINIMAL_CASE)
     *head, last = path

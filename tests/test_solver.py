@@ -292,8 +292,8 @@ def test_export_round_trip_through_external_solver(m1_up_only):
     case = m1_up_only
     dso = case.dsos[0]
     prog = _CaseProgram(case)
-    zv = prog.add_z(1, dso.z_min, dso.z_max, 0.0)
-    prog.add_system(1, z_attach=[(dso.network.root, zv, 1.0)])
+    prog.add_z(1, dso.z_min, dso.z_max, 0.0)
+    prog.add_system(1)
     mine = solve_lp(prog.lp)
 
     obj, rows, bounds = parse_lp_text(export_lp(prog.lp))
