@@ -19,8 +19,7 @@ from .forwarding import (Outcome, Rsf, build_rsf, build_rsf_dual,
 from .market_model import (Bid, DistributionSystem, MarketCase,
                            ValidationReport, parse_case, parse_matpower,
                            serialize_case, validate_case)
-from .netmodel import (Line, Network, SensitivityMatrix, build_sensitivity,
-                       is_radial, line_flows)
+from .netmodel import Line, Network, build_sensitivity, is_radial, line_flows
 from .safety import (EfficiencyReport, SafetyVerdict, brute_force_oracle,
                      inefficiency, is_grid_safe)
 

@@ -40,6 +40,8 @@ from .netmodel import Line, Network, build_sensitivity
 __all__ = ["CaseRecipe", "generate_case", "emit_case"]
 
 _STYLES = ("A", "B", "C", "D")
+_EXTRA_UP_BIDS = 1  # upward bids per feeder beyond one per loaded bus
+_DOWN_BIDS = 2      # downward bids per feeder
 
 
 def _max_absorbable_import(net: Network, e, bids: list[Bid]) -> float:
@@ -67,10 +69,7 @@ class CaseRecipe:
     n_dsos: int = 2
     dso_buses: int = 7
     tn_buses: int = 4
-    extra_up_bids: int = 1
-    down_bids: int = 2
     congestion: float = 0.9
-    liquidity: float = 1.0
 
 
 def _span(draw: float, lo: float, hi: float) -> float:
@@ -93,7 +92,7 @@ def _feeder(rng, n_buses: int, congestion: float):
     probe = Network(buses=buses, root=1, lines=tuple(
         Line(p, k, x, -1e9, 1e9)
         for p, k, x in zip(parents, range(2, n_buses + 1), reactances)))
-    base_flow = build_sensitivity(probe).entries @ np.where(
+    base_flow = build_sensitivity(probe) @ np.where(
         np.arange(1, n_buses + 1) == 1, 0.0, -e)
 
     lines = []
@@ -119,8 +118,8 @@ def generate_case(recipe: CaseRecipe, seed: int) -> MarketCase:
     if recipe.tn_buses < recipe.n_dsos + 1:
         raise GenerationError("not enough transmission buses for the requested "
                               "number of coupling points")
-    if recipe.extra_up_bids + recipe.down_bids > 3 * recipe.dso_buses:
-        raise GenerationError("requested liquidity exceeds bus count")
+    if seed < 0:
+        raise GenerationError(f"seed must be a non-negative integer, got {seed}")
 
     benign = style in ("A", "D")
     rng = np.random.default_rng(int(seed))
@@ -134,18 +133,18 @@ def generate_case(recipe: CaseRecipe, seed: int) -> MarketCase:
         net, e, load_buses, congested = _feeder(rng, recipe.dso_buses, recipe.congestion)
         k = 0
         for b in load_buses:
-            qmax = float(e[b - 1] * rng.uniform(1.05, 1.6)) * recipe.liquidity
+            qmax = float(e[b - 1] * rng.uniform(1.05, 1.6))
             price = _span(rng.random(), *((46.0, 55.0) if benign else (30.0, 55.0)))
             bids.append(Bid(f"d{m}-u{k}", m, b, "up", price, qmax))
             k += 1
-        for _ in range(recipe.extra_up_bids):
+        for _ in range(_EXTRA_UP_BIDS):
             b = int(rng.integers(2, recipe.dso_buses + 1))
-            qmax = float(rng.uniform(1.0, 3.0)) * recipe.liquidity
+            qmax = float(rng.uniform(1.0, 3.0))
             price = _span(rng.random(), *((46.0, 55.0) if benign else (30.0, 55.0)))
             bids.append(Bid(f"d{m}-u{k}", m, b, "up", price, qmax))
             k += 1
         down_cap = 0.0
-        for j in range(recipe.down_bids):
+        for j in range(_DOWN_BIDS):
             # Benign styles keep downward liquidity at the feeder head where
             # it cannot load any line. The expensive-transmission styles
             # split it: one cheap block at the head and the rest scattered
@@ -156,18 +155,18 @@ def generate_case(recipe: CaseRecipe, seed: int) -> MarketCase:
             qmax_draw = rng.random()
             if benign:
                 b, price = 1, _span(price_draw, 10.0, 25.0)
-                qmax = _span(qmax_draw, 1.0, 3.0) * recipe.liquidity
+                qmax = _span(qmax_draw, 1.0, 3.0)
             elif j == 0:
                 b, price = 1, _span(price_draw, 10.0, 14.0)
-                qmax = _span(qmax_draw, 2.0, 5.0) * recipe.liquidity
+                qmax = _span(qmax_draw, 2.0, 5.0)
             else:
                 b, price = bus_draw, _span(price_draw, 15.0, 25.0)
-                qmax = _span(qmax_draw, 1.0, 3.0) * recipe.liquidity
+                qmax = _span(qmax_draw, 1.0, 3.0)
             down_cap += qmax
             bids.append(Bid(f"d{m}-d{j}", m, b, "down", price, qmax))
         if style == "C":
             for j, b in enumerate(congested[:2]):
-                qmax = float(extra_rng.uniform(2.0, 5.0)) * recipe.liquidity
+                qmax = float(extra_rng.uniform(2.0, 5.0))
                 bids.append(Bid(f"d{m}-cu{j}", m, b, "up",
                                 float(extra_rng.uniform(166.0, 200.0)), qmax))
                 bids.append(Bid(f"d{m}-cd{j}", m, b, "down",

@@ -30,22 +30,24 @@ from __future__ import annotations
 
 from dataclasses import dataclass, field
 
+import numpy as np
+
 from .errors import ContractError, ModelError
 from .market_model import DIR_DOWN, DIR_UP, Bid, MarketCase
 from .mp_solver import INF, LinearProgram, Solution, solve_lp
-from .netmodel import Network, SensitivityMatrix
+from .netmodel import Network
 
 __all__ = [
     "ClearingResult", "PricingRule",
     "clear_dso_layer1", "clear_dso_fixed_interface", "clear_tso_layer2",
     "clear_idealized_layer2", "clear_fragmented_layer2", "clear_common",
-    "interface_price", "layer1_feasible", "bid_cost", "add_network_block",
+    "interface_price", "bid_cost", "add_network_block",
 ]
 
 
-def sensitivity(network: Network) -> SensitivityMatrix:
-    """The network's injection-to-flow sensitivities, built once per
-    network object and released with it."""
+def sensitivity(network: Network) -> np.ndarray:
+    """The network's read-only injection-to-flow sensitivities, built once
+    per network object and released with it."""
     return network.sensitivity
 
 
@@ -125,7 +127,7 @@ def add_network_block(lp: LinearProgram, net: Network, rhs: list[float],
         rows[bus] = lp.add_equality(coeffs, rhs[k], name=f"bal[{tag},{bus}]")
     lp.add_equality({pv: 1.0 for pv in p_vars}, 0.0, name=f"netsum[{tag}]")
 
-    entries = sensitivity(net).entries
+    entries = sensitivity(net)
     for li, ln in enumerate(net.lines):
         coeffs = {p_vars[k]: entries[li, k]
                   for k in range(net.n_buses) if entries[li, k] != 0.0}
@@ -153,6 +155,7 @@ class _CaseProgram:
         self.up_vars: dict[str, int] = {}
         self.down_vars: dict[str, int] = {}
         self.z_vars: dict[int, int] = {}
+        self.pin_rows: dict[int, int] = {}
         self.balance_rows: dict[int, dict[int, int]] = {}
 
     def add_z(self, m: int, lo: float, hi: float, cost: float = 0.0) -> int:
@@ -161,8 +164,19 @@ class _CaseProgram:
         return zv
 
     def pin_z(self, m: int, value: float) -> int:
-        """Pin an interface flow with an explicit row so its dual is exposed."""
-        return self.lp.add_equality({self.z_vars[m]: 1.0}, value, name=f"zpin[{m}]")
+        """Pin an interface flow with an explicit row so its dual is exposed.
+
+        The first call appends the row; later calls only move its
+        right-hand side, so one program serves every pinned value and each
+        solve sees the program a fresh build would give.
+        """
+        row = self.pin_rows.get(m)
+        if row is None:
+            row = self.pin_rows[m] = self.lp.add_equality(
+                {self.z_vars[m]: 1.0}, value, name=f"zpin[{m}]")
+        else:
+            self.lp.row_lo[row] = self.lp.row_hi[row] = float(value)
+        return row
 
     def add_system(self, system: int, *,
                    prior: tuple[ClearingResult, ...] = (),
@@ -266,28 +280,25 @@ def clear_dso_layer1(case: MarketCase, m: int, pricing: PricingRule) -> Clearing
 
 
 def clear_dso_fixed_interface(case: MarketCase, m: int,
-                              z_value: float) -> tuple[ClearingResult, float]:
+                              flows) -> list[tuple[ClearingResult, float]]:
     """Layer-1 problem with a zero interface price and the interface bound
-    replaced by a pinned flow. Returns the clearing and the pin's dual,
-    which is the local marginal value of one more MW of import (the
-    subgradient the dual-price residual supply function accumulates)."""
+    replaced by a pinned flow, solved for each of ``flows`` in order.
+
+    The program is built once and re-pinned before each solve. Returns one
+    (clearing, pin dual) pair per flow; the dual is the local marginal
+    value of one more MW of import (the subgradient the dual-price
+    residual supply function accumulates), NaN when the pin is infeasible.
+    """
     prog = _CaseProgram(case)
     prog.add_z(m, -INF, INF, 0.0)
     prog.add_system(m)
-    pin_row = prog.pin_z(m, z_value)
-    sol = solve_lp(prog.lp)
-    result = prog.extract(sol)
-    dual = float(sol.duals[pin_row]) if sol.status == "optimal" else float("nan")
-    return result, dual
-
-
-def layer1_feasible(case: MarketCase, m: int) -> bool:
-    """Phase-1 style feasibility probe of the Layer-1 problem."""
-    dso = case.dso(m)
-    prog = _CaseProgram(case)
-    prog.add_z(m, dso.z_min, dso.z_max)
-    prog.add_system(m, cost_scale=0.0)
-    return solve_lp(prog.lp).status == "optimal"
+    out = []
+    for z in flows:
+        pin_row = prog.pin_z(m, z)
+        sol = solve_lp(prog.lp)
+        dual = float(sol.duals[pin_row]) if sol.status == "optimal" else float("nan")
+        out.append((prog.extract(sol), dual))
+    return out
 
 
 # ---------------------------------------------------------------------------

@@ -19,7 +19,7 @@ from pathlib import Path
 
 from .casegen import CaseRecipe, emit_case, generate_case
 from .clearing import ClearingResult, clear_common, interface_price
-from .errors import ContractError, FlexmktError
+from .errors import ContractError, FlexmktError, ParseError
 from .forwarding import (Outcome, run_bid_aggregation, run_bid_filtering,
                          run_sequential, run_three_layer, suboptimality_constant)
 from .market_model import MarketCase, parse_case, validate_case
@@ -80,8 +80,7 @@ def _load_cases(args) -> list[tuple[str, int, MarketCase]]:
             case = parse_case(text, name=Path(path).stem)
             cases.append((case.name, -1, case))
     if getattr(args, "recipe", None):
-        recipe = CaseRecipe(style=args.recipe, n_dsos=args.dsos,
-                            congestion=args.congestion)
+        recipe = _recipe(args, args.recipe)
         for seed in _parse_seeds(args.seed):
             case = generate_case(recipe, seed)
             cases.append((case.name, seed, case))
@@ -90,15 +89,27 @@ def _load_cases(args) -> list[tuple[str, int, MarketCase]]:
     return cases
 
 
+def _recipe(args, style: str) -> CaseRecipe:
+    """The recipe the case options describe, with one transmission bus per
+    coupling point plus the root (at least the default ring of four)."""
+    return CaseRecipe(style=style, n_dsos=args.dsos, tn_buses=max(4, args.dsos + 1),
+                      congestion=args.congestion)
+
+
 def _parse_seeds(spec: str) -> list[int]:
+    """Seeds from a comma list of non-negative integers and inclusive
+    ranges, e.g. ``1,2,5-8``."""
     seeds: list[int] = []
     for chunk in spec.split(","):
         chunk = chunk.strip()
-        if "-" in chunk[1:]:
-            lo, hi = chunk.split("-", 1)
-            seeds.extend(range(int(lo), int(hi) + 1))
-        elif chunk:
-            seeds.append(int(chunk))
+        if not chunk:
+            continue
+        lo, sep, hi = (part.strip() for part in chunk.partition("-"))
+        if (not lo.isdecimal() or (sep and not hi.isdecimal())
+                or int(hi or lo) < int(lo)):
+            raise ParseError(f"bad seed entry {chunk!r}: expected N or N-M with "
+                             "non-negative integers N <= M")
+        seeds.extend(range(int(lo), int(hi or lo) + 1))
     return seeds
 
 
@@ -141,9 +152,7 @@ def _result_row(case_id: str, seed: int, method: str, pricing: str,
 
 
 def cmd_gen_case(args) -> int:
-    recipe = CaseRecipe(style=args.recipe, n_dsos=args.dsos,
-                        congestion=args.congestion)
-    emit_case(recipe, args.seed, args.out)
+    emit_case(_recipe(args, args.recipe), args.seed, args.out)
     print(f"wrote {args.out}")
     return 0
 
@@ -244,8 +253,7 @@ def cmd_check(args) -> int:
     n_done = 0
     for seed in _parse_seeds(args.seed):
         style = styles[seed % len(styles)]
-        case = generate_case(CaseRecipe(style=style, n_dsos=args.dsos,
-                                        congestion=args.congestion), seed)
+        case = generate_case(_recipe(args, style), seed)
         common = clear_common(case)
         jc = common.objective
         pricing = interface_price(case, "none", common)

@@ -334,8 +334,7 @@ def run_bid_filtering(case: MarketCase, pricing: PricingRule, *,
 class RsfStep:
     z: float
     cost: float          # value the TSO optimizes over
-    exact_cost: float    # true local optimum at this interface flow
-    clearing: ClearingResult
+    clearing: ClearingResult  # its objective is the true local optimum at z
     price_dual: float    # shadow price of the interface pin
 
 
@@ -343,7 +342,8 @@ class RsfStep:
 class Rsf:
     """Discretized residual supply function of one DSO: strictly increasing
     interface-flow steps with their stored local clearings. ``delta`` is
-    the realized largest gap between consecutive feasible steps."""
+    the realized largest gap between consecutive feasible steps;
+    ``attempts`` counts the grid points, near-duplicates included."""
 
     dso_index: int
     steps: tuple[RsfStep, ...]
@@ -356,52 +356,41 @@ class Rsf:
             raise ContractError("RSF steps must be strictly increasing")
 
 
-def _rsf_steps(case: MarketCase, m: int, grid) -> list[RsfStep]:
+def _rsf(case: MarketCase, m: int, grid) -> Rsf:
+    """Exact steps over the sorted grid: one pinned clearing per grid point
+    (near-duplicates skipped), infeasible pins dropped."""
     dso = case.dso(m)
-    steps = []
-    last = None
+    grid = sorted(float(z) for z in grid)
+    flows: list[float] = []
     for zhat in grid:
-        zhat = float(zhat)
         if not dso.z_min - 1e-9 <= zhat <= dso.z_max + 1e-9:
             raise ContractError(f"grid value {zhat} outside interface bounds of DSO {m}")
-        if last is not None and zhat <= last + 1e-12:
-            continue
-        last = zhat
-        clearing, dual = clear_dso_fixed_interface(case, m, zhat)
-        if clearing.status != "optimal":
-            continue
-        steps.append(RsfStep(z=zhat, cost=clearing.objective,
-                             exact_cost=clearing.objective,
-                             clearing=clearing, price_dual=dual))
-    return steps
-
-
-def _finish_rsf(m: int, steps: list[RsfStep], attempts: int) -> Rsf:
+        if not flows or zhat > flows[-1] + 1e-12:
+            flows.append(zhat)
+    solved = clear_dso_fixed_interface(case, m, flows)
+    steps = tuple(RsfStep(z=z, cost=c.objective, clearing=c, price_dual=dual)
+                  for z, (c, dual) in zip(flows, solved) if c.status == "optimal")
     if not steps:
         raise ModelError(f"no feasible interface flow step for DSO {m}")
     delta = max((b.z - a.z for a, b in zip(steps, steps[1:])), default=0.0)
-    return Rsf(dso_index=m, steps=tuple(steps), delta=delta, attempts=attempts)
+    return Rsf(dso_index=m, steps=steps, delta=delta, attempts=len(grid))
 
 
 def build_rsf(case: MarketCase, m: int, grid) -> Rsf:
     """Exact residual supply function: each feasible step carries the true
     optimal local cost for that pinned interface flow."""
-    grid = sorted(float(z) for z in grid)
-    return _finish_rsf(m, _rsf_steps(case, m, grid), attempts=len(grid))
+    return _rsf(case, m, grid)
 
 
 def build_rsf_dual(case: MarketCase, m: int, grid) -> Rsf:
     """Dual-price surrogate: anchored at the lowest feasible step's exact
     cost, then accumulated as pin shadow price times step width. Stored
     clearings still come from the exact solves."""
-    grid = sorted(float(z) for z in grid)
-    steps = _rsf_steps(case, m, grid)
-    if steps:
-        surrogate = [steps[0].cost]
-        for prev, cur in zip(steps, steps[1:]):
-            surrogate.append(surrogate[-1] + prev.price_dual * (cur.z - prev.z))
-        steps = [replace(s, cost=c) for s, c in zip(steps, surrogate)]
-    return _finish_rsf(m, steps, attempts=len(grid))
+    rsf = _rsf(case, m, grid)
+    surrogate = [rsf.steps[0].cost]
+    for prev, cur in zip(rsf.steps, rsf.steps[1:]):
+        surrogate.append(surrogate[-1] + prev.price_dual * (cur.z - prev.z))
+    return replace(rsf, steps=tuple(replace(s, cost=c) for s, c in zip(rsf.steps, surrogate)))
 
 
 def clear_tso_rsf(case: MarketCase,
@@ -564,26 +553,20 @@ def _pinv_norm(case: MarketCase) -> float:
 
 
 def _dso_flow_interval(case: MarketCase, m: int) -> tuple[float, float]:
+    """Smallest and largest feasible interface flow of DSO ``m``: one
+    program, solved with the flow's cost +1 and then -1."""
     dso = case.dso(m)
+    prog = _CaseProgram(case)
+    zv = prog.add_z(m, dso.z_min, dso.z_max)
+    prog.add_system(m, cost_scale=0.0)
     out = []
     for sense in (+1.0, -1.0):
-        prog = _CaseProgram(case)
-        zv = prog.add_z(m, dso.z_min, dso.z_max, sense)
-        prog.add_system(m, cost_scale=0.0)
+        prog.lp.var_cost[zv] = sense
         sol = solve_lp(prog.lp)
         if sol.status != "optimal":
             raise ModelError(f"DSO {m} has no feasible interface flow")
         out.append(float(sol.x[zv]))
     return out[0], out[1]
-
-
-def _pinned_common_duals(case: MarketCase, zvec: dict[int, float]) -> dict[int, float] | None:
-    prog = _common_program(case, bound_interfaces=False)
-    pins = {m: prog.pin_z(m, zvec[m]) for m in case.dso_indices}
-    sol = solve_lp(prog.lp)
-    if sol.status != "optimal":
-        return None
-    return {m: abs(float(sol.duals[row])) for m, row in pins.items()}
 
 
 def suboptimality_constant(case: MarketCase) -> float:
@@ -613,11 +596,14 @@ def suboptimality_constant(case: MarketCase) -> float:
             samples.append({**z_opt, m: v})
     for corner in itertools.product(*([iv for iv in intervals[m]] for m in case.dso_indices)):
         samples.append(dict(zip(case.dso_indices, corner)))
+    # One common program with free interface flows, re-pinned per sample.
+    prog = _common_program(case, bound_interfaces=False)
     worst = {m: 0.0 for m in case.dso_indices}
     for zvec in samples:
-        duals = _pinned_common_duals(case, zvec)
-        if duals is None:
+        pins = {m: prog.pin_z(m, zvec[m]) for m in case.dso_indices}
+        sol = solve_lp(prog.lp)
+        if sol.status != "optimal":
             continue
-        for m, v in duals.items():
-            worst[m] = max(worst[m], v)
+        for m, row in pins.items():
+            worst[m] = max(worst[m], abs(float(sol.duals[row])))
     return max(paper_norm, sum(worst.values()))

@@ -370,12 +370,14 @@ def validate_case(case: MarketCase) -> ValidationReport:
 
     Findings are report entries, never exceptions; the case is not touched.
     """
-    from .clearing import layer1_feasible  # deferred: clearing imports this module
+    # deferred: clearing imports this module
+    from .clearing import clear_dso_layer1, interface_price
 
     radial: dict[int, bool] = {}
     a1: dict[int, bool] = {}
     feas: dict[int, bool] = {}
     notes: list[str] = []
+    no_price = interface_price(case, "none")
     for dso in case.dsos:
         m = dso.index
         radial[m] = is_radial(dso.network)
@@ -385,7 +387,7 @@ def validate_case(case: MarketCase) -> ValidationReport:
         if not a1[m]:
             notes.append(f"DSO {m}: most expensive downward bid is not cheaper "
                          "than the cheapest upward bid")
-        feas[m] = layer1_feasible(case, m)
+        feas[m] = clear_dso_layer1(case, m, no_price).status == "optimal"
         if not feas[m]:
             notes.append(f"DSO {m}: local bids plus interface capacity cannot "
                          "cover the base imbalance")

@@ -19,7 +19,7 @@ import numpy as np
 
 from .errors import ContractError, NumericalError, TopologyError
 
-__all__ = ["Line", "Network", "SensitivityMatrix", "build_sensitivity", "line_flows", "is_radial"]
+__all__ = ["Line", "Network", "build_sensitivity", "line_flows", "is_radial"]
 
 
 @dataclass(frozen=True)
@@ -88,7 +88,7 @@ class Network:
         return {b: i for i, b in enumerate(self.buses)}
 
     @cached_property
-    def sensitivity(self) -> SensitivityMatrix:
+    def sensitivity(self) -> np.ndarray:
         """Injection-to-flow sensitivities, built on first use and kept for
         the lifetime of this network object."""
         return build_sensitivity(self)
@@ -105,28 +105,6 @@ class Network:
         lo = np.array([ln.f_min for ln in self.lines], dtype=float)
         hi = np.array([ln.f_max for ln in self.lines], dtype=float)
         return lo, hi
-
-
-@dataclass(frozen=True)
-class SensitivityMatrix:
-    """Dense line-by-bus map from nodal injections (MW) to line flows (MW).
-
-    The root/slack column is stored as explicit zeros so bus indexing stays
-    uniform. The array is frozen against writes.
-    """
-
-    entries: np.ndarray
-
-    def __post_init__(self):
-        self.entries.flags.writeable = False
-
-    @property
-    def n_lines(self) -> int:
-        return self.entries.shape[0]
-
-    @property
-    def n_buses(self) -> int:
-        return self.entries.shape[1]
 
 
 def is_radial(network: Network) -> bool:
@@ -168,9 +146,8 @@ def _radial_sensitivity(network: Network) -> np.ndarray:
 def _meshed_sensitivity(network: Network) -> np.ndarray:
     """Standard DC PTDF with the root bus as slack.
 
-    Solves the reduced susceptance Laplacian; a singular pivot is reported
-    by (reduced) index, though a connected graph with positive reactances
-    cannot produce one in exact arithmetic.
+    Solves the reduced susceptance Laplacian, which a connected graph with
+    positive reactances keeps nonsingular in exact arithmetic.
     """
     idx = network.bus_index
     n, m = network.n_buses, network.n_lines
@@ -187,49 +164,33 @@ def _meshed_sensitivity(network: Network) -> np.ndarray:
     try:
         ptdf_red = np.linalg.solve(lap_red, (b_series[:, None] * a_red).T).T
     except np.linalg.LinAlgError:
-        pivot = _first_singular_pivot(lap_red)
-        raise NumericalError(
-            f"singular reduced susceptance Laplacian (pivot {pivot}, "
-            f"bus {network.buses[keep[pivot]]})"
-        ) from None
+        raise NumericalError("singular reduced susceptance Laplacian") from None
 
     entries = np.zeros((m, n))
     entries[:, keep] = ptdf_red
     return entries
 
 
-def _first_singular_pivot(matrix: np.ndarray) -> int:
-    """Index of the first vanishing pivot in a plain LU elimination."""
-    a = matrix.astype(float, copy=True)
-    n = a.shape[0]
-    for k in range(n):
-        p = k + int(np.argmax(np.abs(a[k:, k])))
-        if abs(a[p, k]) < 1e-12:
-            return k
-        if p != k:
-            a[[k, p]] = a[[p, k]]
-        a[k + 1:] -= np.outer(a[k + 1:, k] / a[k, k], a[k])
-    return n - 1
-
-
-def build_sensitivity(network: Network) -> SensitivityMatrix:
-    """Injection-to-flow sensitivity matrix for a network.
+def build_sensitivity(network: Network) -> np.ndarray:
+    """Read-only line-by-bus map from nodal injections (MW) to line flows (MW).
 
     Radial networks use the exact path construction; meshed networks the
-    DC PTDF with the root as slack. The root column is zero either way.
+    DC PTDF with the root as slack. The root column is zero either way,
+    stored explicitly so bus indexing stays uniform.
     """
     if is_radial(network):
         entries = _radial_sensitivity(network)
     else:
         entries = _meshed_sensitivity(network)
-    return SensitivityMatrix(entries=entries)
+    entries.flags.writeable = False
+    return entries
 
 
-def line_flows(sens: SensitivityMatrix, injections: np.ndarray) -> np.ndarray:
+def line_flows(sens: np.ndarray, injections: np.ndarray) -> np.ndarray:
     """Line flows (MW) for a nodal injection vector. Pure, no limit checks."""
     inj = np.asarray(injections, dtype=float)
-    if inj.shape != (sens.n_buses,):
+    if inj.shape != (sens.shape[1],):
         raise ContractError(
-            f"injection vector has shape {inj.shape}, expected ({sens.n_buses},)"
+            f"injection vector has shape {inj.shape}, expected ({sens.shape[1]},)"
         )
-    return sens.entries @ inj
+    return sens @ inj

@@ -87,7 +87,7 @@ def _volume_injections(case: MarketCase, system: int, upward: dict[str, float],
 def _line_overload(case: MarketCase, system: int, injections: np.ndarray) -> float:
     """Largest excess of any line flow over its limits, or 0."""
     net = case.system_network(system)
-    flows = sensitivity(net).entries @ injections
+    flows = sensitivity(net) @ injections
     lo, hi = net.flow_bounds()
     return float(max(0.0, np.max(flows - hi, initial=0.0), np.max(lo - flows, initial=0.0)))
 
@@ -191,7 +191,7 @@ def brute_force_oracle(case: MarketCase, step: float) -> OracleResult:
             ri = net.bus_index[net.root]
             p[ri] = 0.0
             p[ri] = -float(np.sum(p))
-            flows = sens.entries @ p
+            flows = sens @ p
             lo, hi = net.flow_bounds()
             if np.any(flows < lo - 1e-9) or np.any(flows > hi + 1e-9):
                 continue
@@ -247,7 +247,7 @@ def brute_force_oracle(case: MarketCase, step: float) -> OracleResult:
                 p0 = per_bus - e0
                 p0[tn.bus_index[tn.root]] = 0.0
                 p0[tn.bus_index[tn.root]] = -float(np.sum(p0))
-                flows = sens0.entries @ p0
+                flows = sens0 @ p0
                 if np.any(flows < lo0 - 1e-9) or np.any(flows > hi0 + 1e-9):
                     continue
 

@@ -112,7 +112,7 @@ def dso_grid_oracle(case: MarketCase, m: int, c_z: float, step: float,
 
     dso = case.dso(m)
     net = dso.network
-    sens = build_sensitivity(net).entries
+    sens = build_sensitivity(net)
     e = np.array(dso.base_injections)
     lo, hi = net.flow_bounds()
     bids = case.bids_of(m)
@@ -160,7 +160,7 @@ def layer2_grid_oracle(case: MarketCase, cleared_up: dict[int, float],
     from flexmkt.netmodel import build_sensitivity
 
     tn = case.transmission
-    sens0 = build_sensitivity(tn).entries
+    sens0 = build_sensitivity(tn)
     lo0, hi0 = tn.flow_bounds()
     e0 = np.array(case.base_injections)
 

@@ -4,6 +4,7 @@ Expected values were computed with the enumeration oracles in conftest
 (and frozen), so every nontrivial number here has an LP-free derivation.
 """
 
+import numpy as np
 import pytest
 
 from flexmkt.casegen import CaseRecipe, generate_case
@@ -271,10 +272,23 @@ def test_fixed_interface_steps_match_oracle(m1_wide):
     for zhat, want in expected.items():
         best, _ = dso_grid_oracle(m1_wide, 1, 0.0, 0.1, z_fixed=zhat)
         assert best == pytest.approx(want, abs=1e-6)
-        res, dual = clear_dso_fixed_interface(m1_wide, 1, zhat)
+        [(res, dual)] = clear_dso_fixed_interface(m1_wide, 1, [zhat])
         assert res.objective == pytest.approx(want, abs=1e-7)
     # Steps outside the reachable import range are infeasible.
-    res, _ = clear_dso_fixed_interface(m1_wide, 1, 8.0)
+    [(res, _)] = clear_dso_fixed_interface(m1_wide, 1, [8.0])
     assert res.status == "infeasible"
-    res, _ = clear_dso_fixed_interface(m1_wide, 1, 0.0)
+    [(res, _)] = clear_dso_fixed_interface(m1_wide, 1, [0.0])
     assert res.status == "infeasible"
+
+
+def test_repinned_solves_equal_single_flow_solves():
+    # One program re-pinned across the flows gives exactly what a fresh
+    # program per flow gives, in either order, infeasible pins included.
+    case = generate_case(CaseRecipe(style="C", n_dsos=1, dso_buses=15), 0)
+    dso = case.dso(1)
+    flows = list(np.linspace(dso.z_min - 2.0, dso.z_max + 2.0, 13))
+    forward = clear_dso_fixed_interface(case, 1, flows)
+    backward = clear_dso_fixed_interface(case, 1, flows[::-1])[::-1]
+    single = [clear_dso_fixed_interface(case, 1, [z])[0] for z in flows]
+    assert repr(forward) == repr(single) == repr(backward)
+    assert {r.status for r, _ in forward} == {"optimal", "infeasible"}

@@ -95,6 +95,21 @@ def test_bad_case_file_is_an_error_message_not_a_traceback(tmp_path, capsys, com
     assert "Traceback" not in err
 
 
+@pytest.mark.parametrize("seed", ["-1", "abc", "1-x", "9-0"])
+def test_bad_seed_is_an_error_message_not_a_traceback(tmp_path, capsys, seed):
+    for command in (["run", "--recipe", "A", "--out", str(tmp_path)], ["check"]):
+        assert main(command + [f"--seed={seed}"]) == 2
+        err = capsys.readouterr().err
+        assert err.startswith("error: ") and repr(seed) in err
+        assert "Traceback" not in err
+
+
+def test_run_with_four_dsos(tmp_path):
+    assert main(["run", "--recipe", "B", "--dsos", "4", "--seed", "0",
+                 "--method", "fragmented", "--out", str(tmp_path)]) == 0
+    assert [r["status"] for r in read_csv(tmp_path / "results.csv")] == ["ok"]
+
+
 def test_unreadable_case_file_is_an_error_message(tmp_path, capsys):
     binary = tmp_path / "binary.json"
     binary.write_bytes(b"\xff\xfe{")
@@ -151,3 +166,32 @@ def test_reference_rows_unchanged():
                           env=env, capture_output=True, text=True, timeout=300)
     assert proc.returncode == 0, proc.stdout + proc.stderr
     assert "reference rows match" in proc.stdout
+
+
+def test_names_the_benchmark_rebinds_exist(monkeypatch):
+    # perfbench/tracer.py rebinds these module attributes from outside the
+    # program; a refactor that renames one must fail here, not in a
+    # benchmark run.
+    import importlib
+    import importlib.util
+    import inspect
+
+    from flexmkt.forwarding import run_bid_aggregation
+    from flexmkt.mp_solver.model import LinearProgram
+
+    path = Path(__file__).resolve().parents[1] / "perfbench" / "tracer.py"
+    spec = importlib.util.spec_from_file_location("perfbench_tracer", path)
+    tracer = importlib.util.module_from_spec(spec)
+    monkeypatch.setitem(sys.modules, spec.name, tracer)
+    spec.loader.exec_module(tracer)
+    names = [(module, fn) for module, fn, _ in tracer.TRACED]
+    names += [("flexmkt.cli", fn) for fn in tracer.ENTRY_POINTS]
+    names += [("flexmkt.mp_solver.simplex", "solve_lp"),
+              ("flexmkt.netmodel", "build_sensitivity"), ("flexmkt.clearing", "sensitivity")]
+    for module, fn in names:
+        assert inspect.isfunction(getattr(importlib.import_module(module), fn, None)), \
+            f"{module}.{fn}"
+    assert inspect.isfunction(LinearProgram.add_range)
+    # The recorder reads the RSF variant from the fourth positional argument.
+    assert list(inspect.signature(run_bid_aggregation).parameters)[:4] == \
+        ["case", "delta_bar", "refine_rounds", "variant"]

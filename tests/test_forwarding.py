@@ -282,6 +282,55 @@ def test_rsf_rejects_bad_grids(m1_wide):
         build_rsf(micro_case(root_down=False), 1, [-6.0, -5.0])
 
 
+def _highs_pinned_cost(case: MarketCase, m: int, z: float) -> float | None:
+    """Optimal local cost of DSO ``m`` with its interface flow pinned at
+    ``z``, formulated over bid volumes alone and solved by HiGHS; None
+    when infeasible. Net injections are bids minus base load plus the
+    flow at the root; they sum to zero and their flows respect every
+    line limit."""
+    from scipy.optimize import linprog
+
+    from flexmkt.netmodel import build_sensitivity
+
+    dso = case.dso(m)
+    net = dso.network
+    bids = case.bids_of(m)
+    at_bus = np.zeros((net.n_buses, len(bids)))
+    for j, b in enumerate(bids):
+        at_bus[net.bus_index[b.bus], j] = 1.0 if b.direction == "up" else -1.0
+    cost = [b.price if b.direction == "up" else -b.price for b in bids]
+    e = np.array(dso.base_injections, dtype=float)
+    sens = build_sensitivity(net)
+    lo, hi = net.flow_bounds()
+    # Root column of sens is zero, so the pinned flow leaves the flows alone.
+    flow_a, flow_b = sens @ at_bus, sens @ e
+    res = linprog(cost, A_ub=np.vstack([flow_a, -flow_a]),
+                  b_ub=np.concatenate([hi + flow_b, -(lo + flow_b)]),
+                  A_eq=at_bus.sum(axis=0, keepdims=True), b_eq=[e.sum() - z],
+                  bounds=[(0.0, b.quantity_max) for b in bids], method="highs")
+    assert res.status in (0, 2), res.message
+    return res.fun if res.status == 0 else None
+
+
+@pytest.mark.parametrize("style", ["B", "C"])
+def test_rsf_steps_match_highs(style):
+    # A step exists exactly where HiGHS finds the pinned program feasible,
+    # at the same cost; the dual variant keeps the same steps and clearings.
+    case = generate_case(CaseRecipe(style=style, n_dsos=2, dso_buses=15), 1)
+    for dso in case.dsos:
+        grid = np.linspace(dso.z_min, dso.z_max, 25)
+        rsf = build_rsf(case, dso.index, grid)
+        steps = {s.z: s.cost for s in rsf.steps}
+        highs = {float(z): _highs_pinned_cost(case, dso.index, float(z)) for z in grid}
+        assert set(steps) == {z for z, cost in highs.items() if cost is not None}
+        assert None in highs.values()
+        for z, cost in steps.items():
+            assert cost == pytest.approx(highs[z], rel=1e-7, abs=1e-7)
+        dual = build_rsf_dual(case, dso.index, grid)
+        assert [(s.z, s.clearing) for s in dual.steps] == \
+            [(s.z, s.clearing) for s in rsf.steps]
+
+
 def test_dual_rsf_exact_on_linear_segment_underestimates_past_kink():
     # With the head-of-feeder downward bid, the true residual cost is
     # 40*(6 - z) up to the 6 MW kink and -15*(z - 6) beyond it. Left-point
@@ -298,7 +347,7 @@ def test_dual_rsf_exact_on_linear_segment_underestimates_past_kink():
     assert exact.steps[2].cost == pytest.approx(-15.0, abs=1e-7)
     assert dual.steps[2].cost == pytest.approx(-40.0, abs=1e-7)   # undershoot
     # Stored clearings still carry the exact costs.
-    assert dual.steps[2].exact_cost == pytest.approx(-15.0, abs=1e-7)
+    assert dual.steps[2].clearing.objective == pytest.approx(-15.0, abs=1e-7)
 
 
 def test_clear_tso_rsf_indifferent_tso_picks_cheapest_step():

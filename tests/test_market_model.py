@@ -332,9 +332,8 @@ def test_generation_errors():
         generate_case(CaseRecipe(style="E"), 0)
     with pytest.raises(GenerationError):
         generate_case(CaseRecipe(style="A", n_dsos=5, tn_buses=4), 0)
-    with pytest.raises(GenerationError, match="liquidity"):
-        generate_case(CaseRecipe(style="A", dso_buses=2, extra_up_bids=5,
-                                 down_bids=3), 0)
+    with pytest.raises(GenerationError, match="seed"):
+        generate_case(CaseRecipe(style="A"), -1)
 
 
 # ---------------------------------------------------------------------------

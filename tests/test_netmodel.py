@@ -44,15 +44,15 @@ def dc_flow_oracle(net: Network, injections: np.ndarray) -> np.ndarray:
 
 def test_two_bus_single_path_sign():
     sens = build_sensitivity(chain(2))
-    assert sens.entries[0, 0] == 0.0
-    assert sens.entries[0, 1] == -1.0
+    assert sens[0, 0] == 0.0
+    assert sens[0, 1] == -1.0
 
 
 def test_three_bus_chain_path_membership():
     sens = build_sensitivity(chain(3))
-    np.testing.assert_array_equal(sens.entries[:, 2], [-1.0, -1.0])
-    np.testing.assert_array_equal(sens.entries[:, 1], [-1.0, 0.0])
-    np.testing.assert_array_equal(sens.entries[:, 0], [0.0, 0.0])
+    np.testing.assert_array_equal(sens[:, 2], [-1.0, -1.0])
+    np.testing.assert_array_equal(sens[:, 1], [-1.0, 0.0])
+    np.testing.assert_array_equal(sens[:, 0], [0.0, 0.0])
 
 
 def test_triangle_ptdf_split():
@@ -61,7 +61,7 @@ def test_triangle_ptdf_split():
     # Laplacian and cross-checked against the direct DC solve.
     net = triangle()
     sens = build_sensitivity(net)
-    np.testing.assert_allclose(sens.entries[:, 1], [-2.0 / 3.0, 1.0 / 3.0, -1.0 / 3.0],
+    np.testing.assert_allclose(sens[:, 1], [-2.0 / 3.0, 1.0 / 3.0, -1.0 / 3.0],
                                atol=1e-12)
     inj = np.array([-1.0, 1.0, 0.0])
     np.testing.assert_allclose(line_flows(sens, inj), dc_flow_oracle(net, inj),
@@ -117,8 +117,8 @@ def test_radial_column_sums_are_negative_depths(n, rnd):
         return depth[k]
 
     for j, bus in enumerate(net.buses):
-        assert sens.entries[:, j].sum() == pytest.approx(-depth_of(bus))
-        assert set(np.round(sens.entries[:, j], 12)) <= {0.0, -1.0}
+        assert sens[:, j].sum() == pytest.approx(-depth_of(bus))
+        assert set(np.round(sens[:, j], 12)) <= {0.0, -1.0}
 
 
 def test_meshed_ptdf_matches_direct_dc_solve():
@@ -141,7 +141,7 @@ def test_meshed_ptdf_matches_direct_dc_solve():
 def test_root_column_zero_everywhere():
     for net in (chain(5), triangle()):
         sens = build_sensitivity(net)
-        np.testing.assert_array_equal(sens.entries[:, net.bus_index[net.root]], 0.0)
+        np.testing.assert_array_equal(sens[:, net.bus_index[net.root]], 0.0)
 
 
 def test_sensitivity_cached_per_network_and_released_with_it():
@@ -150,7 +150,7 @@ def test_sensitivity_cached_per_network_and_released_with_it():
     net = chain(4)
     first = sensitivity(net)
     assert sensitivity(net) is first
-    np.testing.assert_array_equal(first.entries, build_sensitivity(net).entries)
+    np.testing.assert_array_equal(first, build_sensitivity(net))
     ref = weakref.ref(net)
     del net, first
     gc.collect()

@@ -224,7 +224,7 @@ def reference_safe(case, upward, downward) -> bool:
             row[resid_col[sid]], row[resid_col[sid] + 1] = -1.0, 1.0
             a_eq.append(row)
             b_eq.append(0.0)
-        sens = build_sensitivity(net).entries
+        sens = build_sensitivity(net)
         for li, ln in enumerate(net.lines):
             for sign, limit in ((1.0, ln.f_max), (-1.0, -ln.f_min)):
                 row = np.zeros(n)
