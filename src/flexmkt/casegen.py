@@ -27,6 +27,7 @@ assumption holds for every generated case.
 
 from __future__ import annotations
 
+import math
 from dataclasses import dataclass
 
 import numpy as np
@@ -120,6 +121,8 @@ def generate_case(recipe: CaseRecipe, seed: int) -> MarketCase:
                               "number of coupling points")
     if seed < 0:
         raise GenerationError(f"seed must be a non-negative integer, got {seed}")
+    if not math.isfinite(recipe.congestion):
+        raise GenerationError(f"congestion must be finite, got {recipe.congestion}")
 
     benign = style in ("A", "D")
     rng = np.random.default_rng(int(seed))

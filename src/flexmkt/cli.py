@@ -72,20 +72,21 @@ def _fmt(value) -> str:
     return str(value)
 
 
+def _case_files(paths) -> list[MarketCase]:
+    """The parsed case files, each named after its file."""
+    return [parse_case(Path(path).read_text(encoding="utf-8"), name=Path(path).stem)
+            for path in paths]
+
+
 def _load_cases(args) -> list[tuple[str, int, MarketCase]]:
-    cases = []
-    if getattr(args, "case", None):
-        for path in args.case:
-            text = Path(path).read_text(encoding="utf-8")
-            case = parse_case(text, name=Path(path).stem)
-            cases.append((case.name, -1, case))
+    cases = [(case.name, -1, case) for case in _case_files(args.case)]
     if getattr(args, "recipe", None):
         recipe = _recipe(args, args.recipe)
         for seed in _parse_seeds(args.seed):
             case = generate_case(recipe, seed)
             cases.append((case.name, seed, case))
     if not cases:
-        raise SystemExit("no cases: pass --case files and/or --recipe with --seed")
+        raise ContractError("no cases: pass --case files and/or --recipe with --seed")
     return cases
 
 
@@ -116,6 +117,7 @@ def _parse_seeds(spec: str) -> list[int]:
 def _run_method(case: MarketCase, method: str, pricing_kind: str,
                 delta: float | None, refine: int,
                 common: ClearingResult) -> Outcome:
+    """The one map from a method name to its run."""
     pricing = interface_price(case, pricing_kind, common)
     if method == "three_layer":
         return run_three_layer(case, pricing, common=common)
@@ -131,7 +133,7 @@ def _run_method(case: MarketCase, method: str, pricing_kind: str,
         return run_sequential(case, pricing, "idealized", common=common)
     if method == "sequential_raw":
         return run_sequential(case, pricing, "practical", common=common)
-    raise SystemExit(f"unknown method {method}")
+    raise ContractError(f"unknown method {method!r}")
 
 
 def _result_row(case_id: str, seed: int, method: str, pricing: str,
@@ -158,35 +160,34 @@ def cmd_gen_case(args) -> int:
 
 
 def cmd_validate(args) -> int:
-    case = parse_case(Path(args.case[0]).read_text(encoding="utf-8"))
-    report = validate_case(case)
-    for m in sorted(report.radial):
-        print(f"DSO {m}: radial={report.radial[m]} "
-              f"assumption1={report.assumption1[m]} "
-              f"layer1_feasible={report.layer1_feasible[m]}")
-    for note in report.warnings:
-        print(f"warning: {note}")
-    print("OK" if report.ok else "NOT OK")
-    return 0 if report.ok else 1
+    all_ok = True
+    for case_id, _, case in _load_cases(args):
+        report = validate_case(case)
+        for m in sorted(report.radial):
+            print(f"{case_id}: DSO {m}: radial={report.radial[m]} "
+                  f"assumption1={report.assumption1[m]} "
+                  f"layer1_feasible={report.layer1_feasible[m]}")
+        for note in report.warnings:
+            print(f"{case_id}: warning: {note}")
+        print(f"{case_id}: {'OK' if report.ok else 'NOT OK'}")
+        all_ok = all_ok and report.ok
+    return 0 if all_ok else 1
 
 
 def run_experiment(config: ExperimentConfig) -> Path:
     """Run every (case, method, pricing / step size) combination and append
     the outcome rows to ``results.csv`` in a deterministic order. Component
     errors become rows with a status message; the run continues."""
-    common_cache: dict[str, ClearingResult] = {}
-    for case_id, _, case in config.cases:
-        common_cache[case_id] = clear_common(case)
-
     rows = []
     for case_id, seed, case in config.cases:
+        common = clear_common(case)
         for method in config.methods:
             for pricing in config.pricings:
                 dlist = config.deltas if method.startswith("aggregation") else (None,)
                 for delta in dlist:
                     try:
                         out = _run_method(case, method, pricing, delta,
-                                          config.refine_rounds, common_cache[case_id])
+                                          config.refine_rounds, common)
                         rows.append(_result_row(case_id, seed, method, pricing, delta, out))
                     except FlexmktError as exc:
                         rows.append(_result_row(case_id, seed, method, pricing, delta,
@@ -203,17 +204,14 @@ def run_experiment(config: ExperimentConfig) -> Path:
 
 
 def cmd_run(args) -> int:
-    try:
-        config = ExperimentConfig(
-            cases=tuple(_load_cases(args)),
-            methods=tuple(args.method or METHODS),
-            pricings=tuple(args.pricing or ["none"]),
-            deltas=tuple(args.delta or ()),
-            refine_rounds=args.refine,
-            out_dir=args.out,
-        )
-    except ContractError as exc:
-        raise SystemExit(str(exc)) from exc
+    config = ExperimentConfig(
+        cases=tuple(_load_cases(args)),
+        methods=tuple(args.method or METHODS),
+        pricings=tuple(args.pricing or ["none"]),
+        deltas=tuple(args.delta or ()),
+        refine_rounds=args.refine,
+        out_dir=args.out,
+    )
     path = run_experiment(config)
     with open(path, newline="", encoding="utf-8") as fh:
         rows = list(csv.DictReader(fh))
@@ -224,10 +222,8 @@ def cmd_run(args) -> int:
 
 def cmd_sweep_delta(args) -> int:
     cases = _load_cases(args)
-    deltas = args.delta
-    if not deltas:
-        raise SystemExit("sweep-delta needs --delta values")
-    variant = "dual" if args.method == "aggregation_dual" else "primal"
+    if not args.delta:
+        raise ContractError("sweep-delta needs --delta values")
     out_dir = Path(args.out)
     out_dir.mkdir(parents=True, exist_ok=True)
     path = out_dir / "sweep.csv"
@@ -236,9 +232,8 @@ def cmd_sweep_delta(args) -> int:
         writer.writerow(["case_id", "seed", "delta_bar", "eta_pct", "wall_ms"])
         for case_id, seed, case in cases:
             common = clear_common(case)
-            for delta in sorted(deltas, reverse=True):
-                out = run_bid_aggregation(case, delta, args.refine, variant,
-                                          common=common)
+            for delta in sorted(args.delta, reverse=True):
+                out = _run_method(case, args.method, "none", delta, args.refine, common)
                 writer.writerow([case_id, seed, _fmt(delta), _fmt(out.eta_pct),
                                  _fmt(out.wall_ms)])
     print(f"wrote {path}")
@@ -246,44 +241,45 @@ def cmd_sweep_delta(args) -> int:
 
 
 def cmd_check(args) -> int:
-    """Executable property suite over seeded recipe cases."""
+    """Executable property suite over the case files and seeded recipe
+    cases."""
     failures: list[str] = []
     t0 = time.perf_counter()
     styles = [args.recipe] if args.recipe else list("ABCD")
-    n_done = 0
+    delta = args.delta[0] if args.delta else 1.0
+    cases = _case_files(args.case)
     for seed in _parse_seeds(args.seed):
-        style = styles[seed % len(styles)]
-        case = generate_case(_recipe(args, style), seed)
+        cases.append(generate_case(_recipe(args, styles[seed % len(styles)]), seed))
+    for case in cases:
         common = clear_common(case)
         jc = common.objective
-        pricing = interface_price(case, "none", common)
         scale = 1e-6 * (1.0 + abs(jc))
 
-        ideal = run_sequential(case, pricing, "idealized", common=common)
-        frag = run_sequential(case, pricing, "fragmented", common=common)
+        def run(method: str) -> Outcome:
+            return _run_method(case, method, "none", delta, args.refine, common)
+
+        ideal, frag = run("idealized"), run("fragmented")
         if not ideal.total_cost <= frag.total_cost + scale:
             failures.append(f"{case.name}: idealized cost above fragmented")
 
-        filt = run_bid_filtering(case, pricing, common=common)
+        filt = run("filtering")
         if filt.status != "ok" or not filt.safe:
             failures.append(f"{case.name}: filtering outcome not grid-safe")
 
         for variant in ("primal", "dual"):
-            agg = run_bid_aggregation(case, args.delta[0] if args.delta else 1.0,
-                                      args.refine, variant, common=common)
+            agg = run(f"aggregation_{variant}")
             if not agg.safe:
                 failures.append(f"{case.name}: aggregation[{variant}] unsafe")
             if not agg.total_cost >= jc - scale:
                 failures.append(f"{case.name}: aggregation[{variant}] beat the benchmark")
             if variant == "primal":
-                bound = suboptimality_constant(case) * (args.delta[0] if args.delta else 1.0)
+                bound = suboptimality_constant(case) * delta
                 if not agg.total_cost - jc <= bound + scale:
                     failures.append(f"{case.name}: step-size suboptimality bound violated")
-        n_done += 1
 
     for line in failures:
         print(f"FAIL {line}")
-    print(f"checked {n_done} cases in {time.perf_counter() - t0:.1f} s; "
+    print(f"checked {len(cases)} cases in {time.perf_counter() - t0:.1f} s; "
           f"{len(failures)} failures")
     return 1 if failures else 0
 
@@ -314,8 +310,9 @@ def build_parser() -> argparse.ArgumentParser:
     p.add_argument("--out", required=True)
     p.set_defaults(func=cmd_gen_case)
 
-    p = sub.add_parser("validate", help="validate a case file")
-    p.add_argument("--case", action="append", required=True)
+    p = sub.add_parser("validate", help="validate case files")
+    p.add_argument("--case", action="append", required=True,
+                   help="case file (repeatable)")
     p.set_defaults(func=cmd_validate)
 
     p = sub.add_parser("run", help="run methods over cases, write results.csv")

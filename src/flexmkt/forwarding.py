@@ -91,7 +91,7 @@ def _final_volumes(*parts: ClearingResult | None):
     return up, down
 
 
-def _outcome(case: MarketCase, method: str, status: str, t0: float,
+def _outcome(case: MarketCase, method: str, t0: float,
              common: ClearingResult | None, *,
              layer1: dict[int, ClearingResult], layer2: ClearingResult | None = None,
              layer3: dict[int, ClearingResult] | None = None,
@@ -99,11 +99,24 @@ def _outcome(case: MarketCase, method: str, status: str, t0: float,
              milp_nodes: int = 0, details: dict | None = None) -> Outcome:
     """The one way cleared parts become an Outcome.
 
+    The status comes from the clearings: "layer1_infeasible" when a
+    Layer-1 clearing is not optimal, "layer2_infeasible" when ``layer2``
+    is not, "ok" otherwise. An aborted run keeps only its Layer 1 and
+    solve count: no Layer 2, details, cost or verdict.
+
     The final volumes sum Layer 1, Layer 2, every feasible Layer-3
     correction and the ``settled`` clearings. An "ok" run is priced and
-    judged by ``is_grid_safe`` on them; an aborted run gets neither cost
-    nor verdict. J_com comes from ``common``, cleared here when None.
+    judged by ``is_grid_safe`` on them. J_com comes from ``common``,
+    cleared here when None.
     """
+    if not _optimal(layer1.values()):
+        status = "layer1_infeasible"
+    elif layer2 is not None and layer2.status != "optimal":
+        status = "layer2_infeasible"
+    else:
+        status = "ok"
+    if status != "ok":
+        layer2, details = None, None
     layer3 = layer3 or {}
     up, down = _final_volumes(*layer1.values(), layer2, *settled,
                               *(r for r in layer3.values() if r.status == "optimal"))
@@ -123,23 +136,8 @@ def _outcome(case: MarketCase, method: str, status: str, t0: float,
                    wall_ms=1e3 * (time.perf_counter() - t0), details=details or {})
 
 
-def _two_layers(case: MarketCase, pricing: PricingRule, method: str, t0: float,
-                common: ClearingResult | None, clear_layer2):
-    """Layer 1 for every DSO, then the TSO layer ``clear_layer2(layer1)``,
-    which returns its clearing and the solves it took. Returns
-    ``(layer1, layer2, solves)``, or the aborted Outcome when either layer
-    is infeasible."""
-    layer1 = {m: clear_dso_layer1(case, m, pricing) for m in case.dso_indices}
-    solves = len(layer1)
-    if any(r.status != "optimal" for r in layer1.values()):
-        return _outcome(case, method, "layer1_infeasible", t0, common,
-                        layer1=layer1, lp_solves=solves)
-    layer2, n = clear_layer2(layer1)
-    solves += n
-    if layer2.status != "optimal":
-        return _outcome(case, method, "layer2_infeasible", t0, common,
-                        layer1=layer1, lp_solves=solves)
-    return layer1, layer2, solves
+def _optimal(clearings) -> bool:
+    return all(r.status == "optimal" for r in clearings)
 
 
 # ---------------------------------------------------------------------------
@@ -162,13 +160,11 @@ def run_sequential(case: MarketCase, pricing: PricingRule,
     if variant not in layers:
         raise ContractError(f"unknown sequential variant {variant!r}")
     method, clear = layers[variant]
-    run = _two_layers(case, pricing, method, t0, common,
-                      lambda layer1: (clear(case, layer1, pricing), 1))
-    if isinstance(run, Outcome):
-        return run
-    layer1, layer2, solves = run
-    return _outcome(case, method, "ok", t0, common, layer1=layer1, layer2=layer2,
-                    lp_solves=solves)
+    layer1 = {m: clear_dso_layer1(case, m, pricing) for m in case.dso_indices}
+    if not _optimal(layer1.values()):
+        return _outcome(case, method, t0, common, layer1=layer1, lp_solves=len(layer1))
+    return _outcome(case, method, t0, common, layer1=layer1,
+                    layer2=clear(case, layer1, pricing), lp_solves=len(layer1) + 1)
 
 
 # ---------------------------------------------------------------------------
@@ -207,11 +203,15 @@ def run_three_layer(case: MarketCase, pricing: PricingRule, *,
     verdict, not an exception.
     """
     t0 = time.perf_counter()
-    run = _two_layers(case, pricing, "three_layer", t0, common,
-                      lambda layer1: (clear_tso_layer2(case, layer1, pricing), 1))
-    if isinstance(run, Outcome):
-        return run
-    layer1, layer2, solves = run
+    layer1 = {m: clear_dso_layer1(case, m, pricing) for m in case.dso_indices}
+    if not _optimal(layer1.values()):
+        return _outcome(case, "three_layer", t0, common, layer1=layer1,
+                        lp_solves=len(layer1))
+    layer2 = clear_tso_layer2(case, layer1, pricing)
+    solves = len(layer1) + 1
+    if layer2.status != "optimal":
+        return _outcome(case, "three_layer", t0, common, layer1=layer1, layer2=layer2,
+                        lp_solves=solves)
 
     layer3: dict[int, ClearingResult] = {}
     overload: dict[int, float] = {}
@@ -227,7 +227,7 @@ def run_three_layer(case: MarketCase, pricing: PricingRule, *,
             sol = solve_lp(prog.lp)
             overload[m] = float(sol.x[worst]) if sol.status == "optimal" else float("inf")
 
-    return _outcome(case, "three_layer", "ok", t0, common, layer1=layer1,
+    return _outcome(case, "three_layer", t0, common, layer1=layer1,
                     layer2=layer2, layer3=layer3, lp_solves=solves,
                     details={"layer3_overload_mw": overload})
 
@@ -307,23 +307,17 @@ def run_bid_filtering(case: MarketCase, pricing: PricingRule, *,
     """Layer 1, per-DSO filtering, then the TSO layer restricted to the
     forwarded bids. Safe under price-ordering and radiality assumptions."""
     t0 = time.perf_counter()
-    filters: dict[int, FilterResult] = {}
-
-    def filtered_layer2(layer1):
-        dropped: dict[str, float] = {}
-        for m in case.dso_indices:
-            filters[m] = filter_bids(case, m, layer1[m])
-            keep = set(filters[m].forward_up) | set(filters[m].forward_down)
-            dropped.update((b.id, 0.0) for b in case.bids_of(m) if b.id not in keep)
-        probes = sum(f.feasibility_solves for f in filters.values())
-        return clear_tso_layer2(case, layer1, pricing, dist_bid_caps=dropped), probes + 1
-
-    run = _two_layers(case, pricing, "filtering", t0, common, filtered_layer2)
-    if isinstance(run, Outcome):
-        return run
-    layer1, layer2, solves = run
-    return _outcome(case, "filtering", "ok", t0, common, layer1=layer1, layer2=layer2,
-                    lp_solves=solves, details={"filters": filters})
+    layer1 = {m: clear_dso_layer1(case, m, pricing) for m in case.dso_indices}
+    if not _optimal(layer1.values()):
+        return _outcome(case, "filtering", t0, common, layer1=layer1,
+                        lp_solves=len(layer1))
+    filters = {m: filter_bids(case, m, layer1[m]) for m in case.dso_indices}
+    dropped = {b.id: 0.0 for m, f in filters.items() for b in case.bids_of(m)
+               if b.id not in f.forward_up + f.forward_down}
+    layer2 = clear_tso_layer2(case, layer1, pricing, dist_bid_caps=dropped)
+    probes = sum(f.feasibility_solves for f in filters.values())
+    return _outcome(case, "filtering", t0, common, layer1=layer1, layer2=layer2,
+                    lp_solves=len(layer1) + probes + 1, details={"filters": filters})
 
 
 # ---------------------------------------------------------------------------
@@ -462,7 +456,7 @@ def run_bid_aggregation(case: MarketCase, delta_bar: float,
     grid, so refinement never worsens the outcome. ``extra_grid`` lets
     tests inject specific flow values (for example common-market optima).
     """
-    if delta_bar <= 0.0:
+    if not delta_bar > 0.0:
         raise ContractError("delta_bar must be positive")
     if variant not in ("primal", "dual"):
         raise ContractError(f"unknown RSF variant {variant!r}")
@@ -501,7 +495,7 @@ def run_bid_aggregation(case: MarketCase, delta_bar: float,
             grids[m] = _uniform_grid(lo, hi, rsf.delta / 10.0, must_include=(zhat,))
 
     chosen = {m: rsfs[m].steps[k] for m, k in selected.items()}
-    return _outcome(case, f"aggregation_{variant}", "ok", t0, common, layer1={},
+    return _outcome(case, f"aggregation_{variant}", t0, common, layer1={},
                     layer2=result, settled=tuple(s.clearing for s in chosen.values()),
                     lp_solves=solves, milp_nodes=milp_nodes,
                     details={

@@ -10,6 +10,7 @@ optimality gap.
 
 from __future__ import annotations
 
+import copy
 import heapq
 
 import numpy as np
@@ -25,13 +26,7 @@ _PRUNE_TOL = 1e-9
 
 def _clone_with_fixes(lp: LinearProgram, fixes: dict[int, float]) -> LinearProgram:
     """Share the row structure, copy only the bound arrays."""
-    clone = LinearProgram.__new__(LinearProgram)
-    clone.var_names = lp.var_names
-    clone.var_cost = lp.var_cost
-    clone.rows = lp.rows
-    clone.row_lo = lp.row_lo
-    clone.row_hi = lp.row_hi
-    clone.row_names = lp.row_names
+    clone = copy.copy(lp)
     clone.var_lb = list(lp.var_lb)
     clone.var_ub = list(lp.var_ub)
     for idx, val in fixes.items():
@@ -52,9 +47,7 @@ def solve_milp(mp: MixedProgram) -> Solution:
     """Solve a one-hot mixed program to within absolute gap 1e-6."""
     root = solve_lp(mp.lp)
     if root.status != "optimal":
-        return Solution(status=root.status, objective=float("nan"), x=np.zeros(0),
-                        duals=np.zeros(0), reduced_costs=np.zeros(0),
-                        iterations=root.iterations, nodes=0)
+        return Solution.non_optimal(root.status, root.iterations)
 
     incumbent: Solution | None = None
     nodes = 0
@@ -93,9 +86,7 @@ def solve_milp(mp: MixedProgram) -> Solution:
                 heapq.heappush(heap, (sol.objective, counter, child_fixes, frac))
 
     if incumbent is None:
-        return Solution(status="infeasible", objective=float("nan"), x=np.zeros(0),
-                        duals=np.zeros(0), reduced_costs=np.zeros(0),
-                        iterations=iterations, nodes=nodes)
+        return Solution.non_optimal("infeasible", iterations, nodes)
     return Solution(status="optimal", objective=incumbent.objective, x=incumbent.x,
                     duals=incumbent.duals, reduced_costs=incumbent.reduced_costs,
                     iterations=iterations, nodes=nodes)

@@ -136,3 +136,10 @@ class Solution:
     def __post_init__(self):
         for arr in (self.x, self.duals, self.reduced_costs):
             arr.flags.writeable = False
+
+    @classmethod
+    def non_optimal(cls, status: str, iterations: int = 0, nodes: int = 0) -> Solution:
+        """A solve that ended without an optimum: empty arrays, NaN objective."""
+        return cls(status=status, objective=float("nan"), x=np.zeros(0),
+                   duals=np.zeros(0), reduced_costs=np.zeros(0),
+                   iterations=iterations, nodes=nodes)

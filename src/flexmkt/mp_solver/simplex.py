@@ -245,22 +245,16 @@ def solve_lp(program: LinearProgram) -> Solution:
         if core.optimize(c1, cap) != "optimal":
             raise NumericalError("phase-1 subproblem reported unbounded")
         if float(c1 @ core.xval) > _PHASE1_TOL:
-            return _non_optimal("infeasible", core)
+            return Solution.non_optimal("infeasible", core.iterations)
         core.retire_artificials()
 
     cost = np.zeros(core.F.shape[1])
     cost[: core.n_struct + core.m] = core.cost[: core.n_struct + core.m]
     outcome = core.optimize(cost, cap)
     if outcome == "unbounded":
-        return _non_optimal("unbounded", core)
+        return Solution.non_optimal("unbounded", core.iterations)
 
     return _extract(program, core, cost)
-
-
-def _non_optimal(status: str, core: _Core) -> Solution:
-    return Solution(status=status, objective=float("nan"), x=np.zeros(0),
-                    duals=np.zeros(0), reduced_costs=np.zeros(0),
-                    iterations=core.iterations)
 
 
 def _extract(program: LinearProgram, core: _Core, cost: np.ndarray) -> Solution:

@@ -10,6 +10,7 @@ from pathlib import Path
 import pytest
 
 from flexmkt.cli import RESULT_COLUMNS, ExperimentConfig, main
+from flexmkt.clearing import clear_common
 from flexmkt.errors import ContractError
 from flexmkt.market_model import parse_case
 
@@ -84,12 +85,13 @@ def test_workers_other_than_one_rejected(tmp_path):
         ExperimentConfig(cases=(("c", 0, case),), methods=("three_layer",), workers=2)
 
 
-@pytest.mark.parametrize("command", [["validate"], ["run", "--out", "OUT"]])
+@pytest.mark.parametrize("command", [["validate"], ["run", "--out", "OUT"], ["check"]])
 def test_bad_case_file_is_an_error_message_not_a_traceback(tmp_path, capsys, command):
-    bad = tmp_path / "bad.json"
+    good, bad = tmp_path / "good.json", tmp_path / "bad.json"
+    main(["gen-case", "--recipe", "A", "--seed", "0", "--out", str(good)])
     bad.write_text(MALFORMED_CASE, encoding="utf-8")
     argv = [str(tmp_path / "out") if a == "OUT" else a for a in command]
-    assert main(argv + ["--case", str(bad)]) == 2
+    assert main(argv + ["--case", str(good), "--case", str(bad)]) == 2
     err = capsys.readouterr().err
     assert err.startswith("error: ") and "expected a number" in err
     assert "Traceback" not in err
@@ -118,10 +120,39 @@ def test_unreadable_case_file_is_an_error_message(tmp_path, capsys):
         assert capsys.readouterr().err.startswith("error: ")
 
 
-def test_run_aggregation_requires_delta(tmp_path):
-    with pytest.raises(SystemExit):
-        main(["run", "--recipe", "A", "--seed", "0", "--method",
-              "aggregation_primal", "--out", str(tmp_path / "x")])
+def test_run_aggregation_requires_delta(tmp_path, capsys):
+    assert main(["run", "--recipe", "A", "--seed", "0", "--method",
+                 "aggregation_primal", "--out", str(tmp_path / "x")]) == 2
+    assert capsys.readouterr().err.startswith("error: ")
+
+
+@pytest.mark.parametrize("command", [
+    ["run", "--method", "fragmented", "--out", "OUT"],   # no cases
+    ["sweep-delta", "--recipe", "A", "--out", "OUT"],    # no step size
+    ["sweep-delta", "--recipe", "A", "--delta", "nan", "--out", "OUT"],
+    ["check", "--recipe", "A", "--delta", "nan"],
+])
+def test_bad_command_input_exits_two_with_an_error_message(tmp_path, capsys, command):
+    argv = [str(tmp_path / "out") if a == "OUT" else a for a in command]
+    assert main(argv) == 2
+    err = capsys.readouterr().err
+    assert err.startswith("error: ") and "Traceback" not in err
+
+
+def test_cases_sharing_a_name_each_get_their_own_common_cost(tmp_path):
+    # Both generated files are named recipeB-s1 inside; only the DSO count
+    # differs, and so does the benchmark cost.
+    paths, cases = [], []
+    for dsos in ("2", "3"):
+        path = tmp_path / f"b{dsos}.json"
+        main(["gen-case", "--recipe", "B", "--seed", "1", "--dsos", dsos,
+              "--out", str(path)])
+        paths += ["--case", str(path)]
+        cases.append(parse_case(path.read_text(encoding="utf-8")))
+    assert cases[0].name == cases[1].name
+    assert main(["run", *paths, "--method", "fragmented", "--out", str(tmp_path)]) == 0
+    rows = read_csv(tmp_path / "results.csv")
+    assert [float(r["J_com"]) for r in rows] == [clear_common(c).objective for c in cases]
 
 
 def test_sweep_delta(tmp_path):

@@ -421,6 +421,8 @@ def test_aggregation_single_step_degenerate_but_safe():
 def test_aggregation_contract_checks(m1):
     with pytest.raises(ContractError):
         run_bid_aggregation(m1, 0.0)
+    with pytest.raises(ContractError, match="delta_bar"):
+        run_bid_aggregation(m1, float("nan"))
     with pytest.raises(ContractError):
         run_bid_aggregation(m1, 1.0, -1)
     with pytest.raises(ContractError):
