@@ -7,7 +7,7 @@ layer, bid prequalification, and residual-supply-function aggregation.
 """
 
 from .casegen import CaseRecipe, emit_case, generate_case
-from .clearing import (ClearingResult, PricingRule, clear_common,
+from .clearing import (CaseClearings, ClearingResult, PricingRule, clear_common,
                        clear_dso_layer1, clear_fragmented_layer2,
                        clear_idealized_layer2, clear_tso_layer2,
                        interface_price)

@@ -38,7 +38,7 @@ from .mp_solver import INF, LinearProgram, Solution, solve_lp
 from .netmodel import Network
 
 __all__ = [
-    "ClearingResult", "PricingRule",
+    "CaseClearings", "ClearingResult", "PricingRule",
     "clear_dso_layer1", "clear_dso_fixed_interface", "clear_tso_layer2",
     "clear_idealized_layer2", "clear_fragmented_layer2", "clear_common",
     "interface_price", "bid_cost", "add_network_block",
@@ -380,6 +380,68 @@ def clear_common(case: MarketCase) -> ClearingResult:
     prog = _common_program(case)
     sol = solve_lp(prog.lp)
     return prog.extract(sol)
+
+
+# ---------------------------------------------------------------------------
+# Clearings shared by the methods of one case
+# ---------------------------------------------------------------------------
+
+def _exact(value: float) -> str:
+    """Key of a float that tells apart every bit pattern, -0.0 from 0.0."""
+    return float(value).hex()
+
+
+class CaseClearings:
+    """The clearings that the methods of one case share, each solved once,
+    on first use.
+
+    The solver is deterministic, so a shared clearing is the one a method
+    running alone would compute. Pass one object to every method run on
+    ``case``; a fresh object gives exactly the solves of a run alone.
+    """
+
+    def __init__(self, case: MarketCase, common: ClearingResult | None = None):
+        self.case = case
+        self._common = common
+        self._layer1: dict[tuple[str, ...], dict[int, ClearingResult]] = {}
+        self._layer2: dict[tuple[str, ...], ClearingResult] = {}
+        self._pins: dict[tuple[int, str], tuple[ClearingResult, float]] = {}
+
+    @property
+    def common(self) -> ClearingResult:
+        """The common benchmark clearing, given or cleared on first use."""
+        if self._common is None:
+            self._common = clear_common(self.case)
+        return self._common
+
+    def _prices(self, pricing: PricingRule) -> tuple[str, ...]:
+        return tuple(_exact(pricing.price(m)) for m in self.case.dso_indices)
+
+    def layer1(self, pricing: PricingRule) -> dict[int, ClearingResult]:
+        """Every DSO's Layer-1 clearing under ``pricing``, keyed by DSO."""
+        key = self._prices(pricing)
+        if key not in self._layer1:
+            self._layer1[key] = {m: clear_dso_layer1(self.case, m, pricing)
+                                 for m in self.case.dso_indices}
+        return dict(self._layer1[key])
+
+    def layer2(self, pricing: PricingRule) -> ClearingResult:
+        """The practical TSO layer without bid caps, on top of
+        :meth:`layer1`, which must be optimal for every DSO."""
+        key = self._prices(pricing)
+        if key not in self._layer2:
+            self._layer2[key] = clear_tso_layer2(self.case, self.layer1(pricing), pricing)
+        return self._layer2[key]
+
+    def pinned(self, m: int, flows) -> list[tuple[ClearingResult, float]]:
+        """:func:`clear_dso_fixed_interface` for each of ``flows``; only
+        the flows not pinned before are solved."""
+        flows = [float(z) for z in flows]
+        new = {_exact(z): z for z in flows if (m, _exact(z)) not in self._pins}
+        if new:
+            solved = clear_dso_fixed_interface(self.case, m, list(new.values()))
+            self._pins.update(((m, k), r) for k, r in zip(new, solved))
+        return [self._pins[m, _exact(z)] for z in flows]
 
 
 # ---------------------------------------------------------------------------

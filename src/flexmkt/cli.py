@@ -18,7 +18,7 @@ from dataclasses import dataclass
 from pathlib import Path
 
 from .casegen import CaseRecipe, emit_case, generate_case
-from .clearing import ClearingResult, clear_common, interface_price
+from .clearing import CaseClearings, clear_common, interface_price
 from .errors import ContractError, FlexmktError, ParseError
 from .forwarding import (Outcome, run_bid_aggregation, run_bid_filtering,
                          run_sequential, run_three_layer, suboptimality_constant)
@@ -116,23 +116,23 @@ def _parse_seeds(spec: str) -> list[int]:
 
 def _run_method(case: MarketCase, method: str, pricing_kind: str,
                 delta: float | None, refine: int,
-                common: ClearingResult) -> Outcome:
+                clearings: CaseClearings) -> Outcome:
     """The one map from a method name to its run."""
-    pricing = interface_price(case, pricing_kind, common)
+    pricing = interface_price(case, pricing_kind, clearings.common)
     if method == "three_layer":
-        return run_three_layer(case, pricing, common=common)
+        return run_three_layer(case, pricing, clearings=clearings)
     if method == "filtering":
-        return run_bid_filtering(case, pricing, common=common)
+        return run_bid_filtering(case, pricing, clearings=clearings)
     if method == "aggregation_primal":
-        return run_bid_aggregation(case, delta, refine, "primal", common=common)
+        return run_bid_aggregation(case, delta, refine, "primal", clearings=clearings)
     if method == "aggregation_dual":
-        return run_bid_aggregation(case, delta, refine, "dual", common=common)
+        return run_bid_aggregation(case, delta, refine, "dual", clearings=clearings)
     if method == "fragmented":
-        return run_sequential(case, pricing, "fragmented", common=common)
+        return run_sequential(case, pricing, "fragmented", clearings=clearings)
     if method == "idealized":
-        return run_sequential(case, pricing, "idealized", common=common)
+        return run_sequential(case, pricing, "idealized", clearings=clearings)
     if method == "sequential_raw":
-        return run_sequential(case, pricing, "practical", common=common)
+        return run_sequential(case, pricing, "practical", clearings=clearings)
     raise ContractError(f"unknown method {method!r}")
 
 
@@ -177,17 +177,18 @@ def cmd_validate(args) -> int:
 def run_experiment(config: ExperimentConfig) -> Path:
     """Run every (case, method, pricing / step size) combination and append
     the outcome rows to ``results.csv`` in a deterministic order. Component
-    errors become rows with a status message; the run continues."""
+    errors become rows with a status message; the run continues. The
+    methods of one case share its clearings (:class:`CaseClearings`)."""
     rows = []
     for case_id, seed, case in config.cases:
-        common = clear_common(case)
+        clearings = CaseClearings(case, clear_common(case))
         for method in config.methods:
             for pricing in config.pricings:
                 dlist = config.deltas if method.startswith("aggregation") else (None,)
                 for delta in dlist:
                     try:
                         out = _run_method(case, method, pricing, delta,
-                                          config.refine_rounds, common)
+                                          config.refine_rounds, clearings)
                         rows.append(_result_row(case_id, seed, method, pricing, delta, out))
                     except FlexmktError as exc:
                         rows.append(_result_row(case_id, seed, method, pricing, delta,
@@ -231,9 +232,9 @@ def cmd_sweep_delta(args) -> int:
         writer = csv.writer(fh)
         writer.writerow(["case_id", "seed", "delta_bar", "eta_pct", "wall_ms"])
         for case_id, seed, case in cases:
-            common = clear_common(case)
+            clearings = CaseClearings(case, clear_common(case))
             for delta in sorted(args.delta, reverse=True):
-                out = _run_method(case, args.method, "none", delta, args.refine, common)
+                out = _run_method(case, args.method, "none", delta, args.refine, clearings)
                 writer.writerow([case_id, seed, _fmt(delta), _fmt(out.eta_pct),
                                  _fmt(out.wall_ms)])
     print(f"wrote {path}")
@@ -251,12 +252,12 @@ def cmd_check(args) -> int:
     for seed in _parse_seeds(args.seed):
         cases.append(generate_case(_recipe(args, styles[seed % len(styles)]), seed))
     for case in cases:
-        common = clear_common(case)
-        jc = common.objective
+        clearings = CaseClearings(case, clear_common(case))
+        jc = clearings.common.objective
         scale = 1e-6 * (1.0 + abs(jc))
 
         def run(method: str) -> Outcome:
-            return _run_method(case, method, "none", delta, args.refine, common)
+            return _run_method(case, method, "none", delta, args.refine, clearings)
 
         ideal, frag = run("idealized"), run("fragmented")
         if not ideal.total_cost <= frag.total_cost + scale:
@@ -273,7 +274,7 @@ def cmd_check(args) -> int:
             if not agg.total_cost >= jc - scale:
                 failures.append(f"{case.name}: aggregation[{variant}] beat the benchmark")
             if variant == "primal":
-                bound = suboptimality_constant(case) * delta
+                bound = suboptimality_constant(case, clearings=clearings) * delta
                 if not agg.total_cost - jc <= bound + scale:
                     failures.append(f"{case.name}: step-size suboptimality bound violated")
 

@@ -28,14 +28,12 @@ from dataclasses import dataclass, field, replace
 import numpy as np
 
 from .clearing import (
+    CaseClearings,
     ClearingResult,
     PricingRule,
     _CaseProgram,
     _common_program,
     bid_cost,
-    clear_common,
-    clear_dso_fixed_interface,
-    clear_dso_layer1,
     clear_fragmented_layer2,
     clear_idealized_layer2,
     clear_tso_layer2,
@@ -55,7 +53,8 @@ __all__ = [
 
 @dataclass(frozen=True)
 class Outcome:
-    """End-to-end result of one method on one case."""
+    """End-to-end result of one method on one case. The final volumes
+    hold only the bids that clear a nonzero volume."""
 
     method: str
     status: str
@@ -79,6 +78,8 @@ class Outcome:
 
 
 def _final_volumes(*parts: ClearingResult | None):
+    """Summed volumes of the parts, per direction; a bid whose sum is zero
+    is left out, as every reader takes a missing bid as zero."""
     up: dict[str, float] = {}
     down: dict[str, float] = {}
     for part in parts:
@@ -88,33 +89,47 @@ def _final_volumes(*parts: ClearingResult | None):
             up[bid_id] = up.get(bid_id, 0.0) + v
         for bid_id, v in part.downward.items():
             down[bid_id] = down.get(bid_id, 0.0) + v
-    return up, down
+    return ({b: v for b, v in up.items() if v != 0.0},
+            {b: v for b, v in down.items() if v != 0.0})
 
 
-def _outcome(case: MarketCase, method: str, t0: float,
-             common: ClearingResult | None, *,
+def _shared(case: MarketCase, clearings: CaseClearings | None) -> CaseClearings:
+    """The clearings a run on ``case`` shares: ``clearings``, or a fresh
+    object when None."""
+    if clearings is None:
+        return CaseClearings(case)
+    if clearings.case is not case:
+        raise ContractError("the shared clearings belong to another case")
+    return clearings
+
+
+def _outcome(clearings: CaseClearings, method: str, t0: float, *,
              layer1: dict[int, ClearingResult], layer2: ClearingResult | None = None,
              layer3: dict[int, ClearingResult] | None = None,
              settled: tuple[ClearingResult, ...] = (), lp_solves: int,
-             milp_nodes: int = 0, details: dict | None = None) -> Outcome:
+             milp_nodes: int = 0, details: dict | None = None,
+             status: str | None = None) -> Outcome:
     """The one way cleared parts become an Outcome.
 
-    The status comes from the clearings: "layer1_infeasible" when a
-    Layer-1 clearing is not optimal, "layer2_infeasible" when ``layer2``
-    is not, "ok" otherwise. An aborted run keeps only its Layer 1 and
-    solve count: no Layer 2, details, cost or verdict.
+    Unless ``status`` names a failure the clearings cannot show, the
+    status comes from them: "layer1_infeasible" when a Layer-1 clearing
+    is not optimal, "layer2_infeasible" when ``layer2`` is not, "ok"
+    otherwise. An aborted run keeps only its Layer 1 and solve count: no
+    Layer 2, details, cost or verdict.
 
     The final volumes sum Layer 1, Layer 2, every feasible Layer-3
     correction and the ``settled`` clearings. An "ok" run is priced and
-    judged by ``is_grid_safe`` on them. J_com comes from ``common``,
-    cleared here when None.
+    judged by ``is_grid_safe`` on them. J_com comes from the shared
+    common clearing.
     """
-    if not _optimal(layer1.values()):
-        status = "layer1_infeasible"
-    elif layer2 is not None and layer2.status != "optimal":
-        status = "layer2_infeasible"
-    else:
-        status = "ok"
+    case = clearings.case
+    if status is None:
+        if not _optimal(layer1.values()):
+            status = "layer1_infeasible"
+        elif layer2 is not None and layer2.status != "optimal":
+            status = "layer2_infeasible"
+        else:
+            status = "ok"
     if status != "ok":
         layer2, details = None, None
     layer3 = layer3 or {}
@@ -124,8 +139,7 @@ def _outcome(case: MarketCase, method: str, t0: float,
     if status == "ok":
         total = bid_cost(case, up, down)
         verdict = is_grid_safe(case, up, down)
-    if common is None:
-        common = clear_common(case)
+    common = clearings.common
     j_com = common.objective if common.status == "optimal" else None
     eta = (inefficiency(total, j_com).eta_pct
            if j_com is not None and math.isfinite(total) else None)
@@ -146,25 +160,32 @@ def _optimal(clearings) -> bool:
 
 def run_sequential(case: MarketCase, pricing: PricingRule,
                    variant: str = "practical", *,
-                   common: ClearingResult | None = None) -> Outcome:
+                   clearings: CaseClearings | None = None) -> Outcome:
     """Two-layer run without any forwarding protection.
 
     ``variant`` selects the TSO layer: practical (aggregated balances),
     idealized (full distribution constraints), or fragmented (no
-    forwarding, interface flows frozen).
+    forwarding, interface flows frozen). Layer 1, and the practical
+    Layer 2, come from the shared ``clearings``.
     """
     t0 = time.perf_counter()
-    layers = {"practical": ("sequential_raw", clear_tso_layer2),
-              "idealized": ("idealized", clear_idealized_layer2),
-              "fragmented": ("fragmented", clear_fragmented_layer2)}
-    if variant not in layers:
+    methods = {"practical": "sequential_raw", "idealized": "idealized",
+               "fragmented": "fragmented"}
+    if variant not in methods:
         raise ContractError(f"unknown sequential variant {variant!r}")
-    method, clear = layers[variant]
-    layer1 = {m: clear_dso_layer1(case, m, pricing) for m in case.dso_indices}
+    method = methods[variant]
+    clearings = _shared(case, clearings)
+    layer1 = clearings.layer1(pricing)
     if not _optimal(layer1.values()):
-        return _outcome(case, method, t0, common, layer1=layer1, lp_solves=len(layer1))
-    return _outcome(case, method, t0, common, layer1=layer1,
-                    layer2=clear(case, layer1, pricing), lp_solves=len(layer1) + 1)
+        return _outcome(clearings, method, t0, layer1=layer1, lp_solves=len(layer1))
+    if variant == "practical":
+        layer2 = clearings.layer2(pricing)
+    elif variant == "idealized":
+        layer2 = clear_idealized_layer2(case, layer1, pricing)
+    else:
+        layer2 = clear_fragmented_layer2(case, layer1, pricing)
+    return _outcome(clearings, method, t0, layer1=layer1, layer2=layer2,
+                    lp_solves=len(layer1) + 1)
 
 
 # ---------------------------------------------------------------------------
@@ -192,7 +213,7 @@ def _layer3_program(case: MarketCase, m: int, prior: tuple[ClearingResult, ...],
 
 
 def run_three_layer(case: MarketCase, pricing: PricingRule, *,
-                    common: ClearingResult | None = None) -> Outcome:
+                    clearings: CaseClearings | None = None) -> Outcome:
     """Corrective scheme: Layers 1 and 2, then one correction LP per DSO.
 
     The final volumes add every feasible correction to the first two
@@ -200,17 +221,19 @@ def run_three_layer(case: MarketCase, pricing: PricingRule, *,
     method: safe exactly when every correction problem is feasible. For a
     DSO whose correction is infeasible, the least achievable line overload
     (MW) is in ``details["layer3_overload_mw"]``. Infeasibility here is a
-    verdict, not an exception.
+    verdict, not an exception. Layers 1 and 2 come from the shared
+    ``clearings``.
     """
     t0 = time.perf_counter()
-    layer1 = {m: clear_dso_layer1(case, m, pricing) for m in case.dso_indices}
+    clearings = _shared(case, clearings)
+    layer1 = clearings.layer1(pricing)
     if not _optimal(layer1.values()):
-        return _outcome(case, "three_layer", t0, common, layer1=layer1,
+        return _outcome(clearings, "three_layer", t0, layer1=layer1,
                         lp_solves=len(layer1))
-    layer2 = clear_tso_layer2(case, layer1, pricing)
+    layer2 = clearings.layer2(pricing)
     solves = len(layer1) + 1
     if layer2.status != "optimal":
-        return _outcome(case, "three_layer", t0, common, layer1=layer1, layer2=layer2,
+        return _outcome(clearings, "three_layer", t0, layer1=layer1, layer2=layer2,
                         lp_solves=solves)
 
     layer3: dict[int, ClearingResult] = {}
@@ -227,7 +250,7 @@ def run_three_layer(case: MarketCase, pricing: PricingRule, *,
             sol = solve_lp(prog.lp)
             overload[m] = float(sol.x[worst]) if sol.status == "optimal" else float("inf")
 
-    return _outcome(case, "three_layer", t0, common, layer1=layer1,
+    return _outcome(clearings, "three_layer", t0, layer1=layer1,
                     layer2=layer2, layer3=layer3, lp_solves=solves,
                     details={"layer3_overload_mw": overload})
 
@@ -303,20 +326,22 @@ def filter_bids(case: MarketCase, m: int, layer1: ClearingResult) -> FilterResul
 
 
 def run_bid_filtering(case: MarketCase, pricing: PricingRule, *,
-                      common: ClearingResult | None = None) -> Outcome:
-    """Layer 1, per-DSO filtering, then the TSO layer restricted to the
-    forwarded bids. Safe under price-ordering and radiality assumptions."""
+                      clearings: CaseClearings | None = None) -> Outcome:
+    """Layer 1 from the shared ``clearings``, per-DSO filtering, then the
+    TSO layer restricted to the forwarded bids. Safe under price-ordering
+    and radiality assumptions."""
     t0 = time.perf_counter()
-    layer1 = {m: clear_dso_layer1(case, m, pricing) for m in case.dso_indices}
+    clearings = _shared(case, clearings)
+    layer1 = clearings.layer1(pricing)
     if not _optimal(layer1.values()):
-        return _outcome(case, "filtering", t0, common, layer1=layer1,
+        return _outcome(clearings, "filtering", t0, layer1=layer1,
                         lp_solves=len(layer1))
     filters = {m: filter_bids(case, m, layer1[m]) for m in case.dso_indices}
     dropped = {b.id: 0.0 for m, f in filters.items() for b in case.bids_of(m)
                if b.id not in f.forward_up + f.forward_down}
     layer2 = clear_tso_layer2(case, layer1, pricing, dist_bid_caps=dropped)
     probes = sum(f.feasibility_solves for f in filters.values())
-    return _outcome(case, "filtering", t0, common, layer1=layer1, layer2=layer2,
+    return _outcome(clearings, "filtering", t0, layer1=layer1, layer2=layer2,
                     lp_solves=len(layer1) + probes + 1, details={"filters": filters})
 
 
@@ -350,9 +375,10 @@ class Rsf:
             raise ContractError("RSF steps must be strictly increasing")
 
 
-def _rsf(case: MarketCase, m: int, grid) -> Rsf:
+def _rsf(case: MarketCase, m: int, grid, clearings: CaseClearings | None) -> Rsf:
     """Exact steps over the sorted grid: one pinned clearing per grid point
-    (near-duplicates skipped), infeasible pins dropped."""
+    (near-duplicates skipped), infeasible pins dropped. The pinned
+    clearings come from the shared ``clearings``."""
     dso = case.dso(m)
     grid = sorted(float(z) for z in grid)
     flows: list[float] = []
@@ -361,7 +387,7 @@ def _rsf(case: MarketCase, m: int, grid) -> Rsf:
             raise ContractError(f"grid value {zhat} outside interface bounds of DSO {m}")
         if not flows or zhat > flows[-1] + 1e-12:
             flows.append(zhat)
-    solved = clear_dso_fixed_interface(case, m, flows)
+    solved = _shared(case, clearings).pinned(m, flows)
     steps = tuple(RsfStep(z=z, cost=c.objective, clearing=c, price_dual=dual)
                   for z, (c, dual) in zip(flows, solved) if c.status == "optimal")
     if not steps:
@@ -370,17 +396,19 @@ def _rsf(case: MarketCase, m: int, grid) -> Rsf:
     return Rsf(dso_index=m, steps=steps, delta=delta, attempts=len(grid))
 
 
-def build_rsf(case: MarketCase, m: int, grid) -> Rsf:
+def build_rsf(case: MarketCase, m: int, grid, *,
+              clearings: CaseClearings | None = None) -> Rsf:
     """Exact residual supply function: each feasible step carries the true
     optimal local cost for that pinned interface flow."""
-    return _rsf(case, m, grid)
+    return _rsf(case, m, grid, clearings)
 
 
-def build_rsf_dual(case: MarketCase, m: int, grid) -> Rsf:
+def build_rsf_dual(case: MarketCase, m: int, grid, *,
+                   clearings: CaseClearings | None = None) -> Rsf:
     """Dual-price surrogate: anchored at the lowest feasible step's exact
     cost, then accumulated as pin shadow price times step width. Stored
     clearings still come from the exact solves."""
-    rsf = _rsf(case, m, grid)
+    rsf = _rsf(case, m, grid, clearings)
     surrogate = [rsf.steps[0].cost]
     for prev, cur in zip(rsf.steps, rsf.steps[1:]):
         surrogate.append(surrogate[-1] + prev.price_dual * (cur.z - prev.z))
@@ -443,7 +471,7 @@ def _uniform_grid(lo: float, hi: float, max_gap: float,
 
 def run_bid_aggregation(case: MarketCase, delta_bar: float,
                         refine_rounds: int = 0, variant: str = "primal", *,
-                        common: ClearingResult | None = None,
+                        clearings: CaseClearings | None = None,
                         extra_grid: dict[int, tuple[float, ...]] | None = None) -> Outcome:
     """End-to-end aggregation method.
 
@@ -455,6 +483,12 @@ def run_bid_aggregation(case: MarketCase, delta_bar: float,
     tenth of the spacing and repeats; the previous selection stays on the
     grid, so refinement never worsens the outcome. ``extra_grid`` lets
     tests inject specific flow values (for example common-market optima).
+
+    The pinned steps come from the shared ``clearings``, so both variants
+    and every refinement round solve each (DSO, flow) pin once. A case
+    the method cannot clear ends with status "rsf_infeasible" when some
+    DSO has no feasible step on its grid, or "layer2_infeasible" when no
+    combination of forwarded steps balances the TSO.
     """
     if not delta_bar > 0.0:
         raise ContractError("delta_bar must be positive")
@@ -465,6 +499,8 @@ def run_bid_aggregation(case: MarketCase, delta_bar: float,
     build = build_rsf if variant == "primal" else build_rsf_dual
 
     t0 = time.perf_counter()
+    method = f"aggregation_{variant}"
+    clearings = _shared(case, clearings)
     extra = extra_grid or {}
     grids = {
         dso.index: _uniform_grid(dso.z_min, dso.z_max, delta_bar,
@@ -473,13 +509,22 @@ def run_bid_aggregation(case: MarketCase, delta_bar: float,
     }
     solves = 0
     milp_nodes = 0
-    rsfs: dict[int, Rsf] = {}
     result: ClearingResult | None = None
     selected: dict[int, int] = {}
     for round_no in range(refine_rounds + 1):
-        rsfs = {m: build(case, m, grids[m]) for m in case.dso_indices}
-        solves += sum(r.attempts for r in rsfs.values())
-        result, selected = clear_tso_rsf(case, rsfs)
+        rsfs: dict[int, Rsf] = {}
+        for m in case.dso_indices:
+            try:
+                rsfs[m] = build(case, m, grids[m], clearings=clearings)
+            except ModelError:
+                return _outcome(clearings, method, t0, layer1={}, status="rsf_infeasible",
+                                lp_solves=solves + len(grids[m]), milp_nodes=milp_nodes)
+            solves += rsfs[m].attempts
+        try:
+            result, selected = clear_tso_rsf(case, rsfs)
+        except ModelError:
+            return _outcome(clearings, method, t0, layer1={}, status="layer2_infeasible",
+                            lp_solves=solves, milp_nodes=milp_nodes)
         milp_nodes += result.nodes
         if round_no == refine_rounds:
             break
@@ -495,7 +540,7 @@ def run_bid_aggregation(case: MarketCase, delta_bar: float,
             grids[m] = _uniform_grid(lo, hi, rsf.delta / 10.0, must_include=(zhat,))
 
     chosen = {m: rsfs[m].steps[k] for m, k in selected.items()}
-    return _outcome(case, f"aggregation_{variant}", t0, common, layer1={},
+    return _outcome(clearings, method, t0, layer1={},
                     layer2=result, settled=tuple(s.clearing for s in chosen.values()),
                     lp_solves=solves, milp_nodes=milp_nodes,
                     details={
@@ -563,7 +608,8 @@ def _dso_flow_interval(case: MarketCase, m: int) -> tuple[float, float]:
     return out[0], out[1]
 
 
-def suboptimality_constant(case: MarketCase) -> float:
+def suboptimality_constant(case: MarketCase, *,
+                           clearings: CaseClearings | None = None) -> float:
     """Price sensitivity (EUR/MW) of the benchmark cost to interface flows.
 
     Combines the balance-structure pseudo-inverse norm with sampled shadow
@@ -571,13 +617,14 @@ def suboptimality_constant(case: MarketCase) -> float:
     corners of the feasible flow intervals and at the benchmark optimum,
     and the largest magnitudes are summed. Scales linearly with prices and
     vanishes when all bids are free. Used as the Lipschitz constant that
-    converts an interface-flow grid gap into a cost gap.
+    converts an interface-flow grid gap into a cost gap. The benchmark
+    optimum comes from the shared ``clearings``.
     """
     if len(case.dsos) > 10:
         raise ContractError("corner sampling is limited to 10 DSOs")
     paper_norm = _pinv_norm(case)
 
-    common = clear_common(case)
+    common = _shared(case, clearings).common
     if common.status != "optimal":
         raise ModelError("suboptimality constant requires a feasible benchmark")
     intervals = {m: _dso_flow_interval(case, m) for m in case.dso_indices}

@@ -15,8 +15,8 @@ import numpy as np
 import pytest
 
 from flexmkt.casegen import CaseRecipe, generate_case
-from flexmkt.clearing import (clear_common, clear_dso_layer1, clear_tso_layer2,
-                              interface_price)
+from flexmkt.clearing import (CaseClearings, clear_common, clear_dso_layer1,
+                              clear_tso_layer2, interface_price)
 from flexmkt.forwarding import (build_rsf, clear_tso_rsf, run_bid_aggregation,
                                 run_bid_filtering, run_sequential,
                                 suboptimality_constant)
@@ -46,9 +46,10 @@ def test_criterion_01_idealized_never_above_fragmented():
     checked = 0
     for case in mixed_cases(100):
         common = clear_common(case)
+        shared = CaseClearings(case, common)
         rule = interface_price(case, "none", common)
-        ideal = run_sequential(case, rule, "idealized", common=common)
-        frag = run_sequential(case, rule, "fragmented", common=common)
+        ideal = run_sequential(case, rule, "idealized", clearings=shared)
+        frag = run_sequential(case, rule, "fragmented", clearings=shared)
         assert ideal.status == "ok" and frag.status == "ok", case.name
         tol = 1e-6 * abs(common.objective)
         assert ideal.total_cost <= frag.total_cost + tol, case.name
@@ -77,21 +78,23 @@ def test_criterion_03_filtering_boundary_equivalences():
     # two-layer optimum; nothing forwarded: the fragmented one.
     full = micro_case(limit=10.0, z_max=15.0)
     common = clear_common(full)
+    shared = CaseClearings(full, common)
     rule = interface_price(full, "none", common)
-    out = run_bid_filtering(full, rule, common=common)
+    out = run_bid_filtering(full, rule, clearings=shared)
     filt = out.details["filters"][1]
     assert set(filt.forward_up) and set(filt.forward_down)
-    ideal = run_sequential(full, rule, "idealized", common=common)
+    ideal = run_sequential(full, rule, "idealized", clearings=shared)
     rel = 1e-6 * (1.0 + abs(ideal.total_cost))
     assert abs(out.total_cost - ideal.total_cost) <= rel
 
     empty = empty_filter_case()
     common = clear_common(empty)
+    shared = CaseClearings(empty, common)
     rule = interface_price(empty, "none", common)
-    out = run_bid_filtering(empty, rule, common=common)
+    out = run_bid_filtering(empty, rule, clearings=shared)
     filt = out.details["filters"][1]
     assert not filt.forward_up and not filt.forward_down
-    frag = run_sequential(empty, rule, "fragmented", common=common)
+    frag = run_sequential(empty, rule, "fragmented", clearings=shared)
     rel = 1e-6 * (1.0 + abs(frag.total_cost))
     assert abs(out.total_cost - frag.total_cost) <= rel
 
@@ -110,11 +113,12 @@ def aggregation_battery():
     battery = []
     for case in mixed_cases(50, styles="BCAD", start_seed=400):
         common = clear_common(case)
-        constant = suboptimality_constant(case)
+        shared = CaseClearings(case, common)
+        constant = suboptimality_constant(case, clearings=shared)
         runs = {}
         for delta in DELTAS:
-            primal = run_bid_aggregation(case, delta, 0, "primal", common=common)
-            dual = run_bid_aggregation(case, delta, 0, "dual", common=common)
+            primal = run_bid_aggregation(case, delta, 0, "primal", clearings=shared)
+            dual = run_bid_aggregation(case, delta, 0, "dual", clearings=shared)
             runs[delta] = (primal, dual)
         battery.append((case, common, constant, runs))
     return battery
@@ -133,7 +137,7 @@ def test_criterion_04_aggregation_safe_and_lower_bounded(aggregation_battery):
         # Tightness: placing the benchmark-optimal flows on the grid closes
         # the gap completely.
         tight = run_bid_aggregation(
-            case, DELTAS[0], 0, "primal", common=common,
+            case, DELTAS[0], 0, "primal", clearings=CaseClearings(case, common),
             extra_grid={m: (common.interface_flows[m],) for m in case.dso_indices})
         assert abs(tight.total_cost - common.objective) <= \
             1e-6 * (1.0 + abs(common.objective)), case.name
@@ -151,9 +155,10 @@ def test_criterion_05_step_size_bound_and_refinement_trend(aggregation_battery):
     # Refinement sweep: re-gridding around the incumbent never increases
     # the inefficiency.
     for case, common, _, _ in aggregation_battery[:6]:
+        shared = CaseClearings(case, common)
         previous = math.inf
         for rounds in (0, 1, 2):
-            out = run_bid_aggregation(case, 2.0, rounds, "primal", common=common)
+            out = run_bid_aggregation(case, 2.0, rounds, "primal", clearings=shared)
             assert out.total_cost <= previous + 1e-6, (case.name, rounds)
             previous = out.total_cost
     report(5, "step-size suboptimality bound",
@@ -220,8 +225,9 @@ def test_criterion_08_optimal_pricing_trend():
     checked = 0
     for i, case in enumerate(mixed_cases(30, styles="AD", start_seed=3000)):
         common = clear_common(case)
+        shared = CaseClearings(case, common)
         rule = interface_price(case, "optimal", common)
-        out = run_sequential(case, rule, "practical", common=common)
+        out = run_sequential(case, rule, "practical", clearings=shared)
         assert out.status == "ok", case.name
         dist_volume = 0.0
         for m in case.dso_indices:

@@ -186,6 +186,27 @@ def test_three_layer_and_filtering_agree_on_benign_recipes(tmp_path):
         assert eta3 == pytest.approx(etaf, abs=1e-6)
 
 
+def test_run_writes_a_status_row_for_an_uncleared_aggregation(tmp_path):
+    from flexmkt.market_model import serialize_case
+    from test_forwarding import layer1_infeasible_case, tso_unbalanceable_case
+
+    args = ["run", "--method", "aggregation_primal", "--method", "aggregation_dual",
+            "--delta", "0.5", "--out", str(tmp_path / "r")]
+    for make in (layer1_infeasible_case, tso_unbalanceable_case):
+        path = tmp_path / f"{make.__name__}.json"
+        path.write_text(serialize_case(make()), encoding="utf-8")
+        args += ["--case", str(path)]
+    assert main(args) == 0
+    rows = read_csv(tmp_path / "r" / "results.csv")
+    assert [(r["case_id"], r["method"], r["status"], r["lp_solves"]) for r in rows] == [
+        ("layer1-infeasible", "aggregation_primal", "rsf_infeasible", "5"),
+        ("layer1-infeasible", "aggregation_dual", "rsf_infeasible", "5"),
+        ("tso-unbalanceable", "aggregation_primal", "layer2_infeasible", "5"),
+        ("tso-unbalanceable", "aggregation_dual", "layer2_infeasible", "5"),
+    ]
+    assert all(r["J_tot"] == r["safe"] == r["eta_pct"] == "" for r in rows)
+
+
 def test_reference_rows_unchanged():
     # The benchmark's stored results.csv rows for fixed seeds are the
     # regression oracle: a refactor must reproduce them byte for byte,

@@ -6,15 +6,19 @@ import math
 
 import numpy as np
 import pytest
+from hypothesis import assume, given, settings
+from hypothesis import strategies as st
 
 from flexmkt.casegen import CaseRecipe, generate_case
-from flexmkt.clearing import clear_common, clear_dso_layer1, interface_price
+from flexmkt.clearing import (CaseClearings, _common_program, clear_common,
+                              clear_dso_layer1, interface_price)
 from flexmkt.errors import ContractError, ModelError
-from flexmkt.forwarding import (build_rsf, build_rsf_dual, clear_tso_rsf,
-                                filter_bids, run_bid_aggregation,
+from flexmkt.forwarding import (_dso_flow_interval, build_rsf, build_rsf_dual,
+                                clear_tso_rsf, filter_bids, run_bid_aggregation,
                                 run_bid_filtering, run_sequential,
                                 run_three_layer, suboptimality_constant)
 from flexmkt.market_model import Bid, DistributionSystem, MarketCase
+from flexmkt.mp_solver import solve_lp
 from flexmkt.netmodel import Line, Network
 
 from conftest import (corrective_showcase, dso_grid_oracle,
@@ -62,8 +66,9 @@ def test_sequential_layer1_abort_keeps_method_name(variant, method):
 def test_three_layer_noop_when_layer2_clears_nothing_local():
     case = generate_case(CaseRecipe(style="A"), 4)
     common = clear_common(case)
-    out = run_three_layer(case, none_pricing(case), common=common)
-    seq = run_sequential(case, none_pricing(case), "practical", common=common)
+    shared = CaseClearings(case, common)
+    out = run_three_layer(case, none_pricing(case), clearings=shared)
+    seq = run_sequential(case, none_pricing(case), "practical", clearings=shared)
     assert out.safe
     for res in out.layer3.values():
         assert all(v <= 1e-7 for v in res.upward.values())
@@ -96,9 +101,10 @@ def test_three_layer_resolves_when_reserves_exist():
     # reserve) for the third layer to buy the grid back to feasibility.
     case = corrective_showcase()
     common = clear_common(case)
+    shared = CaseClearings(case, common)
     rule = interface_price(case, "midpoint", common)
-    raw = run_sequential(case, rule, "practical", common=common)
-    out = run_three_layer(case, rule, common=common)
+    raw = run_sequential(case, rule, "practical", clearings=shared)
+    out = run_three_layer(case, rule, clearings=shared)
     assert raw.safe is False
     assert out.safe is True
     assert out.eta_pct is not None and out.eta_pct > 1.0
@@ -184,9 +190,10 @@ def test_filtering_all_forwarded_matches_idealized():
     # the filtered TSO layer sees exactly the idealized feasible set.
     case = micro_case(limit=10.0, z_max=15.0)
     common = clear_common(case)
+    shared = CaseClearings(case, common)
     rule = none_pricing(case)
-    out = run_bid_filtering(case, rule, common=common)
-    ideal = run_sequential(case, rule, "idealized", common=common)
+    out = run_bid_filtering(case, rule, clearings=shared)
+    ideal = run_sequential(case, rule, "idealized", clearings=shared)
     filters = out.details["filters"][1]
     assert set(filters.forward_up) == {"d-u"}
     assert set(filters.forward_down) == {"d-d"}
@@ -213,9 +220,10 @@ def empty_filter_case():
 def test_filtering_nothing_forwarded_matches_fragmented():
     case = empty_filter_case()
     common = clear_common(case)
+    shared = CaseClearings(case, common)
     rule = none_pricing(case)
-    out = run_bid_filtering(case, rule, common=common)
-    frag = run_sequential(case, rule, "fragmented", common=common)
+    out = run_bid_filtering(case, rule, clearings=shared)
+    frag = run_sequential(case, rule, "fragmented", clearings=shared)
     filters = out.details["filters"][1]
     assert filters.forward_up == ()
     assert filters.forward_down == ()
@@ -227,9 +235,10 @@ def test_filtering_beats_fragmented_when_safe_bids_exist():
     # bid survives filtering and saves the TSO expensive upward volume.
     case = forwarding_benefit_showcase()
     common = clear_common(case)
+    shared = CaseClearings(case, common)
     rule = interface_price(case, "midpoint", common)
-    filt = run_bid_filtering(case, rule, common=common)
-    frag = run_sequential(case, rule, "fragmented", common=common)
+    filt = run_bid_filtering(case, rule, clearings=shared)
+    frag = run_sequential(case, rule, "fragmented", clearings=shared)
     assert filt.safe
     assert filt.total_cost == pytest.approx(common.objective, abs=1e-6)
     assert frag.total_cost > filt.total_cost + 100.0
@@ -436,8 +445,9 @@ def test_total_cost_decomposes_into_layer_objectives():
     # as revenue.
     case = generate_case(CaseRecipe(style="C"), 12)
     common = clear_common(case)
+    shared = CaseClearings(case, common)
     rule = interface_price(case, "midpoint", common)
-    out = run_sequential(case, rule, "practical", common=common)
+    out = run_sequential(case, rule, "practical", clearings=shared)
     assert out.status == "ok"
     layer_sum = 0.0
     for m, res in out.layer1.items():
@@ -456,11 +466,21 @@ def test_aggregation_totals_match_bid_cost_identity(m1):
     assert out.layer2.objective == pytest.approx(out.total_cost, abs=1e-6)
 
 
+def test_final_volumes_hold_only_cleared_bids():
+    case = generate_case(CaseRecipe(style="C", n_dsos=3), 2)
+    rule = none_pricing(case)
+    for out in (run_three_layer(case, rule), run_bid_filtering(case, rule),
+                run_bid_aggregation(case, 2.0)):
+        volumes = [*out.final_upward.values(), *out.final_downward.values()]
+        assert volumes and 0.0 not in volumes, out.method
+
+
 def test_aggregation_tightness_when_benchmark_flows_on_grid():
     for style, seed in (("B", 1), ("C", 2)):
         case = generate_case(CaseRecipe(style=style), seed)
         common = clear_common(case)
-        out = run_bid_aggregation(case, 1.0, 0, "primal", common=common,
+        shared = CaseClearings(case, common)
+        out = run_bid_aggregation(case, 1.0, 0, "primal", clearings=shared,
                                   extra_grid={m: (common.interface_flows[m],)
                                               for m in case.dso_indices})
         assert out.total_cost == pytest.approx(common.objective,
@@ -470,9 +490,10 @@ def test_aggregation_tightness_when_benchmark_flows_on_grid():
 def test_aggregation_refinement_never_worse():
     case = generate_case(CaseRecipe(style="B"), 4)
     common = clear_common(case)
+    shared = CaseClearings(case, common)
     prev = None
     for rounds in (0, 1, 2):
-        out = run_bid_aggregation(case, 2.0, rounds, "primal", common=common)
+        out = run_bid_aggregation(case, 2.0, rounds, "primal", clearings=shared)
         assert out.safe
         if prev is not None:
             assert out.total_cost <= prev + 1e-6
@@ -483,9 +504,36 @@ def test_aggregation_dual_variant_never_beats_primal():
     for style, seed in (("B", 5), ("C", 6), ("D", 7)):
         case = generate_case(CaseRecipe(style=style), seed)
         common = clear_common(case)
-        p = run_bid_aggregation(case, 0.8, 0, "primal", common=common)
-        d = run_bid_aggregation(case, 0.8, 0, "dual", common=common)
+        shared = CaseClearings(case, common)
+        p = run_bid_aggregation(case, 0.8, 0, "primal", clearings=shared)
+        d = run_bid_aggregation(case, 0.8, 0, "dual", clearings=shared)
         assert p.total_cost <= d.total_cost + 1e-6
+
+
+def tso_unbalanceable_case() -> MarketCase:
+    """A DSO that can serve every pin in +/-1 MW with its own bids, behind
+    a transmission grid with a 50 MW deficit and no bids: no combination
+    of forwarded steps balances the TSO."""
+    tn = Network(buses=(1, 2), lines=(Line(1, 2, 0.1, -100.0, 100.0),), root=1)
+    dn = Network(buses=(1, 2), lines=(Line(1, 2, 0.1, -10.0, 10.0),), root=1)
+    dso = DistributionSystem(index=1, network=dn, coupling_bus=2, z_min=-1.0,
+                             z_max=1.0, base_injections=(0.0, 0.0))
+    bids = (Bid("d-u", 1, 2, "up", 40.0, 5.0), Bid("d-d", 1, 2, "down", 10.0, 5.0))
+    return MarketCase(transmission=tn, base_injections=(0.0, 50.0), dsos=(dso,),
+                      bids=bids, name="tso-unbalanceable")
+
+
+@pytest.mark.parametrize("variant", ["primal", "dual"])
+@pytest.mark.parametrize("make,status", [(layer1_infeasible_case, "rsf_infeasible"),
+                                         (tso_unbalanceable_case, "layer2_infeasible")])
+def test_aggregation_reports_an_uncleared_case_as_a_status(make, status, variant):
+    case = make()
+    out = run_bid_aggregation(case, 0.5, 1, variant)
+    assert (out.method, out.status) == (f"aggregation_{variant}", status)
+    assert out.safe is None and out.eta_pct is None and math.isnan(out.total_cost)
+    assert out.layer2 is None and not out.final_upward and not out.final_downward
+    # Five grid points over +/-1 MW, all pinned before the run stopped.
+    assert out.lp_solves == 5
 
 
 def test_aggregation_solve_accounting(m1):
@@ -553,9 +601,10 @@ def test_step_size_bound_on_generated_cases():
     for style, seed in (("B", 8), ("C", 9)):
         case = generate_case(CaseRecipe(style=style), seed)
         common = clear_common(case)
-        L = suboptimality_constant(case)
+        shared = CaseClearings(case, common)
+        L = suboptimality_constant(case, clearings=shared)
         for delta in (2.0, 1.0, 0.5):
-            out = run_bid_aggregation(case, delta, 0, "primal", common=common)
+            out = run_bid_aggregation(case, delta, 0, "primal", clearings=shared)
             gap = out.total_cost - common.objective
             assert gap >= -1e-6 * (1.0 + abs(common.objective))
             assert gap <= L * delta + 1e-6 * (1.0 + abs(common.objective))
@@ -565,7 +614,59 @@ def test_selected_flow_near_benchmark_optimum(m1_wide):
     # Uniquely-sloped residual cost: the selected step sits within one
     # realized gap of the benchmark-optimal interface flow.
     common = clear_common(m1_wide)
-    out = run_bid_aggregation(m1_wide, 0.75, 0, "primal", common=common)
+    shared = CaseClearings(m1_wide, common)
+    out = run_bid_aggregation(m1_wide, 0.75, 0, "primal", clearings=shared)
     z_sel = out.details["selected_flows"][1]
     delta = out.details["realized_deltas"][1]
     assert abs(z_sel - common.interface_flows[1]) <= delta + 1e-9
+
+
+def _pinned_common_duals(case, zvec):
+    """Status and pin duals of the common program with every interface
+    flow pinned at ``zvec``."""
+    prog = _common_program(case, bound_interfaces=False)
+    rows = {m: prog.pin_z(m, zvec[m]) for m in case.dso_indices}
+    sol = solve_lp(prog.lp)
+    if sol.status != "optimal":
+        return sol.status, {}
+    return sol.status, {m: float(sol.duals[row]) for m, row in rows.items()}
+
+
+@pytest.fixture(scope="module")
+def interior_probe_cases():
+    """Per case: the case, its suboptimality constant, and the feasible
+    pins among the benchmark optimum and the corners of the flow
+    intervals. The feasible flows form a convex set, so every convex
+    combination of these anchors is a feasible pin."""
+    out = {}
+    for style, seed in (("A", 21), ("B", 22), ("C", 23), ("D", 24)):
+        case = generate_case(CaseRecipe(style=style), seed)
+        shared = CaseClearings(case)
+        constant = suboptimality_constant(case, clearings=shared)
+        intervals = [_dso_flow_interval(case, m) for m in case.dso_indices]
+        candidates = [dict(shared.common.interface_flows)]
+        candidates += [dict(zip(case.dso_indices, corner))
+                       for corner in itertools.product(*intervals)]
+        anchors = [z for z in candidates if _pinned_common_duals(case, z)[0] == "optimal"]
+        out[case.name] = (case, constant, anchors)
+    return out
+
+
+@settings(max_examples=40, deadline=None)
+@given(data=st.data())
+def test_suboptimality_constant_bounds_interior_pin_duals(interior_probe_cases, data):
+    # The constant comes from corner and optimum pins only; at random
+    # interior pins the summed pin duals (the local Lipschitz constant
+    # against a max-norm flow error) must not exceed it either.
+    name = data.draw(st.sampled_from(sorted(interior_probe_cases)))
+    case, constant, anchors = interior_probe_cases[name]
+    weights = data.draw(st.lists(st.floats(0.0, 1.0), min_size=len(anchors),
+                                 max_size=len(anchors)))
+    total = sum(weights)
+    assume(total > 1e-6)
+    zvec = {m: sum(w * z[m] for w, z in zip(weights, anchors)) / total
+            for m in case.dso_indices}
+    status, duals = _pinned_common_duals(case, zvec)
+    assert status == "optimal", (name, zvec)
+    assert sum(abs(d) for d in duals.values()) <= constant * (1.0 + 1e-9) + 1e-9, \
+        (name, zvec, duals, constant)

@@ -6,7 +6,8 @@ import numpy as np
 import pytest
 
 from flexmkt.casegen import CaseRecipe, generate_case
-from flexmkt.clearing import clear_common, clear_dso_layer1, interface_price
+from flexmkt.clearing import (CaseClearings, clear_common, clear_dso_layer1,
+                              interface_price)
 from flexmkt.errors import ContractError, OracleError
 from flexmkt.forwarding import run_three_layer
 from flexmkt.market_model import Bid, DistributionSystem, MarketCase
@@ -309,9 +310,10 @@ def test_three_layer_verdict_matches_is_grid_safe():
         for seed in range(4):
             case = generate_case(CaseRecipe(style=style, congestion=0.7), seed)
             common = clear_common(case)
+            shared = CaseClearings(case, common)
             for kind in ("none", "midpoint", "optimal"):
                 out = run_three_layer(case, interface_price(case, kind, common),
-                                      common=common)
+                                      clearings=shared)
                 assert out.status == "ok"
                 final = is_grid_safe(case, out.final_upward, out.final_downward)
                 assert out.safe == final.safe

@@ -8,7 +8,7 @@ import pytest
 
 from flexmkt.casegen import CaseRecipe, generate_case
 from flexmkt.cli import METHODS, PRICINGS, _run_method
-from flexmkt.clearing import clear_common
+from flexmkt.clearing import CaseClearings, clear_common
 
 DELTA = 2.0
 
@@ -38,11 +38,11 @@ def scale_volumes(case, k):
 def outcomes(case, delta, refine):
     """(status, safe, lp_solves, eta_pct) of every method and pricing rule;
     aggregation ignores pricing and runs once."""
-    common = clear_common(case)
+    clearings = CaseClearings(case, clear_common(case))
     out = {}
     for method in METHODS:
         for pricing in ("none",) if method.startswith("aggregation") else PRICINGS:
-            o = _run_method(case, method, pricing, delta, refine, common)
+            o = _run_method(case, method, pricing, delta, refine, clearings)
             out[method, pricing] = (o.status, o.safe, o.lp_solves, o.eta_pct)
     return out
 
