@@ -239,7 +239,7 @@ class _CaseProgram:
     def extract(self, sol: Solution) -> ClearingResult:
         if sol.status != "optimal":
             return ClearingResult(status=sol.status, objective=float("nan"),
-                                  iterations=sol.iterations)
+                                  iterations=sol.iterations, nodes=sol.nodes)
         up = {}
         for bid_id, var in self.up_vars.items():
             up[bid_id] = _clamp(sol.x[var], self.lp.var_lb[var], self.lp.var_ub[var])
@@ -253,7 +253,8 @@ class _CaseProgram:
         }
         return ClearingResult(status="optimal", objective=sol.objective,
                               upward=up, downward=down, interface_flows=zvals,
-                              balance_duals=duals, iterations=sol.iterations)
+                              balance_duals=duals, iterations=sol.iterations,
+                              nodes=sol.nodes)
 
 
 def _clamp(v: float, lo: float, hi: float) -> float:

@@ -105,8 +105,7 @@ def _shared(case: MarketCase, clearings: CaseClearings | None) -> CaseClearings:
 
 def _outcome(clearings: CaseClearings, method: str, t0: float, *,
              layer1: dict[int, ClearingResult], layer2: ClearingResult | None = None,
-             layer3: dict[int, ClearingResult] | None = None,
-             settled: tuple[ClearingResult, ...] = (), lp_solves: int,
+             layer3: dict[int, ClearingResult] | None = None, lp_solves: int,
              milp_nodes: int = 0, details: dict | None = None,
              status: str | None = None) -> Outcome:
     """The one way cleared parts become an Outcome.
@@ -117,10 +116,9 @@ def _outcome(clearings: CaseClearings, method: str, t0: float, *,
     otherwise. An aborted run keeps only its Layer 1 and solve count: no
     Layer 2, details, cost or verdict.
 
-    The final volumes sum Layer 1, Layer 2, every feasible Layer-3
-    correction and the ``settled`` clearings. An "ok" run is priced and
-    judged by ``is_grid_safe`` on them. J_com comes from the shared
-    common clearing.
+    The final volumes sum Layer 1, Layer 2 and every feasible Layer-3
+    correction. An "ok" run is priced and judged by ``is_grid_safe`` on
+    them. J_com comes from the shared common clearing.
     """
     case = clearings.case
     if status is None:
@@ -133,7 +131,7 @@ def _outcome(clearings: CaseClearings, method: str, t0: float, *,
     if status != "ok":
         layer2, details = None, None
     layer3 = layer3 or {}
-    up, down = _final_volumes(*layer1.values(), layer2, *settled,
+    up, down = _final_volumes(*layer1.values(), layer2,
                               *(r for r in layer3.values() if r.status == "optimal"))
     total, verdict = float("nan"), None
     if status == "ok":
@@ -364,7 +362,6 @@ class Rsf:
     the realized largest gap between consecutive feasible steps;
     ``attempts`` counts the grid points, near-duplicates included."""
 
-    dso_index: int
     steps: tuple[RsfStep, ...]
     delta: float
     attempts: int
@@ -393,7 +390,7 @@ def _rsf(case: MarketCase, m: int, grid, clearings: CaseClearings | None) -> Rsf
     if not steps:
         raise ModelError(f"no feasible interface flow step for DSO {m}")
     delta = max((b.z - a.z for a, b in zip(steps, steps[1:])), default=0.0)
-    return Rsf(dso_index=m, steps=steps, delta=delta, attempts=len(grid))
+    return Rsf(steps=steps, delta=delta, attempts=len(grid))
 
 
 def build_rsf(case: MarketCase, m: int, grid, *,
@@ -420,7 +417,9 @@ def clear_tso_rsf(case: MarketCase,
     """TSO clearing over the forwarded steps: one binary per step, one
     one-hot group per DSO, interface flows substituted by the selected
     step values. The aggregated balance is deliberately absent; it lives
-    inside the stored step clearings."""
+    inside the stored step clearings. Returns the MILP clearing, with the
+    nodes it explored, and the selected step per DSO, which is empty when
+    the MILP has no optimum."""
     for m in case.dso_indices:
         if m not in rsfs:
             raise ContractError(f"missing RSF for DSO {m}")
@@ -439,20 +438,15 @@ def clear_tso_rsf(case: MarketCase,
     prog.add_system(0, step_terms=step_terms)
     mp = MixedProgram(prog.lp, [y_vars[m] for m in case.dso_indices])
     sol = solve_milp(mp)
+    result = prog.extract(sol)
     if sol.status != "optimal":
-        raise ModelError(f"aggregation TSO program is {sol.status}; the TSO "
-                         "cannot balance any forwarded step combination")
+        return result, {}
     selected = {}
     for m in case.dso_indices:
         chosen = max(range(len(y_vars[m])), key=lambda k: sol.x[y_vars[m][k]])
         selected[m] = chosen
-    result = prog.extract(sol)
-    result = replace(
-        result,
-        interface_flows={m: rsfs[m].steps[k].z for m, k in selected.items()},
-        nodes=sol.nodes,
-    )
-    return result, selected
+    flows = {m: rsfs[m].steps[k].z for m, k in selected.items()}
+    return replace(result, interface_flows=flows), selected
 
 
 def _uniform_grid(lo: float, hi: float, max_gap: float,
@@ -478,7 +472,8 @@ def run_bid_aggregation(case: MarketCase, delta_bar: float,
     Uniform interface-flow grids with gap at most ``delta_bar`` (endpoints
     always included, zero included when interior) feed the residual supply
     functions; the TSO MILP picks one step per DSO; each DSO then settles
-    on its stored clearing for the chosen step. Every refinement round
+    on its stored clearing for the chosen step, the outcome's Layer 1
+    (the MILP clearing is its Layer 2). Every refinement round
     re-grids a band of one realized gap around the previous selection at a
     tenth of the spacing and repeats; the previous selection stays on the
     grid, so refinement never worsens the outcome. ``extra_grid`` lets
@@ -488,7 +483,8 @@ def run_bid_aggregation(case: MarketCase, delta_bar: float,
     and every refinement round solve each (DSO, flow) pin once. A case
     the method cannot clear ends with status "rsf_infeasible" when some
     DSO has no feasible step on its grid, or "layer2_infeasible" when no
-    combination of forwarded steps balances the TSO.
+    combination of forwarded steps balances the TSO; ``milp_nodes`` then
+    includes the nodes of the MILP that failed.
     """
     if not delta_bar > 0.0:
         raise ContractError("delta_bar must be positive")
@@ -509,8 +505,6 @@ def run_bid_aggregation(case: MarketCase, delta_bar: float,
     }
     solves = 0
     milp_nodes = 0
-    result: ClearingResult | None = None
-    selected: dict[int, int] = {}
     for round_no in range(refine_rounds + 1):
         rsfs: dict[int, Rsf] = {}
         for m in case.dso_indices:
@@ -520,13 +514,9 @@ def run_bid_aggregation(case: MarketCase, delta_bar: float,
                 return _outcome(clearings, method, t0, layer1={}, status="rsf_infeasible",
                                 lp_solves=solves + len(grids[m]), milp_nodes=milp_nodes)
             solves += rsfs[m].attempts
-        try:
-            result, selected = clear_tso_rsf(case, rsfs)
-        except ModelError:
-            return _outcome(clearings, method, t0, layer1={}, status="layer2_infeasible",
-                            lp_solves=solves, milp_nodes=milp_nodes)
+        result, selected = clear_tso_rsf(case, rsfs)
         milp_nodes += result.nodes
-        if round_no == refine_rounds:
+        if result.status != "optimal" or round_no == refine_rounds:
             break
         for dso in case.dsos:
             m = dso.index
@@ -539,15 +529,10 @@ def run_bid_aggregation(case: MarketCase, delta_bar: float,
             hi = min(dso.z_max, zhat + rsf.delta)
             grids[m] = _uniform_grid(lo, hi, rsf.delta / 10.0, must_include=(zhat,))
 
-    chosen = {m: rsfs[m].steps[k] for m, k in selected.items()}
-    return _outcome(clearings, method, t0, layer1={},
-                    layer2=result, settled=tuple(s.clearing for s in chosen.values()),
-                    lp_solves=solves, milp_nodes=milp_nodes,
-                    details={
-                        "selected_flows": {m: s.z for m, s in chosen.items()},
-                        "realized_deltas": {m: rsfs[m].delta for m in rsfs},
-                        "variant": variant,
-                    })
+    return _outcome(clearings, method, t0,
+                    layer1={m: rsfs[m].steps[k].clearing for m, k in selected.items()},
+                    layer2=result, lp_solves=solves, milp_nodes=milp_nodes,
+                    details={"realized_deltas": {m: rsfs[m].delta for m in rsfs}})
 
 
 # ---------------------------------------------------------------------------

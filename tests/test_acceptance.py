@@ -130,9 +130,9 @@ def test_criterion_04_aggregation_safe_and_lower_bounded(aggregation_battery):
     for case, common, _, runs in aggregation_battery:
         for delta, (primal, dual) in runs.items():
             for out in (primal, dual):
-                assert out.safe, (case.name, delta, out.details["variant"])
+                assert out.safe, (case.name, delta, out.method)
                 assert out.total_cost >= common.objective - 1e-6, \
-                    (case.name, delta, out.details["variant"])
+                    (case.name, delta, out.method)
                 n_runs += 1
         # Tightness: placing the benchmark-optimal flows on the grid closes
         # the gap completely.

@@ -190,21 +190,47 @@ def test_run_writes_a_status_row_for_an_uncleared_aggregation(tmp_path):
     from flexmkt.market_model import serialize_case
     from test_forwarding import layer1_infeasible_case, tso_unbalanceable_case
 
-    args = ["run", "--method", "aggregation_primal", "--method", "aggregation_dual",
-            "--delta", "0.5", "--out", str(tmp_path / "r")]
+    # Neither case has a common optimum, so "optimal" pricing cannot be
+    # resolved; aggregation ignores pricing and writes the same row.
+    cases = []
     for make in (layer1_infeasible_case, tso_unbalanceable_case):
         path = tmp_path / f"{make.__name__}.json"
         path.write_text(serialize_case(make()), encoding="utf-8")
-        args += ["--case", str(path)]
+        cases += ["--case", str(path)]
+    args = ["run", *cases, "--method", "aggregation_primal", "--method", "aggregation_dual",
+            "--pricing", "none", "--pricing", "optimal", "--delta", "0.5",
+            "--out", str(tmp_path / "r")]
     assert main(args) == 0
     rows = read_csv(tmp_path / "r" / "results.csv")
-    assert [(r["case_id"], r["method"], r["status"], r["lp_solves"]) for r in rows] == [
+    assert [r["pricing"] for r in rows] == ["none", "optimal"] * 4
+    assert [(r["case_id"], r["method"], r["status"], r["lp_solves"]) for r in rows[::2]] == [
         ("layer1-infeasible", "aggregation_primal", "rsf_infeasible", "5"),
         ("layer1-infeasible", "aggregation_dual", "rsf_infeasible", "5"),
         ("tso-unbalanceable", "aggregation_primal", "layer2_infeasible", "5"),
         ("tso-unbalanceable", "aggregation_dual", "layer2_infeasible", "5"),
     ]
     assert all(r["J_tot"] == r["safe"] == r["eta_pct"] == "" for r in rows)
+    for none_row, optimal_row in zip(rows[::2], rows[1::2]):
+        assert ({k: v for k, v in none_row.items() if k not in ("pricing", "wall_ms")}
+                == {k: v for k, v in optimal_row.items() if k not in ("pricing", "wall_ms")})
+    # A two-layer method reads the rule, which stays an error row.
+    assert main(["run", *cases, "--method", "sequential_raw", "--pricing", "optimal",
+                 "--out", str(tmp_path / "s")]) == 1
+    assert all(r["status"].startswith("error: optimal pricing requested")
+               for r in read_csv(tmp_path / "s" / "results.csv"))
+
+
+def test_check_reports_a_case_without_a_benchmark_and_goes_on(tmp_path, capsys):
+    from flexmkt.market_model import serialize_case
+    from test_forwarding import layer1_infeasible_case
+
+    path = tmp_path / "no-benchmark.json"
+    path.write_text(serialize_case(layer1_infeasible_case()), encoding="utf-8")
+    assert main(["check", "--case", str(path), "--seed", "0", "--delta", "0.5"]) == 1
+    out = capsys.readouterr().out
+    assert [line for line in out.splitlines() if line.startswith("FAIL")] == [
+        "FAIL layer1-infeasible: common market infeasible"]
+    assert "checked 2 cases" in out and "; 1 failures" in out
 
 
 def test_reference_rows_unchanged():
@@ -220,22 +246,29 @@ def test_reference_rows_unchanged():
     assert "reference rows match" in proc.stdout
 
 
-def test_names_the_benchmark_rebinds_exist(monkeypatch):
-    # perfbench/tracer.py rebinds these module attributes from outside the
-    # program; a refactor that renames one must fail here, not in a
-    # benchmark run.
-    import importlib
+def _perfbench_tracer(monkeypatch):
+    """perfbench/tracer.py, loaded as the benchmark loads it."""
     import importlib.util
-    import inspect
-
-    from flexmkt.forwarding import run_bid_aggregation
-    from flexmkt.mp_solver.model import LinearProgram
 
     path = Path(__file__).resolve().parents[1] / "perfbench" / "tracer.py"
     spec = importlib.util.spec_from_file_location("perfbench_tracer", path)
     tracer = importlib.util.module_from_spec(spec)
     monkeypatch.setitem(sys.modules, spec.name, tracer)
     spec.loader.exec_module(tracer)
+    return tracer
+
+
+def test_names_the_benchmark_rebinds_exist(monkeypatch):
+    # perfbench/tracer.py rebinds these module attributes from outside the
+    # program; a refactor that renames one must fail here, not in a
+    # benchmark run.
+    import importlib
+    import inspect
+
+    from flexmkt.forwarding import run_bid_aggregation
+    from flexmkt.mp_solver.model import LinearProgram
+
+    tracer = _perfbench_tracer(monkeypatch)
     names = [(module, fn) for module, fn, _ in tracer.TRACED]
     names += [("flexmkt.cli", fn) for fn in tracer.ENTRY_POINTS]
     names += [("flexmkt.mp_solver.simplex", "solve_lp"),
@@ -247,3 +280,41 @@ def test_names_the_benchmark_rebinds_exist(monkeypatch):
     # The recorder reads the RSF variant from the fourth positional argument.
     assert list(inspect.signature(run_bid_aggregation).parameters)[:4] == \
         ["case", "delta_bar", "refine_rounds", "variant"]
+
+
+def test_the_benchmark_recorder_sees_one_call_per_row(tmp_path, monkeypatch):
+    # The benchmark's Recorder wraps the entry points run_experiment calls
+    # and reads each call's arguments: the case first, then the pricing
+    # rule of a two-layer method or aggregation's step size, refinement
+    # rounds and variant.
+    from flexmkt.casegen import CaseRecipe, generate_case
+    from flexmkt.cli import METHODS, PRICINGS, run_experiment
+
+    cases = [generate_case(CaseRecipe(style="B"), 1),
+             generate_case(CaseRecipe(style="C", n_dsos=1), 2)]
+    tracer = _perfbench_tracer(monkeypatch)
+    recorder, patches = tracer.Recorder(), tracer.Patches()
+    recorder.install(patches)
+    try:
+        path = run_experiment(ExperimentConfig(
+            cases=tuple((c.name, k, c) for k, c in enumerate(cases)), methods=METHODS,
+            pricings=PRICINGS, deltas=(4.0,), refine_rounds=1, out_dir=str(tmp_path)))
+    finally:
+        patches.undo()
+    rows = read_csv(path)
+    calls = recorder.calls
+    starts = [k for k, call in enumerate(calls) if call.entry == "clear_common"]
+    assert all(calls[k].args[0] is case for k, case in zip(starts, cases))
+    assert starts == [0, 1 + len(rows) // 2]
+    methods = [call for call in calls if call.entry != "clear_common"]
+    assert len(methods) == len(rows)
+    by_id = {c.name: c for c in cases}
+    for call, row in zip(methods, rows):
+        assert call.args[0] is by_id[row["case_id"]]
+        assert call.result.method == row["method"]
+        if row["method"].startswith("aggregation_"):
+            variant = row["method"].removeprefix("aggregation_")
+            assert call.args[1:4] == (float(row["delta_bar"]), 1, variant)
+            assert call.family == row["method"]
+        else:
+            assert call.args[1].kind == row["pricing"]

@@ -424,7 +424,7 @@ def test_aggregation_single_step_degenerate_but_safe():
     out = run_bid_aggregation(case, 1000.0, 0, "primal")
     assert out.status == "ok"
     assert out.safe
-    assert out.details["selected_flows"][1] == pytest.approx(4.0)
+    assert out.layer2.interface_flows[1] == pytest.approx(4.0)
 
 
 def test_aggregation_contract_checks(m1):
@@ -536,6 +536,46 @@ def test_aggregation_reports_an_uncleared_case_as_a_status(make, status, variant
     assert out.lp_solves == 5
 
 
+def tso_fractional_case() -> MarketCase:
+    """A DSO that can serve every pin in +/-2 MW with its own bids, behind
+    a transmission grid with a 1 MW deficit and no bids. At step 2.0 the
+    forwarded flows are -2, 0 and 2 MW: the MILP's relaxation balances
+    the TSO with a fractional mix, and every branch fails."""
+    tn = Network(buses=(1, 2), lines=(Line(1, 2, 0.1, -100.0, 100.0),), root=1)
+    dn = Network(buses=(1, 2), lines=(Line(1, 2, 0.1, -10.0, 10.0),), root=1)
+    dso = DistributionSystem(index=1, network=dn, coupling_bus=2, z_min=-2.0,
+                             z_max=2.0, base_injections=(0.0, 0.0))
+    bids = (Bid("d-u", 1, 2, "up", 40.0, 5.0), Bid("d-d", 1, 2, "down", 10.0, 5.0))
+    return MarketCase(transmission=tn, base_injections=(0.0, 1.0), dsos=(dso,),
+                      bids=bids, name="tso-fractional")
+
+
+def test_clear_tso_rsf_returns_a_failed_milp_with_its_nodes():
+    case = tso_fractional_case()
+    rsf = build_rsf(case, 1, [-2.0, 0.0, 2.0])
+    assert [s.z for s in rsf.steps] == [-2.0, 0.0, 2.0]
+    result, selected = clear_tso_rsf(case, {1: rsf})
+    assert (result.status, result.nodes, selected) == ("infeasible", 3, {})
+
+
+@pytest.mark.parametrize("variant", ["primal", "dual"])
+def test_failed_tso_milp_nodes_reach_the_outcome(variant):
+    # One branch per step, each infeasible; the refinement round never runs.
+    out = run_bid_aggregation(tso_fractional_case(), 2.0, 1, variant)
+    assert (out.status, out.milp_nodes, out.lp_solves) == ("layer2_infeasible", 3, 3)
+    assert out.layer1 == {} and out.layer2 is None and out.details == {}
+
+
+def test_aggregation_layer1_is_the_settled_step_clearings(m1):
+    shared = CaseClearings(m1)
+    out = run_bid_aggregation(m1, 1.0, 1, "dual", clearings=shared)
+    assert out.status == "ok" and set(out.layer1) == set(m1.dso_indices)
+    for m, z in out.layer2.interface_flows.items():
+        [(pinned, _)] = shared.pinned(m, [z])
+        assert out.layer1[m] is pinned
+    assert list(out.details) == ["realized_deltas"]
+
+
 def test_aggregation_solve_accounting(m1):
     # One local solve per grid point: span/gap intervals plus both
     # endpoints, plus the zero point when it is not already on the grid.
@@ -616,7 +656,7 @@ def test_selected_flow_near_benchmark_optimum(m1_wide):
     common = clear_common(m1_wide)
     shared = CaseClearings(m1_wide, common)
     out = run_bid_aggregation(m1_wide, 0.75, 0, "primal", clearings=shared)
-    z_sel = out.details["selected_flows"][1]
+    z_sel = out.layer2.interface_flows[1]
     delta = out.details["realized_deltas"][1]
     assert abs(z_sel - common.interface_flows[1]) <= delta + 1e-9
 
