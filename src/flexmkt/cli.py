@@ -244,7 +244,9 @@ def cmd_sweep_delta(args) -> int:
 def cmd_check(args) -> int:
     """Executable property suite over the case files and seeded recipe
     cases. A case whose common market has no optimum has no benchmark to
-    check against: it is one failure, and its properties are skipped."""
+    check against: it is one failure, and its properties are skipped. So
+    is a method's outcome that is not "ok": its status is the failure, and
+    the properties that read its cost or verdict are skipped."""
     failures: list[str] = []
     t0 = time.perf_counter()
     styles = [args.recipe] if args.recipe else list("ABCD")
@@ -260,19 +262,25 @@ def cmd_check(args) -> int:
         jc = clearings.common.objective
         scale = 1e-6 * (1.0 + abs(jc))
 
-        def run(method: str) -> Outcome:
-            return _run_method(case, method, "none", delta, args.refine, clearings)
+        def run(method: str) -> Outcome | None:
+            out = _run_method(case, method, "none", delta, args.refine, clearings)
+            if out.status == "ok":
+                return out
+            failures.append(f"{case.name}: {method} {out.status}")
+            return None
 
         ideal, frag = run("idealized"), run("fragmented")
-        if not ideal.total_cost <= frag.total_cost + scale:
+        if ideal and frag and not ideal.total_cost <= frag.total_cost + scale:
             failures.append(f"{case.name}: idealized cost above fragmented")
 
         filt = run("filtering")
-        if filt.status != "ok" or not filt.safe:
+        if filt and not filt.safe:
             failures.append(f"{case.name}: filtering outcome not grid-safe")
 
         for variant in ("primal", "dual"):
             agg = run(f"aggregation_{variant}")
+            if agg is None:
+                continue
             if not agg.safe:
                 failures.append(f"{case.name}: aggregation[{variant}] unsafe")
             if not agg.total_cost >= jc - scale:

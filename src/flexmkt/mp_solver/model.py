@@ -123,6 +123,11 @@ class Solution:
     the optimal objective to that row's right-hand side. ``reduced_costs``
     carries the analogous sensitivities for active variable bounds. For
     non-optimal statuses the arrays are empty and ``objective`` is NaN.
+
+    ``iterations`` counts simplex pivots, summed over the nodes of a MILP.
+    ``solve_lp`` also reports how many of them phase 1 took
+    (``phase1_iterations``) and how often the basis inverse was recomputed
+    from scratch (``refactorizations``); ``solve_milp`` leaves both at 0.
     """
 
     status: str
@@ -132,14 +137,19 @@ class Solution:
     reduced_costs: np.ndarray
     iterations: int = 0
     nodes: int = 0
+    phase1_iterations: int = 0
+    refactorizations: int = 0
 
     def __post_init__(self):
         for arr in (self.x, self.duals, self.reduced_costs):
             arr.flags.writeable = False
 
     @classmethod
-    def non_optimal(cls, status: str, iterations: int = 0, nodes: int = 0) -> Solution:
+    def non_optimal(cls, status: str, iterations: int = 0, nodes: int = 0,
+                    phase1_iterations: int = 0, refactorizations: int = 0) -> Solution:
         """A solve that ended without an optimum: empty arrays, NaN objective."""
         return cls(status=status, objective=float("nan"), x=np.zeros(0),
                    duals=np.zeros(0), reduced_costs=np.zeros(0),
-                   iterations=iterations, nodes=nodes)
+                   iterations=iterations, nodes=nodes,
+                   phase1_iterations=phase1_iterations,
+                   refactorizations=refactorizations)

@@ -17,6 +17,8 @@ bounds.
 
 from __future__ import annotations
 
+import math
+
 import numpy as np
 
 from ..errors import NumericalError
@@ -29,9 +31,15 @@ _PIVOT_TOL = 1e-10
 _PHASE1_TOL = 1e-7
 _CERT_TOL = 1e-7
 _DEGEN_TOL = 1e-12
+_TIE_TOL = 1e-12          # ratio-test steps this close count as tied
+_CERT_RC_TOL = 1e-11      # reduced costs at most this are zero in _certify
 _REFACTOR_EVERY = 100
 
 _AT_LOWER, _AT_UPPER, _FREE, _BASIC = 0, 1, 2, 3
+# Pricing signs by status: max(rc * s[0], rc * s[1]) is -rc at a lower
+# bound, rc at an upper bound, |rc| when free and 0 when basic.
+_SIGNS = np.array([[-1.0, 1.0, -1.0, 0.0],
+                   [-1.0, 1.0, 1.0, 0.0]])
 
 
 class _Core:
@@ -61,6 +69,8 @@ class _Core:
         self.binv = -np.eye(m)
         self.xval[n:] = a @ self.xval[:n] if m else np.zeros(0)
         self.iterations = 0
+        self.phase1_iterations = 0
+        self.refactorizations = 0
 
     # -- phase 1 ------------------------------------------------------
 
@@ -94,12 +104,21 @@ class _Core:
         self.ub = np.concatenate([self.ub, np.full(k, INF)])
         self.cost = np.concatenate([self.cost, np.zeros(k)])
         self.status = np.concatenate([self.status, np.full(k, _BASIC, dtype=np.int8)])
-        # The refactorization sets every basic value, the artificials' too.
+        # The basis of slacks (-1) and artificials (+-1) is diagonal, so its
+        # inverse needs no factorization. This sets every basic value, the
+        # artificials' too.
         self.xval = np.concatenate([self.xval, np.zeros(k)])
-        self._refactor()
+        self.binv = np.diag(1.0 / self.F[np.arange(m), self.basis])
+        self._set_basic_values()
         c1 = np.zeros(self.F.shape[1])
         c1[self.n_struct + self.m:] = 1.0
         return c1
+
+    def counters(self) -> dict[str, int]:
+        """The pivot counters a ``Solution`` carries."""
+        return {"iterations": self.iterations,
+                "phase1_iterations": self.phase1_iterations,
+                "refactorizations": self.refactorizations}
 
     def retire_artificials(self) -> None:
         self.ub[self.n_struct + self.m:] = 0.0
@@ -113,6 +132,9 @@ class _Core:
         Returns "optimal" or "unbounded".
         """
         m = self.m
+        if not cost.size:
+            return "optimal"
+        signs = _SIGNS[:, self.status]
         bland = False
         degen_run = 0
         while True:
@@ -121,23 +143,13 @@ class _Core:
             y = cost[self.basis] @ self.binv if m else np.zeros(0)
             rc = cost - (y @ self.F if m else 0.0)
 
-            improving = np.zeros(len(rc))
-            at_lo = self.status == _AT_LOWER
-            at_up = self.status == _AT_UPPER
-            free = self.status == _FREE
-            improving[at_lo] = np.maximum(0.0, -rc[at_lo])
-            improving[at_up] = np.maximum(0.0, rc[at_up])
-            improving[free] = np.abs(rc[free])
-            improving[improving <= _RC_TOL] = 0.0
-            if not improving.any():
+            # Dantzig enters the largest improvement, Bland the first one.
+            improving = np.maximum(rc * signs[0], rc * signs[1])
+            enter = int((improving > _RC_TOL if bland else improving).argmax())
+            if not improving[enter] > _RC_TOL:
                 return "optimal"
-
-            if bland:
-                enter = int(np.nonzero(improving)[0][0])
-            else:
-                enter = int(np.argmax(improving))
-            sigma = 1.0 if (self.status[enter] == _AT_LOWER or
-                            (self.status[enter] == _FREE and rc[enter] < 0)) else -1.0
+            # An improving column rises when rc < 0 and falls when rc > 0.
+            sigma = 1.0 if rc[enter] < 0 else -1.0
 
             w = self.binv @ self.F[:, enter] if m else np.zeros(0)
             step, leave_row, leave_to_upper = self._ratio_test(enter, sigma, w)
@@ -159,6 +171,7 @@ class _Core:
                 # Bound flip: the entering variable crosses to its other bound.
                 self.status[enter] = _AT_UPPER if sigma > 0 else _AT_LOWER
                 self.xval[enter] = self.ub[enter] if sigma > 0 else self.lb[enter]
+                changed = [enter]
             else:
                 leaving = self.basis[leave_row]
                 self.status[leaving] = _AT_UPPER if leave_to_upper else _AT_LOWER
@@ -167,6 +180,8 @@ class _Core:
                 self.status[enter] = _BASIC
                 self.basis[leave_row] = enter
                 self._update_binv(leave_row, w, enter)
+                changed = [enter, leaving]
+            signs[:, changed] = _SIGNS[:, self.status[changed]]
 
             if self.iterations % _REFACTOR_EVERY == 0:
                 self._refactor()
@@ -179,35 +194,35 @@ class _Core:
         bound flip of the entering variable.
         """
         best = INF
-        best_row = None
+        best_row = best_basic = None
         best_upper = False
         rate = -sigma * w
-        for i in range(self.m):
-            r = rate[i]
-            if abs(r) <= _PIVOT_TOL:
-                continue
-            b = self.basis[i]
+        rows = (np.abs(rate) > _PIVOT_TOL).nonzero()[0]
+        basic = self.basis[rows]
+        # Python floats: the same IEEE operations as numpy scalars, and
+        # max() keeps a -0.0 step where np.maximum would return +0.0.
+        for i, r, b, x, lo, hi in zip(rows.tolist(), rate[rows].tolist(), basic.tolist(),
+                                      self.xval[basic].tolist(), self.lb[basic].tolist(),
+                                      self.ub[basic].tolist()):
             if r > 0.0:
-                bound = self.ub[b]
-                if not np.isfinite(bound):
+                if not math.isfinite(hi):
                     continue
-                t = (bound - self.xval[b]) / r
+                t = (hi - x) / r
                 hits_upper = True
             else:
-                bound = self.lb[b]
-                if not np.isfinite(bound):
+                if not math.isfinite(lo):
                     continue
-                t = (self.xval[b] - bound) / (-r)
+                t = (x - lo) / (-r)
                 hits_upper = False
             t = max(t, 0.0)
-            if t < best - 1e-12 or (t < best + 1e-12 and
-                                    (best_row is None or b < self.basis[best_row])):
-                best, best_row, best_upper = t, i, hits_upper
+            if t < best - _TIE_TOL or (t < best + _TIE_TOL and
+                                       (best_row is None or b < best_basic)):
+                best, best_row, best_basic, best_upper = t, i, b, hits_upper
 
-        flip = self.ub[enter] - self.lb[enter]
-        if np.isfinite(flip) and flip < best - 1e-12:
+        flip = float(self.ub[enter] - self.lb[enter])
+        if math.isfinite(flip) and flip < best - _TIE_TOL:
             return flip, None, False
-        if best is INF or not np.isfinite(best):
+        if not math.isfinite(best):
             return None, None, False
         return best, best_row, best_upper
 
@@ -218,8 +233,10 @@ class _Core:
                 f"numerically singular basis: pivot {piv:.3e} in row {row} "
                 f"for entering column {enter}"
             )
+        # Rows where w is zero would only subtract zeros: skip them.
+        nz = w.nonzero()[0]
         old = self.binv[row].copy()
-        self.binv -= np.outer(w, old) / piv
+        self.binv[nz] -= np.multiply.outer(w[nz], old) / piv
         self.binv[row] = old / piv
 
     def _refactor(self) -> None:
@@ -230,6 +247,11 @@ class _Core:
             self.binv = np.linalg.inv(b)
         except np.linalg.LinAlgError:
             raise NumericalError("singular basis encountered on refactorization") from None
+        self.refactorizations += 1
+        self._set_basic_values()
+
+    def _set_basic_values(self) -> None:
+        """Solve ``F x = 0`` for the basic values, given the nonbasic ones."""
         nonbasic = self.status != _BASIC
         rhs = self.F[:, nonbasic] @ self.xval[nonbasic]
         self.xval[self.basis] = -self.binv @ rhs
@@ -244,15 +266,16 @@ def solve_lp(program: LinearProgram) -> Solution:
     if c1.size:
         if core.optimize(c1, cap) != "optimal":
             raise NumericalError("phase-1 subproblem reported unbounded")
+        core.phase1_iterations = core.iterations
         if float(c1 @ core.xval) > _PHASE1_TOL:
-            return Solution.non_optimal("infeasible", core.iterations)
+            return Solution.non_optimal("infeasible", **core.counters())
         core.retire_artificials()
 
     cost = np.zeros(core.F.shape[1])
     cost[: core.n_struct + core.m] = core.cost[: core.n_struct + core.m]
     outcome = core.optimize(cost, cap)
     if outcome == "unbounded":
-        return Solution.non_optimal("unbounded", core.iterations)
+        return Solution.non_optimal("unbounded", **core.counters())
 
     return _extract(program, core, cost)
 
@@ -267,8 +290,7 @@ def _extract(program: LinearProgram, core: _Core, cost: np.ndarray) -> Solution:
     _certify(program, core, x, objective, rc)
     return Solution(status="optimal", objective=objective, x=x,
                     duals=np.asarray(y, dtype=float).copy(),
-                    reduced_costs=rc[:n].copy(),
-                    iterations=core.iterations)
+                    reduced_costs=rc[:n].copy(), **core.counters())
 
 
 def _certify(program: LinearProgram, core: _Core, x: np.ndarray,
@@ -293,7 +315,7 @@ def _certify(program: LinearProgram, core: _Core, x: np.ndarray,
     dual_obj = 0.0
     for j in range(core.F.shape[1]):
         r = rc[j]
-        if core.status[j] == _BASIC or abs(r) <= 1e-11:
+        if core.status[j] == _BASIC or abs(r) <= _CERT_RC_TOL:
             continue
         bound = core.lb[j] if r > 0.0 else core.ub[j]
         if not np.isfinite(bound):

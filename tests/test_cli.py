@@ -233,6 +233,26 @@ def test_check_reports_a_case_without_a_benchmark_and_goes_on(tmp_path, capsys):
     assert "checked 2 cases" in out and "; 1 failures" in out
 
 
+def test_check_reports_an_uncleared_outcome_by_its_status(tmp_path, capsys):
+    from flexmkt.market_model import serialize_case
+    from test_forwarding import tso_fractional_case
+
+    # The common market clears, but no forwarded step combination
+    # balances the TSO: each such outcome is one status line, and no cost
+    # comparison reads its NaN cost.
+    path = tmp_path / "tso-fractional.json"
+    path.write_text(serialize_case(tso_fractional_case()), encoding="utf-8")
+    assert main(["check", "--case", str(path), "--seed", "0", "--delta", "2.0"]) == 1
+    out = capsys.readouterr().out
+    assert [line for line in out.splitlines() if line.startswith("FAIL")] == [
+        "FAIL tso-fractional: fragmented layer2_infeasible",
+        "FAIL tso-fractional: filtering layer2_infeasible",
+        "FAIL tso-fractional: aggregation_primal layer2_infeasible",
+        "FAIL tso-fractional: aggregation_dual layer2_infeasible",
+    ]
+    assert "checked 2 cases" in out and "; 4 failures" in out
+
+
 def test_reference_rows_unchanged():
     # The benchmark's stored results.csv rows for fixed seeds are the
     # regression oracle: a refactor must reproduce them byte for byte,

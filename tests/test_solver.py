@@ -3,14 +3,18 @@
 import itertools
 import math
 import re
+from types import SimpleNamespace
 
 import numpy as np
 import pytest
+from hypothesis import example, given, settings
+from hypothesis import strategies as st
 from scipy.optimize import linprog
 
 from flexmkt.errors import ContractError
 from flexmkt.mp_solver import (INF, LinearProgram, MixedProgram, Solution,
                                export_lp, solve_lp, solve_milp)
+from flexmkt.mp_solver.simplex import _PIVOT_TOL, _Core
 
 
 def random_lp(rng, n_max=12, with_equality=True):
@@ -153,6 +157,152 @@ def test_degenerate_lp_terminates():
     sol = solve_lp(lp)
     assert sol.status == "optimal"
     assert sol.objective == pytest.approx(-3.0)
+
+
+def test_pivot_counters():
+    rng = np.random.default_rng(7)
+    n, m = 60, 50
+    a = rng.normal(size=(m, n))
+    x0 = rng.uniform(0.5, 4.5, size=n)
+    lp = LinearProgram()
+    for j in range(n):
+        lp.add_variable(f"x{j}", 0.0, 5.0, cost=float(rng.normal()))
+    # Every row is violated at x = 0, so phase 1 has to run.
+    for i in range(m):
+        lp.add_range({j: float(a[i, j]) for j in range(n)}, float(a[i] @ x0 - 1.0), INF)
+    sol = solve_lp(lp)
+    assert sol.status == "optimal" and sol.iterations >= 200
+    assert 0 < sol.phase1_iterations <= sol.iterations
+    # Only the periodic refactorizations count; the diagonal starting
+    # inverse needs none.
+    assert sol.refactorizations == sol.iterations // 100
+
+    lp.add_range({0: 1.0}, 6.0, INF)  # x0 >= 6 against its upper bound 5
+    sol = solve_lp(lp)
+    assert sol.status == "infeasible"
+    assert 0 < sol.phase1_iterations == sol.iterations
+    assert sol.refactorizations == sol.iterations // 100
+
+    toy = LinearProgram()
+    toy.add_variable("x", 2.0, 5.0, cost=1.0)
+    assert solve_lp(toy).phase1_iterations == 0
+
+
+# The solver's former scalar ratio test, kept verbatim as the reference
+# that its row-selecting version must match bit for bit.
+def _reference_ratio_test(self, enter: int, sigma: float, w: np.ndarray):
+    """Smallest blocking step; ties break on lowest variable index.
+
+    Returns (step, blocking_row_or_None, leaving_hits_upper). A None
+    step signals an unbounded ray; a None row with a finite step is a
+    bound flip of the entering variable.
+    """
+    best = INF
+    best_row = None
+    best_upper = False
+    rate = -sigma * w
+    for i in range(self.m):
+        r = rate[i]
+        if abs(r) <= _PIVOT_TOL:
+            continue
+        b = self.basis[i]
+        if r > 0.0:
+            bound = self.ub[b]
+            if not np.isfinite(bound):
+                continue
+            t = (bound - self.xval[b]) / r
+            hits_upper = True
+        else:
+            bound = self.lb[b]
+            if not np.isfinite(bound):
+                continue
+            t = (self.xval[b] - bound) / (-r)
+            hits_upper = False
+        t = max(t, 0.0)
+        if t < best - 1e-12 or (t < best + 1e-12 and
+                                (best_row is None or b < self.basis[best_row])):
+            best, best_row, best_upper = t, i, hits_upper
+
+    flip = self.ub[enter] - self.lb[enter]
+    if np.isfinite(flip) and flip < best - 1e-12:
+        return flip, None, False
+    if best is INF or not np.isfinite(best):
+        return None, None, False
+    return best, best_row, best_upper
+
+
+_ABOVE_TOL = float(np.nextafter(_PIVOT_TOL, 1.0))
+# Values on chains of near-ties 0.6e-12 apart, so that steps tie exactly,
+# tie within the 1e-12 rule, or tie only through a neighbour.
+_CHAIN = st.builds(lambda base, k: base + k * 0.6e-12,
+                   st.sampled_from([0.0, 1.0, 3.0]), st.integers(0, 4))
+_VALUE = st.one_of(st.sampled_from([0.0, -0.0, 1.0, -1.0, 2.0]), _CHAIN,
+                   st.floats(-1e3, 1e3, allow_nan=False))
+_RATE = st.one_of(st.sampled_from([0.0, -0.0, _PIVOT_TOL, -_PIVOT_TOL, _ABOVE_TOL,
+                                   -_ABOVE_TOL, 1.0, -1.0, 0.5, -2.0]),
+                  st.floats(-10.0, 10.0, allow_nan=False))
+
+
+def _ratio_case(basis, lb, ub, xval, enter, sigma, w):
+    state = SimpleNamespace(m=len(basis), basis=np.array(basis), lb=np.array(lb),
+                            ub=np.array(ub), xval=np.array(xval))
+    return state, enter, sigma, np.array(w)
+
+
+@st.composite
+def _ratio_states(draw):
+    m = draw(st.integers(1, 8))
+    n_cols = m + draw(st.integers(1, 4))
+    lb = [draw(st.one_of(st.just(-INF), _VALUE)) for _ in range(n_cols)]
+    ub = [draw(st.one_of(st.just(INF), _VALUE)) for _ in range(n_cols)]
+    # The entering column's bounds give the flip; keep them ordered.
+    enter = n_cols - 1
+    lb[enter], ub[enter] = min(lb[enter], ub[enter]), max(lb[enter], ub[enter])
+    basis = draw(st.permutations(range(n_cols - 1)))[:m]
+    xval = [draw(st.one_of(st.just(0.0), _VALUE)) for _ in range(n_cols)]
+    w = [draw(_RATE) for _ in range(m)]
+    return _ratio_case(basis, lb, ub, xval, enter, draw(st.sampled_from([1.0, -1.0])), w)
+
+
+@settings(max_examples=400, deadline=None)
+@given(_ratio_states())
+# An exact tie that the lower basis index breaks in the later row.
+@example(_ratio_case([2, 0], [0.0, 0.0, 0.0], [1.0, 5.0, 1.0], [0.0, 0.0, 0.0],
+                     1, -1.0, [1.0, 1.0]))
+# A chain: row 0 ties row 1 and row 1 ties row 2, row 0 and row 2 do not;
+# the tie-breaks walk up to the largest of the three steps.
+@example(_ratio_case([3, 1, 0], [0.0] * 5, [1.0 + 1.2e-12, 1.0 + 0.6e-12, 0.0, 1.0, INF],
+                     [0.0] * 5, 4, -1.0, [1.0, 1.0, 1.0]))
+# A bound flip within 1e-12 of the blocking step loses to it.
+@example(_ratio_case([0], [0.0, 0.0], [1.0 + 0.6e-12, 1.0], [0.0, 0.0], 1, -1.0, [1.0]))
+# A -0.0 step, which max(t, 0.0) keeps and np.maximum would not.
+@example(_ratio_case([0], [-INF, 0.0], [-0.0, 1.0], [0.0, 0.0], 1, -1.0, [1.0]))
+# Rates at the pivot tolerance are skipped; the flip wins.
+@example(_ratio_case([0, 1], [0.0, 0.0, 0.0], [1.0, 1.0, 0.5], [0.0, 0.0, 0.0],
+                     2, 1.0, [_PIVOT_TOL, -_PIVOT_TOL]))
+def test_ratio_test_matches_the_scalar_reference_bit_for_bit(case):
+    state, enter, sigma, w = case
+    ref = _reference_ratio_test(state, enter, sigma, w)
+    got = _Core._ratio_test(state, enter, sigma, w)
+    assert got[1:] == ref[1:]
+    assert (got[0] is None) == (ref[0] is None)
+    if ref[0] is not None:
+        assert float(got[0]).hex() == float(ref[0]).hex()
+
+
+def test_row_sparse_inverse_update_equals_the_dense_formula():
+    rng = np.random.default_rng(5)
+    for _ in range(50):
+        m = int(rng.integers(1, 12))
+        binv = rng.normal(size=(m, m))
+        w = rng.normal(size=m) * (rng.random(m) < 0.4)
+        row = int(rng.integers(m))
+        w[row] = rng.choice([-1.0, 1.0]) * rng.uniform(0.1, 3.0)
+        state = SimpleNamespace(binv=binv.copy())
+        _Core._update_binv(state, row, w, 0)
+        dense = binv - np.outer(w, binv[row]) / w[row]
+        dense[row] = binv[row] / w[row]
+        assert np.array_equal(state.binv, dense)
 
 
 # ---------------------------------------------------------------------------
