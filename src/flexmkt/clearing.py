@@ -201,9 +201,7 @@ class _CaseProgram:
         const_net: dict[int, float] = {}
         used_up, used_down = [], []
         for b in case.bids_of(system):
-            used = 0.0
-            for r in prior:
-                used += r.volume(b)
+            used = _used_volume(b, prior)
             cap = bid_caps.get(b.id, max(0.0, b.quantity_max - used))
             up = b.direction == DIR_UP
             var = self.lp.add_variable(f"{b.direction}[{b.id}]", 0.0, cap,
@@ -255,6 +253,15 @@ class _CaseProgram:
                               upward=up, downward=down, interface_flows=zvals,
                               balance_duals=duals, iterations=sol.iterations,
                               nodes=sol.nodes)
+
+
+def _used_volume(bid: Bid, prior: tuple[ClearingResult, ...]) -> float:
+    """The volume of ``bid`` the ``prior`` clearings cleared, summed in
+    prior order: all a program reads of them."""
+    used = 0.0
+    for r in prior:
+        used += r.volume(bid)
+    return used
 
 
 def _clamp(v: float, lo: float, hi: float) -> float:
@@ -404,9 +411,7 @@ class CaseClearings:
     def __init__(self, case: MarketCase, common: ClearingResult | None = None):
         self.case = case
         self._common = common
-        self._layer1: dict[tuple[str, ...], dict[int, ClearingResult]] = {}
-        self._layer2: dict[tuple[str, ...], ClearingResult] = {}
-        self._pins: dict[tuple[int, str], tuple[ClearingResult, float]] = {}
+        self._solved: dict[tuple, object] = {}
 
     @property
     def common(self) -> ClearingResult:
@@ -415,34 +420,38 @@ class CaseClearings:
             self._common = clear_common(self.case)
         return self._common
 
+    def _once(self, key: tuple, solve):
+        """``solve()`` on the first use of ``key``, its stored value after.
+        The key holds the exact bits of every input the solved program is
+        built from, and names the kind of clearing first."""
+        if key not in self._solved:
+            self._solved[key] = solve()
+        return self._solved[key]
+
     def _prices(self, pricing: PricingRule) -> tuple[str, ...]:
         return tuple(_exact(pricing.price(m)) for m in self.case.dso_indices)
 
     def layer1(self, pricing: PricingRule) -> dict[int, ClearingResult]:
         """Every DSO's Layer-1 clearing under ``pricing``, keyed by DSO."""
-        key = self._prices(pricing)
-        if key not in self._layer1:
-            self._layer1[key] = {m: clear_dso_layer1(self.case, m, pricing)
-                                 for m in self.case.dso_indices}
-        return dict(self._layer1[key])
+        return dict(self._once(("layer1", self._prices(pricing)), lambda: {
+            m: clear_dso_layer1(self.case, m, pricing) for m in self.case.dso_indices}))
 
     def layer2(self, pricing: PricingRule) -> ClearingResult:
         """The practical TSO layer without bid caps, on top of
         :meth:`layer1`, which must be optimal for every DSO."""
-        key = self._prices(pricing)
-        if key not in self._layer2:
-            self._layer2[key] = clear_tso_layer2(self.case, self.layer1(pricing), pricing)
-        return self._layer2[key]
+        return self._once(("layer2", self._prices(pricing)), lambda: clear_tso_layer2(
+            self.case, self.layer1(pricing), pricing))
 
     def pinned(self, m: int, flows) -> list[tuple[ClearingResult, float]]:
         """:func:`clear_dso_fixed_interface` for each of ``flows``; only
-        the flows not pinned before are solved."""
+        the flows not pinned before are solved, in one batch."""
         flows = [float(z) for z in flows]
-        new = {_exact(z): z for z in flows if (m, _exact(z)) not in self._pins}
+        keys = [("pin", m, _exact(z)) for z in flows]
+        new = {k: z for k, z in zip(keys, flows) if k not in self._solved}
         if new:
             solved = clear_dso_fixed_interface(self.case, m, list(new.values()))
-            self._pins.update(((m, k), r) for k, r in zip(new, solved))
-        return [self._pins[m, _exact(z)] for z in flows]
+            self._solved.update(zip(new, solved))
+        return [self._solved[k] for k in keys]
 
 
 # ---------------------------------------------------------------------------

@@ -31,6 +31,7 @@ RESULT_COLUMNS = ["case_id", "seed", "method", "pricing", "delta_bar", "J_tot",
 METHODS = ("three_layer", "filtering", "aggregation_primal", "aggregation_dual",
            "fragmented", "idealized", "sequential_raw")
 PRICINGS = ("none", "optimal", "midpoint")
+_CHECK_TOL = 1e-6  # check's slack on cost comparisons, relative to 1 + |J_com|
 
 
 @dataclass(frozen=True)
@@ -260,7 +261,7 @@ def cmd_check(args) -> int:
             failures.append(f"{case.name}: common market {clearings.common.status}")
             continue
         jc = clearings.common.objective
-        scale = 1e-6 * (1.0 + abs(jc))
+        scale = _CHECK_TOL * (1.0 + abs(jc))
 
         def run(method: str) -> Outcome | None:
             out = _run_method(case, method, "none", delta, args.refine, clearings)

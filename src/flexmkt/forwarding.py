@@ -33,6 +33,8 @@ from .clearing import (
     PricingRule,
     _CaseProgram,
     _common_program,
+    _exact,
+    _used_volume,
     bid_cost,
     clear_fragmented_layer2,
     clear_idealized_layer2,
@@ -49,6 +51,9 @@ __all__ = [
     "build_rsf", "build_rsf_dual", "clear_tso_rsf", "run_bid_aggregation",
     "suboptimality_constant",
 ]
+
+_GRID_TOL = 1e-9       # RSF grid values this far outside the interface bounds are accepted
+_DUPLICATE_GAP = 1e-12  # grid values at most this above the previous one are skipped
 
 
 @dataclass(frozen=True)
@@ -210,6 +215,29 @@ def _layer3_program(case: MarketCase, m: int, prior: tuple[ClearingResult, ...],
     return prog, worst
 
 
+def _correction(clearings: CaseClearings, m: int, prior: tuple[ClearingResult, ...],
+                z_value: float) -> tuple[ClearingResult, float | None]:
+    """DSO ``m``'s correction on top of ``prior`` with its flow frozen at
+    ``z_value``, and its least line overload when it is infeasible (None
+    otherwise). Shared through ``clearings``, keyed by the exact flow and
+    prior volumes the program is built from."""
+    case = clearings.case
+
+    def solve():
+        prog, _ = _layer3_program(case, m, prior, z_value)
+        sol = solve_lp(prog.lp)
+        if sol.status == "optimal":
+            return prog.extract(sol), None
+        diag, worst = _layer3_program(case, m, prior, z_value, diagnostic=True)
+        diag_sol = solve_lp(diag.lp)
+        return prog.extract(sol), (float(diag_sol.x[worst])
+                                   if diag_sol.status == "optimal" else float("inf"))
+
+    key = ("layer3", m, _exact(z_value),
+           tuple(_exact(_used_volume(b, prior)) for b in case.bids_of(m)))
+    return clearings._once(key, solve)
+
+
 def run_three_layer(case: MarketCase, pricing: PricingRule, *,
                     clearings: CaseClearings | None = None) -> Outcome:
     """Corrective scheme: Layers 1 and 2, then one correction LP per DSO.
@@ -219,8 +247,9 @@ def run_three_layer(case: MarketCase, pricing: PricingRule, *,
     method: safe exactly when every correction problem is feasible. For a
     DSO whose correction is infeasible, the least achievable line overload
     (MW) is in ``details["layer3_overload_mw"]``. Infeasibility here is a
-    verdict, not an exception. Layers 1 and 2 come from the shared
-    ``clearings``.
+    verdict, not an exception. Layers 1 and 2, and each correction whose
+    flow and prior volumes an earlier run already met, come from the
+    shared ``clearings``.
     """
     t0 = time.perf_counter()
     clearings = _shared(case, clearings)
@@ -237,16 +266,11 @@ def run_three_layer(case: MarketCase, pricing: PricingRule, *,
     layer3: dict[int, ClearingResult] = {}
     overload: dict[int, float] = {}
     for m in case.dso_indices:
-        prior = (layer1[m], layer2)
-        z2 = layer2.interface_flows[m]
-        prog, _ = _layer3_program(case, m, prior, z2)
-        sol = solve_lp(prog.lp)
+        layer3[m], worst = _correction(clearings, m, (layer1[m], layer2),
+                                       layer2.interface_flows[m])
         solves += 1
-        layer3[m] = prog.extract(sol)
-        if sol.status != "optimal":
-            prog, worst = _layer3_program(case, m, prior, z2, diagnostic=True)
-            sol = solve_lp(prog.lp)
-            overload[m] = float(sol.x[worst]) if sol.status == "optimal" else float("inf")
+        if worst is not None:
+            overload[m] = worst
 
     return _outcome(clearings, "three_layer", t0, layer1=layer1,
                     layer2=layer2, layer3=layer3, lp_solves=solves,
@@ -380,9 +404,9 @@ def _rsf(case: MarketCase, m: int, grid, clearings: CaseClearings | None) -> Rsf
     grid = sorted(float(z) for z in grid)
     flows: list[float] = []
     for zhat in grid:
-        if not dso.z_min - 1e-9 <= zhat <= dso.z_max + 1e-9:
+        if not dso.z_min - _GRID_TOL <= zhat <= dso.z_max + _GRID_TOL:
             raise ContractError(f"grid value {zhat} outside interface bounds of DSO {m}")
-        if not flows or zhat > flows[-1] + 1e-12:
+        if not flows or zhat > flows[-1] + _DUPLICATE_GAP:
             flows.append(zhat)
     solved = _shared(case, clearings).pinned(m, flows)
     steps = tuple(RsfStep(z=z, cost=c.objective, clearing=c, price_dual=dual)
@@ -480,11 +504,13 @@ def run_bid_aggregation(case: MarketCase, delta_bar: float,
     tests inject specific flow values (for example common-market optima).
 
     The pinned steps come from the shared ``clearings``, so both variants
-    and every refinement round solve each (DSO, flow) pin once. A case
-    the method cannot clear ends with status "rsf_infeasible" when some
-    DSO has no feasible step on its grid, or "layer2_infeasible" when no
-    combination of forwarded steps balances the TSO; ``milp_nodes`` then
-    includes the nodes of the MILP that failed.
+    and every refinement round solve each (DSO, flow) pin once; so is the
+    MILP over each set of forwarded steps, which every pricing row of a
+    variant repeats. A case the method cannot clear ends with status
+    "rsf_infeasible" when some DSO has no feasible step on its grid, or
+    "layer2_infeasible" when no combination of forwarded steps balances
+    the TSO; ``milp_nodes`` then includes the nodes of the MILP that
+    failed.
     """
     if not delta_bar > 0.0:
         raise ContractError("delta_bar must be positive")
@@ -514,7 +540,11 @@ def run_bid_aggregation(case: MarketCase, delta_bar: float,
                 return _outcome(clearings, method, t0, layer1={}, status="rsf_infeasible",
                                 lp_solves=solves + len(grids[m]), milp_nodes=milp_nodes)
             solves += rsfs[m].attempts
-        result, selected = clear_tso_rsf(case, rsfs)
+        # Aggregation ignores pricing, so every pricing rule forwards the
+        # same steps: the MILP is shared, keyed by all it reads of them.
+        key = ("tso_rsf", tuple(tuple((_exact(s.z), _exact(s.cost)) for s in rsfs[m].steps)
+                                for m in case.dso_indices))
+        result, selected = clearings._once(key, lambda: clear_tso_rsf(case, rsfs))
         milp_nodes += result.nodes
         if result.status != "optimal" or round_no == refine_rounds:
             break

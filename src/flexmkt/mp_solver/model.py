@@ -126,8 +126,12 @@ class Solution:
 
     ``iterations`` counts simplex pivots, summed over the nodes of a MILP.
     ``solve_lp`` also reports how many of them phase 1 took
-    (``phase1_iterations``) and how often the basis inverse was recomputed
-    from scratch (``refactorizations``); ``solve_milp`` leaves both at 0.
+    (``phase1_iterations``), how often the basis inverse was recomputed
+    from scratch (``refactorizations``) and how often pricing switched to
+    Bland's rule (``bland_switches``); ``solve_milp`` leaves them at 0. An
+    optimal ``solve_lp`` carries its certificate: the largest bound
+    violation (``cert_residual``) and the relative duality gap
+    (``cert_gap``); they are 0.0 on every other solution.
     """
 
     status: str
@@ -139,6 +143,9 @@ class Solution:
     nodes: int = 0
     phase1_iterations: int = 0
     refactorizations: int = 0
+    bland_switches: int = 0
+    cert_residual: float = 0.0
+    cert_gap: float = 0.0
 
     def __post_init__(self):
         for arr in (self.x, self.duals, self.reduced_costs):
@@ -146,10 +153,11 @@ class Solution:
 
     @classmethod
     def non_optimal(cls, status: str, iterations: int = 0, nodes: int = 0,
-                    phase1_iterations: int = 0, refactorizations: int = 0) -> Solution:
+                    phase1_iterations: int = 0, refactorizations: int = 0,
+                    bland_switches: int = 0) -> Solution:
         """A solve that ended without an optimum: empty arrays, NaN objective."""
         return cls(status=status, objective=float("nan"), x=np.zeros(0),
                    duals=np.zeros(0), reduced_costs=np.zeros(0),
                    iterations=iterations, nodes=nodes,
                    phase1_iterations=phase1_iterations,
-                   refactorizations=refactorizations)
+                   refactorizations=refactorizations, bland_switches=bland_switches)

@@ -71,6 +71,7 @@ class _Core:
         self.iterations = 0
         self.phase1_iterations = 0
         self.refactorizations = 0
+        self.bland_switches = 0
 
     # -- phase 1 ------------------------------------------------------
 
@@ -118,7 +119,8 @@ class _Core:
         """The pivot counters a ``Solution`` carries."""
         return {"iterations": self.iterations,
                 "phase1_iterations": self.phase1_iterations,
-                "refactorizations": self.refactorizations}
+                "refactorizations": self.refactorizations,
+                "bland_switches": self.bland_switches}
 
     def retire_artificials(self) -> None:
         self.ub[self.n_struct + self.m:] = 0.0
@@ -159,8 +161,9 @@ class _Core:
             self.iterations += 1
             if step <= _DEGEN_TOL:
                 degen_run += 1
-                if degen_run > max(64, 2 * m):
+                if not bland and degen_run > max(64, 2 * m):
                     bland = True
+                    self.bland_switches += 1
             else:
                 degen_run = 0
                 bland = False
@@ -287,15 +290,17 @@ def _extract(program: LinearProgram, core: _Core, cost: np.ndarray) -> Solution:
     y = cost[core.basis] @ core.binv if m else np.zeros(0)
     rc = cost - (y @ core.F if m else 0.0)
 
-    _certify(program, core, x, objective, rc)
+    resid, gap = _certify(program, core, x, objective, rc)
     return Solution(status="optimal", objective=objective, x=x,
                     duals=np.asarray(y, dtype=float).copy(),
-                    reduced_costs=rc[:n].copy(), **core.counters())
+                    reduced_costs=rc[:n].copy(), cert_residual=resid, cert_gap=gap,
+                    **core.counters())
 
 
 def _certify(program: LinearProgram, core: _Core, x: np.ndarray,
-             objective: float, rc: np.ndarray) -> None:
-    """Refuse to report optimal unless feasibility and strong duality hold."""
+             objective: float, rc: np.ndarray) -> tuple[float, float]:
+    """Refuse to report optimal unless feasibility and strong duality hold.
+    Returns the largest bound violation and the relative duality gap."""
     scale = max(1.0, float(np.max(np.abs(x))) if x.size else 1.0)
     resid = 0.0
     if core.m:
@@ -324,3 +329,4 @@ def _certify(program: LinearProgram, core: _Core, x: np.ndarray,
     gap = abs(objective - dual_obj) / (1.0 + abs(objective))
     if gap > _CERT_TOL:
         raise NumericalError(f"duality gap {gap:.2e} exceeds certification tolerance")
+    return float(resid), float(gap)

@@ -37,6 +37,9 @@ __all__ = ["SafetyVerdict", "EfficiencyReport", "OracleResult",
            "is_grid_safe", "inefficiency", "brute_force_oracle"]
 
 _SAFE_TOL = 1e-6
+_ETA_ZERO = 1e-9     # |J_com| at most this leaves eta_pct undefined
+_ORACLE_TOL = 1e-9   # oracle grid points this far outside a bound still count
+_ORACLE_TIE = 1e-12  # an oracle candidate must beat the best by more than this
 
 
 @dataclass(frozen=True)
@@ -68,7 +71,7 @@ def inefficiency(j_total: float, j_common: float) -> EfficiencyReport:
     if not (math.isfinite(j_total) and math.isfinite(j_common)):
         raise ContractError("inefficiency requires finite cost values")
     gap = j_total - j_common
-    eta = 100.0 * gap / abs(j_common) if abs(j_common) > 1e-9 else None
+    eta = 100.0 * gap / abs(j_common) if abs(j_common) > _ETA_ZERO else None
     return EfficiencyReport(j_total=j_total, j_common=j_common, eta_pct=eta, gap=gap)
 
 
@@ -185,7 +188,7 @@ def brute_force_oracle(case: MarketCase, step: float) -> OracleResult:
                 sign = 1.0 if b.direction == DIR_UP else -1.0
                 z -= sign * vol
                 per_bus[net.bus_index[b.bus]] += sign * vol
-            if not dso.z_min - 1e-9 <= z <= dso.z_max + 1e-9:
+            if not dso.z_min - _ORACLE_TOL <= z <= dso.z_max + _ORACLE_TOL:
                 continue
             p = per_bus - e
             ri = net.bus_index[net.root]
@@ -193,7 +196,7 @@ def brute_force_oracle(case: MarketCase, step: float) -> OracleResult:
             p[ri] = -float(np.sum(p))
             flows = sens @ p
             lo, hi = net.flow_bounds()
-            if np.any(flows < lo - 1e-9) or np.any(flows > hi + 1e-9):
+            if np.any(flows < lo - _ORACLE_TOL) or np.any(flows > hi + _ORACLE_TOL):
                 continue
             up_v = {b.id: float(v) for b, v in zip(bids, combo) if b.direction == DIR_UP}
             dn_v = {b.id: float(v) for b, v in zip(bids, combo) if b.direction == DIR_DOWN}
@@ -227,12 +230,12 @@ def brute_force_oracle(case: MarketCase, step: float) -> OracleResult:
                               for b, v in zip(others, combo))
                 residual = need - net_vol
                 if closer is None:
-                    if abs(residual) > 1e-9:
+                    if abs(residual) > _ORACLE_TOL:
                         continue
                     closer_vol = 0.0
                 else:
                     closer_vol = residual if closer.direction == DIR_UP else -residual
-                    if not -1e-9 <= closer_vol <= closer.quantity_max + 1e-9:
+                    if not -_ORACLE_TOL <= closer_vol <= closer.quantity_max + _ORACLE_TOL:
                         continue
                     closer_vol = min(max(closer_vol, 0.0), closer.quantity_max)
 
@@ -248,11 +251,11 @@ def brute_force_oracle(case: MarketCase, step: float) -> OracleResult:
                 p0[tn.bus_index[tn.root]] = 0.0
                 p0[tn.bus_index[tn.root]] = -float(np.sum(p0))
                 flows = sens0 @ p0
-                if np.any(flows < lo0 - 1e-9) or np.any(flows > hi0 + 1e-9):
+                if np.any(flows < lo0 - _ORACLE_TOL) or np.any(flows > hi0 + _ORACLE_TOL):
                     continue
 
                 total = dn_cost + cost0
-                if best is None or total < best.objective - 1e-12:
+                if best is None or total < best.objective - _ORACLE_TIE:
                     up_all: dict[str, float] = {}
                     dn_all: dict[str, float] = {}
                     for entry in dso_combo:

@@ -2,6 +2,8 @@
 CaseClearings object gives the outcome of a run alone, while each shared
 program is solved once."""
 
+import hashlib
+import math
 import sys
 from collections import Counter
 from dataclasses import replace
@@ -9,11 +11,13 @@ from dataclasses import replace
 import pytest
 
 import flexmkt.clearing as clearing
+import flexmkt.forwarding as forwarding
 from flexmkt.casegen import CaseRecipe, generate_case
 from flexmkt.cli import METHODS, PRICINGS, ExperimentConfig, _run_method, main, run_experiment
 from flexmkt.clearing import CaseClearings, clear_common, interface_price
 from flexmkt.errors import ContractError
-from flexmkt.forwarding import run_three_layer
+from flexmkt.forwarding import _correction, run_three_layer
+from flexmkt.market_model import DIR_UP
 
 DELTA = 4.0
 
@@ -70,6 +74,7 @@ def test_run_experiment_solves_each_shared_program_once(monkeypatch, tmp_path):
     layer1 = counted(monkeypatch, clearing.clear_dso_layer1)
     layer2 = counted(monkeypatch, clearing.clear_tso_layer2)
     pinned = counted(monkeypatch, clearing.clear_dso_fixed_interface)
+    tso = counted(monkeypatch, forwarding.clear_tso_rsf)
     run_experiment(ExperimentConfig(cases=((case.name, 3, case),), methods=METHODS,
                                     pricings=PRICINGS, deltas=(2.0,), refine_rounds=1,
                                     out_dir=str(tmp_path)))
@@ -79,6 +84,65 @@ def test_run_experiment_solves_each_shared_program_once(monkeypatch, tmp_path):
     assert len(layer2) == 2 * len(PRICINGS)
     pins = Counter((m, z) for _, m, flows in pinned for z in flows)
     assert pins and set(pins.values()) == {1}
+    # One TSO MILP per variant, step size and round, whatever the pricing
+    # rule: 2 variants x 1 step size x 2 rounds, not 3 rows x 2 rounds each.
+    assert len(tso) == 2 * 1 * 2
+
+
+def test_layer3_correction_is_keyed_by_exact_prior_volumes(monkeypatch):
+    case = generate_case(CaseRecipe(style="B", n_dsos=2), 3)
+    shared = CaseClearings(case)
+    pricing = interface_price(case, "none")
+    layer1, layer2 = shared.layer1(pricing), shared.layer2(pricing)
+    m = case.dso_indices[0]
+    z2 = layer2.interface_flows[m]
+    solves = counted(monkeypatch, forwarding.solve_lp)
+
+    first = _correction(shared, m, (layer1[m], layer2), z2)
+    per_correction = len(solves)
+    assert per_correction >= 1
+    assert _correction(shared, m, (layer1[m], layer2), z2) is first
+    assert len(solves) == per_correction
+
+    bid = max(case.bids_of(m), key=layer1[m].volume)
+    assert layer1[m].volume(bid) > 0.0
+    table = "upward" if bid.direction == DIR_UP else "downward"
+    volumes = dict(getattr(layer1[m], table))
+    volumes[bid.id] = math.nextafter(volumes[bid.id], math.inf)
+    nudged = replace(layer1[m], **{table: volumes})
+    _correction(shared, m, (nudged, layer2), z2)
+    assert len(solves) > per_correction
+
+
+def fingerprint(lp, groups=()) -> str:
+    """Hash of everything a solve reads of a program: bounds, costs, rows,
+    row bounds and one-hot groups, every float by its exact bits."""
+    content = (lp.var_lb, lp.var_ub, lp.var_cost, lp.rows, lp.row_lo, lp.row_hi, groups)
+    return hashlib.sha256(repr(content).encode()).hexdigest()
+
+
+@pytest.mark.parametrize("style,dsos", [("A", 1), ("B", 2), ("C", 3), ("D", 2)])
+def test_no_program_is_solved_twice_within_a_case(monkeypatch, tmp_path, style, dsos):
+    case = generate_case(CaseRecipe(style=style, n_dsos=dsos, tn_buses=max(4, dsos + 1)), 20 + dsos)
+    seen = Counter()
+
+    def recording(module, name, read):
+        original = getattr(module, name)
+
+        def wrapper(program):
+            seen[read(program)] += 1
+            return original(program)
+
+        monkeypatch.setattr(module, name, wrapper)
+
+    recording(clearing, "solve_lp", fingerprint)
+    recording(forwarding, "solve_lp", fingerprint)
+    recording(forwarding, "solve_milp", lambda mp: fingerprint(mp.lp, mp.groups))
+    run_experiment(ExperimentConfig(cases=((case.name, 0, case),), methods=METHODS,
+                                    pricings=PRICINGS, deltas=(2.0, 4.0), refine_rounds=1,
+                                    out_dir=str(tmp_path)))
+    assert seen
+    assert max(seen.values()) == 1, sum(n - 1 for n in seen.values())
 
 
 def test_check_clears_the_common_market_once_per_case(monkeypatch):

@@ -176,16 +176,44 @@ def test_pivot_counters():
     # Only the periodic refactorizations count; the diagonal starting
     # inverse needs none.
     assert sol.refactorizations == sol.iterations // 100
+    assert sol.bland_switches == 0
+    assert_certified(sol)
 
     lp.add_range({0: 1.0}, 6.0, INF)  # x0 >= 6 against its upper bound 5
     sol = solve_lp(lp)
     assert sol.status == "infeasible"
     assert 0 < sol.phase1_iterations == sol.iterations
     assert sol.refactorizations == sol.iterations // 100
+    assert sol.cert_residual == sol.cert_gap == 0.0
 
     toy = LinearProgram()
     toy.add_variable("x", 2.0, 5.0, cost=1.0)
     assert solve_lp(toy).phase1_iterations == 0
+
+
+def assert_certified(sol: Solution) -> None:
+    """The certificate an optimal solve carries is within _certify's bounds."""
+    scale = max(1.0, float(np.max(np.abs(sol.x))) if sol.x.size else 1.0)
+    assert 0.0 <= sol.cert_residual <= 1e-7 * scale
+    assert 0.0 <= sol.cert_gap <= 1e-7
+
+
+def test_bland_switches_on_a_degenerate_program():
+    # Every row passes through the origin, which is where phase 2 starts:
+    # the first run of degenerate pivots is long enough to switch to Bland.
+    rng = np.random.default_rng(1)
+    n = m = 30
+    lp = LinearProgram()
+    for j in range(n):
+        lp.add_variable(f"x{j}", 0.0, 1.0, cost=float(-rng.uniform(0.5, 1.5)))
+    a = rng.normal(size=(m, n))
+    for i in range(m):
+        lp.add_range({j: float(a[i, j]) for j in range(n)}, -INF, 0.0)
+    sol = solve_lp(lp)
+    assert sol.status == "optimal"
+    assert sol.bland_switches >= 1
+    assert sol.iterations > max(64, 2 * m)
+    assert_certified(sol)
 
 
 # The solver's former scalar ratio test, kept verbatim as the reference
@@ -318,6 +346,7 @@ def test_one_hot_picks_cheapest_step():
     assert sol.objective == pytest.approx(2.0)
     np.testing.assert_allclose(sol.x[ys], [0.0, 1.0, 0.0], atol=1e-9)
     assert sol.nodes == 0  # relaxation is already integral
+    assert (sol.bland_switches, sol.cert_residual, sol.cert_gap) == (0, 0.0, 0.0)
 
 
 def test_milp_matches_exhaustive_enumeration():
