@@ -287,8 +287,8 @@ def clear_dso_layer1(case: MarketCase, m: int, pricing: PricingRule) -> Clearing
     return prog.extract(sol)
 
 
-def clear_dso_fixed_interface(case: MarketCase, m: int,
-                              flows) -> list[tuple[ClearingResult, float]]:
+def clear_dso_fixed_interface(case: MarketCase, m: int, flows, *,
+                              sorted_grid: bool = False) -> list[tuple[ClearingResult, float]]:
     """Layer-1 problem with a zero interface price and the interface bound
     replaced by a pinned flow, solved for each of ``flows`` in order.
 
@@ -296,16 +296,31 @@ def clear_dso_fixed_interface(case: MarketCase, m: int,
     (clearing, pin dual) pair per flow; the dual is the local marginal
     value of one more MW of import (the subgradient the dual-price
     residual supply function accumulates), NaN when the pin is infeasible.
+
+    The feasible flows of the DSO form an interval, the projection of a
+    polyhedron onto one coordinate. With ``sorted_grid`` the flows must be
+    strictly ascending, and every flow after the first infeasible pin that
+    follows an optimal one is returned infeasible (no iterations, NaN
+    dual) without a solve.
     """
+    flows = list(flows)
+    if sorted_grid and any(not a < b for a, b in zip(flows, flows[1:])):
+        raise ContractError("sorted_grid flows must be strictly ascending")
     prog = _CaseProgram(case)
     prog.add_z(m, -INF, INF, 0.0)
     prog.add_system(m)
     out = []
+    reached = False  # an optimal pin has been solved
     for z in flows:
         pin_row = prog.pin_z(m, z)
         sol = solve_lp(prog.lp)
         dual = float(sol.duals[pin_row]) if sol.status == "optimal" else float("nan")
         out.append((prog.extract(sol), dual))
+        if sorted_grid and reached and sol.status == "infeasible":
+            break
+        reached = reached or sol.status == "optimal"
+    out += [(ClearingResult(status="infeasible", objective=float("nan")), float("nan"))
+            for _ in flows[len(out):]]
     return out
 
 
@@ -444,13 +459,16 @@ class CaseClearings:
 
     def pinned(self, m: int, flows) -> list[tuple[ClearingResult, float]]:
         """:func:`clear_dso_fixed_interface` for each of ``flows``; only
-        the flows not pinned before are solved, in one batch."""
+        the flows not pinned before are solved, in ascending order and in
+        one batch, stopping at the edge of the feasible interval."""
         flows = [float(z) for z in flows]
         keys = [("pin", m, _exact(z)) for z in flows]
         new = {k: z for k, z in zip(keys, flows) if k not in self._solved}
         if new:
-            solved = clear_dso_fixed_interface(self.case, m, list(new.values()))
-            self._solved.update(zip(new, solved))
+            order = sorted(new, key=new.get)
+            solved = clear_dso_fixed_interface(self.case, m, [new[k] for k in order],
+                                               sorted_grid=True)
+            self._solved.update(zip(order, solved))
         return [self._solved[k] for k in keys]
 
 

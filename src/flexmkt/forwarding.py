@@ -652,10 +652,15 @@ def suboptimality_constant(case: MarketCase, *,
             samples.append({**z_opt, m: v})
     for corner in itertools.product(*([iv for iv in intervals[m]] for m in case.dso_indices)):
         samples.append(dict(zip(case.dso_indices, corner)))
+    # A repeated sample pins the same program and gives the same duals:
+    # keep the first of each, told apart by the exact bits of its flows.
+    unique: dict[tuple[str, ...], dict[int, float]] = {}
+    for zvec in samples:
+        unique.setdefault(tuple(_exact(zvec[m]) for m in case.dso_indices), zvec)
     # One common program with free interface flows, re-pinned per sample.
     prog = _common_program(case, bound_interfaces=False)
     worst = {m: 0.0 for m in case.dso_indices}
-    for zvec in samples:
+    for zvec in unique.values():
         pins = {m: prog.pin_z(m, zvec[m]) for m in case.dso_indices}
         sol = solve_lp(prog.lp)
         if sol.status != "optimal":

@@ -292,3 +292,25 @@ def test_repinned_solves_equal_single_flow_solves():
     single = [clear_dso_fixed_interface(case, 1, [z])[0] for z in flows]
     assert repr(forward) == repr(single) == repr(backward)
     assert {r.status for r, _ in forward} == {"optimal", "infeasible"}
+
+
+def test_sorted_grid_stops_at_the_edge_of_the_feasible_interval():
+    # The feasible flows form an interval: past the first infeasible pin
+    # after an optimal one, every pin is returned infeasible unsolved.
+    case = generate_case(CaseRecipe(style="C", n_dsos=1, dso_buses=15), 0)
+    dso = case.dso(1)
+    flows = list(np.linspace(dso.z_min - 2.0, dso.z_max + 2.0, 13))
+    plain = clear_dso_fixed_interface(case, 1, flows)
+    stopped = clear_dso_fixed_interface(case, 1, flows, sorted_grid=True)
+    statuses = [r.status for r, _ in plain]
+    edge = next(i for i in range(1, len(flows))
+                if statuses[i] == "infeasible" and "optimal" in statuses[:i])
+    assert edge < len(flows) - 1
+    assert repr(stopped[:edge + 1]) == repr(plain[:edge + 1])
+    for res, dual in stopped[edge + 1:]:
+        assert res.status == "infeasible" and res.iterations == 0
+        assert np.isnan(res.objective) and np.isnan(dual)
+    with pytest.raises(ContractError, match="strictly ascending"):
+        clear_dso_fixed_interface(case, 1, flows[::-1], sorted_grid=True)
+    with pytest.raises(ContractError, match="strictly ascending"):
+        clear_dso_fixed_interface(case, 1, [flows[0], flows[0]], sorted_grid=True)

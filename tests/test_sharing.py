@@ -3,6 +3,7 @@ CaseClearings object gives the outcome of a run alone, while each shared
 program is solved once."""
 
 import hashlib
+import itertools
 import math
 import sys
 from collections import Counter
@@ -14,9 +15,10 @@ import flexmkt.clearing as clearing
 import flexmkt.forwarding as forwarding
 from flexmkt.casegen import CaseRecipe, generate_case
 from flexmkt.cli import METHODS, PRICINGS, ExperimentConfig, _run_method, main, run_experiment
-from flexmkt.clearing import CaseClearings, clear_common, interface_price
+from flexmkt.clearing import (CaseClearings, clear_common, clear_dso_fixed_interface,
+                              interface_price)
 from flexmkt.errors import ContractError
-from flexmkt.forwarding import _correction, run_three_layer
+from flexmkt.forwarding import _correction, run_bid_aggregation, run_three_layer
 from flexmkt.market_model import DIR_UP
 
 DELTA = 4.0
@@ -145,6 +147,24 @@ def test_no_program_is_solved_twice_within_a_case(monkeypatch, tmp_path, style, 
     assert max(seen.values()) == 1, sum(n - 1 for n in seen.values())
 
 
+@pytest.mark.parametrize("style,dsos", [("A", 1), ("B", 2), ("C", 1), ("D", 3)])
+def test_suboptimality_constant_solves_each_sample_once(monkeypatch, style, dsos):
+    case = generate_case(CaseRecipe(style=style, n_dsos=dsos, tn_buses=max(4, dsos + 1)), 7)
+    shared = CaseClearings(case)
+    assert shared.common.status == "optimal"
+    seen = Counter()
+    original = forwarding.solve_lp
+
+    def recording(program):
+        seen[fingerprint(program)] += 1
+        return original(program)
+
+    monkeypatch.setattr(forwarding, "solve_lp", recording)
+    forwarding.suboptimality_constant(case, clearings=shared)
+    assert seen
+    assert max(seen.values()) == 1, sum(n - 1 for n in seen.values())
+
+
 def test_check_clears_the_common_market_once_per_case(monkeypatch):
     calls = counted(monkeypatch, clearing.clear_common)
     assert main(["check", "--recipe", "B", "--seed", "0-1"]) == 0
@@ -165,3 +185,20 @@ def test_fresh_clearings_clear_the_common_market_on_first_use(monkeypatch):
     assert not calls
     assert shared.common is shared.common
     assert len(calls) == 1
+
+
+def test_every_pin_skipped_past_the_feasible_interval_is_infeasible():
+    skipped = 0
+    for style, dsos, seed, congestion in itertools.product("ABCD", (1, 2, 3), (0, 1), (0.8, 1.1)):
+        case = generate_case(CaseRecipe(style=style, n_dsos=dsos, congestion=congestion), seed)
+        shared = CaseClearings(case)
+        for variant, step in itertools.product(("primal", "dual"), (2.0, 4.0)):
+            run_bid_aggregation(case, step, 1, variant, clearings=shared)
+        for key, (res, _) in shared._solved.items():
+            if key[0] != "pin" or res.status == "optimal" or res.iterations:
+                continue
+            _, m, z = key
+            [(alone, _)] = clear_dso_fixed_interface(case, m, [float.fromhex(z)])
+            assert alone.status == "infeasible", (case.name, m, z)
+            skipped += 1
+    assert skipped > 0
