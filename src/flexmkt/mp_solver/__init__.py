@@ -1,10 +1,9 @@
-"""Embedded mathematical-programming core: LP model, simplex, one-hot
-branch-and-bound, and LP-file export."""
+"""Embedded mathematical-programming core: LP model, simplex and one-hot
+branch-and-bound."""
 
 from .branch_bound import solve_milp
-from .lpfile import export_lp
 from .model import INF, LinearProgram, MixedProgram, Solution
 from .simplex import solve_lp
 
 __all__ = ["INF", "LinearProgram", "MixedProgram", "Solution",
-           "solve_lp", "solve_milp", "export_lp"]
+           "solve_lp", "solve_milp"]

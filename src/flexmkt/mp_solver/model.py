@@ -5,7 +5,7 @@ objective coefficients, then attach equality or range constraints that
 reference them by index. A :class:`MixedProgram` wraps a linear program
 with one-hot groups of binary variables; constructing it appends the
 sum-to-one equality row for every group so the group structure is part
-of the program (and of any export).
+of the program.
 """
 
 from __future__ import annotations
@@ -83,9 +83,11 @@ class LinearProgram:
 
     def dense_matrix(self) -> np.ndarray:
         a = np.zeros((self.n_rows, self.n_vars))
-        for i, terms in enumerate(self.rows):
-            for j, v in terms:
-                a[i, j] = v
+        terms = [t for row in self.rows for t in row]
+        if terms:
+            # add_range keeps one term per column and row, so no entry repeats.
+            cols, vals = zip(*terms)
+            a[np.repeat(np.arange(self.n_rows), [len(row) for row in self.rows]), cols] = vals
         return a
 
 
@@ -93,7 +95,7 @@ class MixedProgram:
     """LinearProgram plus disjoint one-hot groups of binary variables.
 
     Each group gets an explicit sum-to-one equality row on construction,
-    so relaxations and exports both carry the selection structure.
+    so every relaxation carries the selection structure.
     """
 
     def __init__(self, lp: LinearProgram, one_hot_groups: list[list[int]]):

@@ -13,6 +13,13 @@ Duals are read from the optimal basis: ``y = c_B B^{-1}`` gives one shadow
 price per row (objective sensitivity to the row's right-hand side), and
 the reduced-cost vector gives the matching sensitivities for variable
 bounds.
+
+The pivot loop keeps the state of the basic variables per row (cost,
+bounds, value and column), so a pivot rewrites one row with scalar writes
+instead of gathering by the basis. Set-up and certification run on whole
+arrays but keep the arithmetic order of a per-column loop. The tests keep
+that scalar formulation as the reference and hold every result to it bit
+for bit.
 """
 
 from __future__ import annotations
@@ -55,16 +62,13 @@ class _Core:
         self.ub = np.array(program.var_ub + program.row_hi, dtype=float)
         self.cost = np.array(program.var_cost + [0.0] * m, dtype=float)
 
-        self.status = np.empty(n + m, dtype=np.int8)
+        # A structural starts at its finite lower bound, else at its finite
+        # upper bound, else free at 0; every slack starts basic.
+        has_lo, has_hi = np.isfinite(self.lb[:n]), np.isfinite(self.ub[:n])
+        self.status = np.full(n + m, _BASIC, dtype=np.int8)
+        self.status[:n] = np.where(has_lo, _AT_LOWER, np.where(has_hi, _AT_UPPER, _FREE))
         self.xval = np.zeros(n + m)
-        for j in range(n):
-            if np.isfinite(self.lb[j]):
-                self.status[j], self.xval[j] = _AT_LOWER, self.lb[j]
-            elif np.isfinite(self.ub[j]):
-                self.status[j], self.xval[j] = _AT_UPPER, self.ub[j]
-            else:
-                self.status[j], self.xval[j] = _FREE, 0.0
-        self.status[n:] = _BASIC
+        self.xval[:n] = np.where(has_lo, self.lb[:n], np.where(has_hi, self.ub[:n], 0.0))
         self.basis = np.arange(n, n + m)
         self.binv = -np.eye(m)
         self.xval[n:] = a @ self.xval[:n] if m else np.zeros(0)
@@ -81,25 +85,21 @@ class _Core:
         Returns the phase-1 cost vector (1 on artificials, 0 elsewhere).
         """
         n, m = self.n_struct, self.m
-        art_cols, art_rows = [], []
-        for i in range(m):
-            s = self.xval[n + i]
-            if s > self.ub[n + i] + _PHASE1_TOL:
-                self.status[n + i], self.xval[n + i] = _AT_UPPER, self.ub[n + i]
-                art_cols.append(-1.0)
-                art_rows.append(i)
-            elif s < self.lb[n + i] - _PHASE1_TOL:
-                self.status[n + i], self.xval[n + i] = _AT_LOWER, self.lb[n + i]
-                art_cols.append(+1.0)
-                art_rows.append(i)
-        if not art_rows:
+        slack = self.xval[n:]
+        above = slack > self.ub[n:] + _PHASE1_TOL
+        below = ~above & (slack < self.lb[n:] - _PHASE1_TOL)
+        art_rows = (above | below).nonzero()[0]
+        if not art_rows.size:
             return np.zeros(0)
 
-        k = len(art_rows)
+        k = art_rows.size
+        up = above[art_rows]
+        cols = n + art_rows
+        self.status[cols] = np.where(up, _AT_UPPER, _AT_LOWER)
+        self.xval[cols] = np.where(up, self.ub[cols], self.lb[cols])
         extra = np.zeros((m, k))
-        for j, (i, g) in enumerate(zip(art_rows, art_cols)):
-            extra[i, j] = g
-            self.basis[i] = n + m + j
+        extra[art_rows, np.arange(k)] = np.where(up, -1.0, 1.0)
+        self.basis[art_rows] = n + m + np.arange(k)
         self.F = np.hstack([self.F, extra])
         self.lb = np.concatenate([self.lb, np.zeros(k)])
         self.ub = np.concatenate([self.ub, np.full(k, INF)])
@@ -131,63 +131,79 @@ class _Core:
     def optimize(self, cost: np.ndarray, iteration_cap: int) -> str:
         """Run pivots to optimality for the given cost vector.
 
-        Returns "optimal" or "unbounded".
+        Returns "optimal" or "unbounded". While it runs, the basic values
+        live in ``row_state``; every exit writes them back to ``xval``.
         """
         m = self.m
         if not cost.size:
             return "optimal"
-        signs = _SIGNS[:, self.status]
+        basis, status, xval, lb, ub = self.basis, self.status, self.xval, self.lb, self.ub
+        # The basic variable of each row: its cost, and in row_state its
+        # value, bounds and column. A pivot rewrites the leaving row.
+        c_b = cost[basis]
+        self.row_state = np.array([xval[basis], lb[basis], ub[basis], basis], dtype=float)
+        x_b, lb_b, ub_b, col_b = self.row_state
+        s_lo, s_hi = _SIGNS[0, status], _SIGNS[1, status]
         bland = False
         degen_run = 0
-        while True:
-            if self.iterations > iteration_cap:
-                raise NumericalError("simplex iteration cap exceeded")
-            y = cost[self.basis] @ self.binv if m else np.zeros(0)
-            rc = cost - (y @ self.F if m else 0.0)
+        try:
+            while True:
+                if self.iterations > iteration_cap:
+                    raise NumericalError("simplex iteration cap exceeded")
+                y = c_b @ self.binv if m else np.zeros(0)
+                rc = cost - (y @ self.F if m else 0.0)
 
-            # Dantzig enters the largest improvement, Bland the first one.
-            improving = np.maximum(rc * signs[0], rc * signs[1])
-            enter = int((improving > _RC_TOL if bland else improving).argmax())
-            if not improving[enter] > _RC_TOL:
-                return "optimal"
-            # An improving column rises when rc < 0 and falls when rc > 0.
-            sigma = 1.0 if rc[enter] < 0 else -1.0
+                # Dantzig enters the largest improvement, Bland the first one.
+                improving = np.maximum(rc * s_lo, rc * s_hi)
+                enter = int((improving > _RC_TOL if bland else improving).argmax())
+                if not improving[enter] > _RC_TOL:
+                    return "optimal"
+                # An improving column rises when rc < 0 and falls when rc > 0.
+                sigma = 1.0 if rc[enter] < 0 else -1.0
 
-            w = self.binv @ self.F[:, enter] if m else np.zeros(0)
-            step, leave_row, leave_to_upper = self._ratio_test(enter, sigma, w)
-            if step is None:
-                return "unbounded"
+                w = self.binv @ self.F[:, enter] if m else np.zeros(0)
+                step, leave_row, leave_to_upper = self._ratio_test(enter, sigma, w)
+                if step is None:
+                    return "unbounded"
 
-            self.iterations += 1
-            if step <= _DEGEN_TOL:
-                degen_run += 1
-                if not bland and degen_run > max(64, 2 * m):
-                    bland = True
-                    self.bland_switches += 1
-            else:
-                degen_run = 0
-                bland = False
+                self.iterations += 1
+                if step <= _DEGEN_TOL:
+                    degen_run += 1
+                    if not bland and degen_run > max(64, 2 * m):
+                        bland = True
+                        self.bland_switches += 1
+                else:
+                    degen_run = 0
+                    bland = False
 
-            if m:
-                self.xval[self.basis] -= sigma * step * w
-            if leave_row is None:
-                # Bound flip: the entering variable crosses to its other bound.
-                self.status[enter] = _AT_UPPER if sigma > 0 else _AT_LOWER
-                self.xval[enter] = self.ub[enter] if sigma > 0 else self.lb[enter]
-                changed = [enter]
-            else:
-                leaving = self.basis[leave_row]
-                self.status[leaving] = _AT_UPPER if leave_to_upper else _AT_LOWER
-                self.xval[leaving] = self.ub[leaving] if leave_to_upper else self.lb[leaving]
-                self.xval[enter] += sigma * step
-                self.status[enter] = _BASIC
-                self.basis[leave_row] = enter
-                self._update_binv(leave_row, w, enter)
-                changed = [enter, leaving]
-            signs[:, changed] = _SIGNS[:, self.status[changed]]
+                if m:
+                    x_b -= sigma * step * w
+                # A column at a bound prices with signs (1, 1) at its upper
+                # bound and (-1, -1) at its lower one; a basic column with 0.
+                if leave_row is None:
+                    # Bound flip: the entering variable crosses to its other bound.
+                    to_upper = sigma > 0
+                    status[enter] = _AT_UPPER if to_upper else _AT_LOWER
+                    xval[enter] = ub[enter] if to_upper else lb[enter]
+                    s_lo[enter] = s_hi[enter] = 1.0 if to_upper else -1.0
+                else:
+                    leaving = int(basis[leave_row])
+                    status[leaving] = _AT_UPPER if leave_to_upper else _AT_LOWER
+                    xval[leaving] = ub_b[leave_row] if leave_to_upper else lb_b[leave_row]
+                    s_lo[leaving] = s_hi[leaving] = 1.0 if leave_to_upper else -1.0
+                    x_b[leave_row] = xval[enter] + sigma * step
+                    lb_b[leave_row], ub_b[leave_row] = lb[enter], ub[enter]
+                    c_b[leave_row] = cost[enter]
+                    col_b[leave_row] = basis[leave_row] = enter
+                    status[enter] = _BASIC
+                    s_lo[enter] = s_hi[enter] = 0.0
+                    self._update_binv(leave_row, w, enter)
 
-            if self.iterations % _REFACTOR_EVERY == 0:
-                self._refactor()
+                if self.iterations % _REFACTOR_EVERY == 0:
+                    self._refactor()
+                    x_b[:] = xval[basis]  # recomputed from the new inverse
+        finally:
+            xval[basis] = x_b
 
     def _ratio_test(self, enter: int, sigma: float, w: np.ndarray):
         """Smallest blocking step; ties break on lowest variable index.
@@ -199,14 +215,13 @@ class _Core:
         best = INF
         best_row = best_basic = None
         best_upper = False
-        rate = -sigma * w
-        rows = (np.abs(rate) > _PIVOT_TOL).nonzero()[0]
-        basic = self.basis[rows]
+        # The rate of row i is -sigma * w[i], and |sigma| is 1.
+        rows = (np.abs(w) > _PIVOT_TOL).nonzero()[0]
+        x_b, lb_b, ub_b, col_b = self.row_state[:, rows].tolist()
         # Python floats: the same IEEE operations as numpy scalars, and
         # max() keeps a -0.0 step where np.maximum would return +0.0.
-        for i, r, b, x, lo, hi in zip(rows.tolist(), rate[rows].tolist(), basic.tolist(),
-                                      self.xval[basic].tolist(), self.lb[basic].tolist(),
-                                      self.ub[basic].tolist()):
+        for i, wi, b, x, lo, hi in zip(rows.tolist(), w[rows].tolist(), col_b, x_b, lb_b, ub_b):
+            r = -sigma * wi
             if r > 0.0:
                 if not math.isfinite(hi):
                     continue
@@ -280,27 +295,31 @@ def solve_lp(program: LinearProgram) -> Solution:
     if outcome == "unbounded":
         return Solution.non_optimal("unbounded", **core.counters())
 
-    return _extract(program, core, cost)
+    return _extract(core, cost)
 
 
-def _extract(program: LinearProgram, core: _Core, cost: np.ndarray) -> Solution:
+def _extract(core: _Core, cost: np.ndarray) -> Solution:
     n, m = core.n_struct, core.m
     x = core.xval[:n].copy()
     objective = float(np.dot(core.cost[:n], x))
     y = cost[core.basis] @ core.binv if m else np.zeros(0)
     rc = cost - (y @ core.F if m else 0.0)
 
-    resid, gap = _certify(program, core, x, objective, rc)
+    resid, gap = _certify(core, x, objective, rc)
     return Solution(status="optimal", objective=objective, x=x,
                     duals=np.asarray(y, dtype=float).copy(),
                     reduced_costs=rc[:n].copy(), cert_residual=resid, cert_gap=gap,
                     **core.counters())
 
 
-def _certify(program: LinearProgram, core: _Core, x: np.ndarray,
-             objective: float, rc: np.ndarray) -> tuple[float, float]:
+def _certify(core: _Core, x: np.ndarray, objective: float,
+             rc: np.ndarray) -> tuple[float, float]:
     """Refuse to report optimal unless feasibility and strong duality hold.
-    Returns the largest bound violation and the relative duality gap."""
+    Returns the largest bound violation and the relative duality gap.
+
+    The terms come from arrays, and Python folds them: its max skips a NaN
+    term, and its sum adds the dual terms one by one in column order.
+    """
     scale = max(1.0, float(np.max(np.abs(x))) if x.size else 1.0)
     resid = 0.0
     if core.m:
@@ -310,22 +329,21 @@ def _certify(program: LinearProgram, core: _Core, x: np.ndarray,
             core.lb[core.n_struct:core.n_struct + core.m] - s,
             s - core.ub[core.n_struct:core.n_struct + core.m],
         ])))
-    lbv = program.var_lb
-    ubv = program.var_ub
-    for j in range(core.n_struct):
-        resid = max(resid, lbv[j] - x[j], x[j] - ubv[j])
+    n = core.n_struct
+    resid = max([resid, *np.concatenate([core.lb[:n] - x, x - core.ub[:n]]).tolist()])
     if resid > _CERT_TOL * scale:
         raise NumericalError(f"optimal basis fails primal feasibility (residual {resid:.2e})")
 
+    # Each nonbasic column whose reduced cost is outside the zero band, a NaN
+    # one included, contributes rc * bound.
+    cols = ((core.status != _BASIC) & ~(np.abs(rc) <= _CERT_RC_TOL)).nonzero()[0]
+    r = rc[cols]
+    bound = np.where(r > 0.0, core.lb[cols], core.ub[cols])
+    if not np.isfinite(bound).all():
+        raise NumericalError("reduced cost of unbounded nonbasic variable is nonzero")
     dual_obj = 0.0
-    for j in range(core.F.shape[1]):
-        r = rc[j]
-        if core.status[j] == _BASIC or abs(r) <= _CERT_RC_TOL:
-            continue
-        bound = core.lb[j] if r > 0.0 else core.ub[j]
-        if not np.isfinite(bound):
-            raise NumericalError("reduced cost of unbounded nonbasic variable is nonzero")
-        dual_obj += r * bound
+    for term in (r * bound).tolist():
+        dual_obj += term
     gap = abs(objective - dual_obj) / (1.0 + abs(objective))
     if gap > _CERT_TOL:
         raise NumericalError(f"duality gap {gap:.2e} exceeds certification tolerance")

@@ -2,7 +2,6 @@
 
 import itertools
 import math
-import re
 from types import SimpleNamespace
 
 import numpy as np
@@ -11,10 +10,12 @@ from hypothesis import example, given, settings
 from hypothesis import strategies as st
 from scipy.optimize import linprog
 
-from flexmkt.errors import ContractError
-from flexmkt.mp_solver import (INF, LinearProgram, MixedProgram, Solution,
-                               export_lp, solve_lp, solve_milp)
-from flexmkt.mp_solver.simplex import _PIVOT_TOL, _Core
+from flexmkt.errors import ContractError, NumericalError
+from flexmkt.mp_solver import (INF, LinearProgram, MixedProgram, Solution, simplex,
+                               solve_lp, solve_milp)
+from flexmkt.mp_solver.simplex import (_AT_LOWER, _AT_UPPER, _BASIC, _CERT_RC_TOL, _CERT_TOL,
+                                       _DEGEN_TOL, _FREE, _PHASE1_TOL, _PIVOT_TOL, _RC_TOL,
+                                       _SIGNS, _Core)
 
 
 def random_lp(rng, n_max=12, with_equality=True):
@@ -274,6 +275,9 @@ _RATE = st.one_of(st.sampled_from([0.0, -0.0, _PIVOT_TOL, -_PIVOT_TOL, _ABOVE_TO
 def _ratio_case(basis, lb, ub, xval, enter, sigma, w):
     state = SimpleNamespace(m=len(basis), basis=np.array(basis), lb=np.array(lb),
                             ub=np.array(ub), xval=np.array(xval))
+    # The per-row state of the basic variables that the solver's ratio test reads.
+    b = state.basis
+    state.row_state = np.array([state.xval[b], state.lb[b], state.ub[b], b], dtype=float)
     return state, enter, sigma, np.array(w)
 
 
@@ -334,6 +338,408 @@ def test_row_sparse_inverse_update_equals_the_dense_formula():
 
 
 # ---------------------------------------------------------------------------
+# Bit-for-bit guards: the solver's array code against its scalar formulation
+# ---------------------------------------------------------------------------
+
+def _bits(a) -> bytes:
+    """Bytes that tell -0.0 from 0.0, with the dtype and shape they encode."""
+    a = np.asarray(a)
+    return str(a.dtype).encode() + str(a.shape).encode() + a.tobytes()
+
+
+# The former pivot loop, which gathered the basic variables' state by the
+# basis on every pivot, kept verbatim as the reference for _Core.optimize
+# but for two names: it calls the reference ratio test, and it reads the
+# refactorization interval through the module so that a test can patch it.
+def _reference_optimize(self, cost: np.ndarray, iteration_cap: int) -> str:
+    """Run pivots to optimality for the given cost vector.
+
+    Returns "optimal" or "unbounded".
+    """
+    m = self.m
+    if not cost.size:
+        return "optimal"
+    signs = _SIGNS[:, self.status]
+    bland = False
+    degen_run = 0
+    while True:
+        if self.iterations > iteration_cap:
+            raise NumericalError("simplex iteration cap exceeded")
+        y = cost[self.basis] @ self.binv if m else np.zeros(0)
+        rc = cost - (y @ self.F if m else 0.0)
+
+        # Dantzig enters the largest improvement, Bland the first one.
+        improving = np.maximum(rc * signs[0], rc * signs[1])
+        enter = int((improving > _RC_TOL if bland else improving).argmax())
+        if not improving[enter] > _RC_TOL:
+            return "optimal"
+        # An improving column rises when rc < 0 and falls when rc > 0.
+        sigma = 1.0 if rc[enter] < 0 else -1.0
+
+        w = self.binv @ self.F[:, enter] if m else np.zeros(0)
+        step, leave_row, leave_to_upper = _reference_ratio_test(self, enter, sigma, w)
+        if step is None:
+            return "unbounded"
+
+        self.iterations += 1
+        if step <= _DEGEN_TOL:
+            degen_run += 1
+            if not bland and degen_run > max(64, 2 * m):
+                bland = True
+                self.bland_switches += 1
+        else:
+            degen_run = 0
+            bland = False
+
+        if m:
+            self.xval[self.basis] -= sigma * step * w
+        if leave_row is None:
+            # Bound flip: the entering variable crosses to its other bound.
+            self.status[enter] = _AT_UPPER if sigma > 0 else _AT_LOWER
+            self.xval[enter] = self.ub[enter] if sigma > 0 else self.lb[enter]
+            changed = [enter]
+        else:
+            leaving = self.basis[leave_row]
+            self.status[leaving] = _AT_UPPER if leave_to_upper else _AT_LOWER
+            self.xval[leaving] = self.ub[leaving] if leave_to_upper else self.lb[leaving]
+            self.xval[enter] += sigma * step
+            self.status[enter] = _BASIC
+            self.basis[leave_row] = enter
+            self._update_binv(leave_row, w, enter)
+            changed = [enter, leaving]
+        signs[:, changed] = _SIGNS[:, self.status[changed]]
+
+        if self.iterations % simplex._REFACTOR_EVERY == 0:
+            self._refactor()
+
+
+def _guard_lp(rng) -> LinearProgram:
+    """Free, boxed, fixed and one-sided variables; equality, range and <=
+    rows, or no rows at all; now and then every row through the origin."""
+    n = int(rng.integers(1, 16))
+    m = int(rng.integers(0, 14))
+    through_origin = rng.random() < 0.15
+    lp = LinearProgram()
+    for j in range(n):
+        lo, hi = sorted(rng.normal(size=2) * 3)
+        lo, hi = [(lo, hi), (-INF, INF), (lo, lo), (lo, INF), (-INF, hi), (0.0, 1.0)][
+            int(rng.integers(6))]
+        lp.add_variable(f"x{j}", lo, hi, cost=float(rng.normal()))
+    for i in range(m):
+        coeffs = {j: float(rng.normal()) for j in range(n) if rng.random() < 0.7}
+        lo, hi = (0.0, 0.0) if through_origin else sorted(rng.normal(size=2) * 4)
+        lo, hi = [(lo, lo), (lo, hi), (-INF, hi)][int(rng.integers(3))]
+        lp.add_range(coeffs, lo, hi)
+    return lp
+
+
+def _run_phases(program: LinearProgram, optimize) -> list:
+    """solve_lp's two phases on a fresh _Core with the given pivot loop,
+    recording the whole state after each phase."""
+    core = _Core(program)
+    cap = 200 * (core.m + core.F.shape[1]) + 20000
+    record = []
+
+    def snapshot(outcome):
+        record.append((outcome, _bits(core.xval), _bits(core.basis), _bits(core.status),
+                       _bits(core.binv), core.counters()))
+
+    try:
+        c1 = core.install_artificials()
+        if c1.size:
+            snapshot(optimize(core, c1, cap))
+            if float(c1 @ core.xval) > _PHASE1_TOL:
+                return record
+            core.retire_artificials()
+        cost = np.zeros(core.F.shape[1])
+        cost[: core.n_struct + core.m] = core.cost[: core.n_struct + core.m]
+        snapshot(optimize(core, cost, cap))
+    except NumericalError as exc:
+        record.append(str(exc))
+        snapshot("raised")
+    return record
+
+
+@pytest.mark.parametrize("refactor_every", [None, 1, 3])
+def test_pivot_loop_matches_the_scalar_reference_bit_for_bit(monkeypatch, refactor_every):
+    if refactor_every is not None:
+        monkeypatch.setattr(simplex, "_REFACTOR_EVERY", refactor_every)
+    rng = np.random.default_rng(2024)
+    programs = [_guard_lp(rng) for _ in range(300)]
+    # Two 30 x 30 programs: one needs phase 1 and more than 100 pivots, so
+    # the default interval refactorizes too; the other starts at a
+    # degenerate vertex and switches to Bland.
+    for degenerate in (False, True):
+        big = np.random.default_rng(1)
+        lp = LinearProgram()
+        for j in range(30):
+            lp.add_variable(f"x{j}", 0.0, 1.0 if degenerate else 5.0,
+                            cost=float(-big.uniform(0.5, 1.5)))
+        a = big.normal(size=(30, 30))
+        x0 = big.uniform(0.5, 4.5, size=30)
+        for i in range(30):
+            row = {j: float(a[i, j]) for j in range(30)}
+            if degenerate:
+                lp.add_range(row, -INF, 0.0)
+            else:
+                lp.add_range(row, float(a[i] @ x0 - 1.0), INF)
+        programs.append(lp)
+    totals = dict.fromkeys(("iterations", "refactorizations", "bland_switches"), 0)
+    for program in programs:
+        got = _run_phases(program, _Core.optimize)
+        assert got == _run_phases(program, _reference_optimize)
+        for name in totals:
+            totals[name] += got[-1][-1][name]
+    assert totals["iterations"] > 2000
+    assert totals["refactorizations"] > 0 and totals["bland_switches"] > 0
+
+
+def _reference_init(self, program: LinearProgram):
+    # The former scalar set-up of _Core.__init__, kept verbatim.
+    n, m = program.n_vars, program.n_rows
+    self.n_struct = n
+    self.m = m
+    a = program.dense_matrix()
+    self.F = np.hstack([a, -np.eye(m)]) if m else np.zeros((0, n))
+    self.lb = np.array(program.var_lb + program.row_lo, dtype=float)
+    self.ub = np.array(program.var_ub + program.row_hi, dtype=float)
+    self.cost = np.array(program.var_cost + [0.0] * m, dtype=float)
+
+    self.status = np.empty(n + m, dtype=np.int8)
+    self.xval = np.zeros(n + m)
+    for j in range(n):
+        if np.isfinite(self.lb[j]):
+            self.status[j], self.xval[j] = _AT_LOWER, self.lb[j]
+        elif np.isfinite(self.ub[j]):
+            self.status[j], self.xval[j] = _AT_UPPER, self.ub[j]
+        else:
+            self.status[j], self.xval[j] = _FREE, 0.0
+    self.status[n:] = _BASIC
+    self.basis = np.arange(n, n + m)
+    self.binv = -np.eye(m)
+    self.xval[n:] = a @ self.xval[:n] if m else np.zeros(0)
+    self.iterations = 0
+    self.phase1_iterations = 0
+    self.refactorizations = 0
+    self.bland_switches = 0
+
+
+def _reference_install_artificials(self) -> np.ndarray:
+    # The former scalar _Core.install_artificials, kept verbatim.
+    n, m = self.n_struct, self.m
+    art_cols, art_rows = [], []
+    for i in range(m):
+        s = self.xval[n + i]
+        if s > self.ub[n + i] + _PHASE1_TOL:
+            self.status[n + i], self.xval[n + i] = _AT_UPPER, self.ub[n + i]
+            art_cols.append(-1.0)
+            art_rows.append(i)
+        elif s < self.lb[n + i] - _PHASE1_TOL:
+            self.status[n + i], self.xval[n + i] = _AT_LOWER, self.lb[n + i]
+            art_cols.append(+1.0)
+            art_rows.append(i)
+    if not art_rows:
+        return np.zeros(0)
+
+    k = len(art_rows)
+    extra = np.zeros((m, k))
+    for j, (i, g) in enumerate(zip(art_rows, art_cols)):
+        extra[i, j] = g
+        self.basis[i] = n + m + j
+    self.F = np.hstack([self.F, extra])
+    self.lb = np.concatenate([self.lb, np.zeros(k)])
+    self.ub = np.concatenate([self.ub, np.full(k, INF)])
+    self.cost = np.concatenate([self.cost, np.zeros(k)])
+    self.status = np.concatenate([self.status, np.full(k, _BASIC, dtype=np.int8)])
+    self.xval = np.concatenate([self.xval, np.zeros(k)])
+    self.binv = np.diag(1.0 / self.F[np.arange(m), self.basis])
+    self._set_basic_values()
+    c1 = np.zeros(self.F.shape[1])
+    c1[self.n_struct + self.m:] = 1.0
+    return c1
+
+
+def _reference_certify(program: LinearProgram, core: _Core, x: np.ndarray,
+                       objective: float, rc: np.ndarray) -> tuple[float, float]:
+    # The former scalar _certify, which read the variable bounds from the
+    # program, kept verbatim.
+    scale = max(1.0, float(np.max(np.abs(x))) if x.size else 1.0)
+    resid = 0.0
+    if core.m:
+        s = core.F[:, : core.n_struct] @ x
+        resid = float(np.max(np.maximum.reduce([
+            np.zeros(core.m),
+            core.lb[core.n_struct:core.n_struct + core.m] - s,
+            s - core.ub[core.n_struct:core.n_struct + core.m],
+        ])))
+    lbv = program.var_lb
+    ubv = program.var_ub
+    for j in range(core.n_struct):
+        resid = max(resid, lbv[j] - x[j], x[j] - ubv[j])
+    if resid > _CERT_TOL * scale:
+        raise NumericalError(f"optimal basis fails primal feasibility (residual {resid:.2e})")
+
+    dual_obj = 0.0
+    for j in range(core.F.shape[1]):
+        r = rc[j]
+        if core.status[j] == _BASIC or abs(r) <= _CERT_RC_TOL:
+            continue
+        bound = core.lb[j] if r > 0.0 else core.ub[j]
+        if not np.isfinite(bound):
+            raise NumericalError("reduced cost of unbounded nonbasic variable is nonzero")
+        dual_obj += r * bound
+    gap = abs(objective - dual_obj) / (1.0 + abs(objective))
+    if gap > _CERT_TOL:
+        raise NumericalError(f"duality gap {gap:.2e} exceeds certification tolerance")
+    return float(resid), float(gap)
+
+
+def _core_bits(core) -> dict:
+    return {name: _bits(getattr(core, name))
+            for name in ("F", "lb", "ub", "cost", "status", "xval", "basis", "binv")}
+
+
+_BOUND = st.one_of(st.sampled_from([0.0, -0.0, 1.0, -1.0, 2.5]),
+                   st.floats(-1e3, 1e3, allow_nan=False))
+
+
+@st.composite
+def _bounded_programs(draw, max_vars=6, max_rows=5):
+    """A program whose variable and row bounds are drawn, infinite and
+    -0.0 included, with its row terms."""
+    lp = LinearProgram()
+    n = draw(st.integers(1, max_vars))
+    for j in range(n):
+        lo = draw(st.one_of(st.just(-INF), st.just(INF), _BOUND))
+        hi = draw(st.one_of(st.just(INF), st.just(-INF), _BOUND))
+        if lo > hi:
+            lo, hi = hi, lo
+        lp.add_variable(f"x{j}", lo, hi, cost=draw(_BOUND))
+    for i in range(draw(st.integers(0, max_rows))):
+        coeffs = {j: draw(st.sampled_from([1.0, -1.0, 0.5, 3.0]))
+                  for j in range(n) if draw(st.booleans())}
+        lo = draw(st.one_of(st.just(-INF), _BOUND))
+        hi = draw(st.one_of(st.just(INF), _BOUND))
+        lp.add_range(coeffs, min(lo, hi), max(lo, hi))
+    return lp
+
+
+@settings(max_examples=300, deadline=None)
+@given(_bounded_programs())
+def test_start_state_matches_the_scalar_reference_bit_for_bit(program):
+    ref = object.__new__(_Core)
+    _reference_init(ref, program)
+    assert _core_bits(_Core(program)) == _core_bits(ref)
+
+
+@st.composite
+def _slack_states(draw):
+    """A program and initial slack values on both sides of each row's
+    bounds, exactly at the 1e-7 phase-1 tolerance and one ulp past it."""
+    program = draw(_bounded_programs())
+    slacks = []
+    for lo, hi in zip(program.row_lo, program.row_hi):
+        edge = draw(st.sampled_from([hi + _PHASE1_TOL, lo - _PHASE1_TOL, hi, lo]))
+        slacks.append(draw(st.one_of(
+            st.just(edge), st.just(float(np.nextafter(edge, INF))),
+            st.just(float(np.nextafter(edge, -INF))), st.just(-0.0), _BOUND)))
+    return program, slacks
+
+
+def _two_row_program() -> LinearProgram:
+    lp = LinearProgram()
+    lp.add_variable("x", 0.0, 1.0)
+    lp.add_range({0: 1.0}, 0.0, 1.0)
+    lp.add_range({0: 2.0}, 0.0, 1.0)
+    return lp
+
+
+@settings(max_examples=300, deadline=None)
+@given(_slack_states())
+# Slacks exactly at the tolerance stay; one ulp past it they get artificials.
+@example((_two_row_program(), [1.0 + _PHASE1_TOL, 0.0 - _PHASE1_TOL]))
+@example((_two_row_program(), [float(np.nextafter(1.0 + _PHASE1_TOL, INF)),
+                               float(np.nextafter(0.0 - _PHASE1_TOL, -INF))]))
+def test_artificials_match_the_scalar_reference_bit_for_bit(state):
+    program, slacks = state
+    got, ref = _Core(program), _Core(program)
+    for core in (got, ref):
+        core.xval[core.n_struct:] = slacks
+    c1_got = got.install_artificials()
+    c1_ref = _reference_install_artificials(ref)
+    assert _bits(c1_got) == _bits(c1_ref)
+    assert _core_bits(got) == _core_bits(ref)
+
+
+_RC = st.one_of(st.sampled_from([0.0, -0.0, _CERT_RC_TOL, -_CERT_RC_TOL,
+                                 float(np.nextafter(_CERT_RC_TOL, 1.0)),
+                                 -float(np.nextafter(_CERT_RC_TOL, 1.0)), 1.0, -2.0]),
+                st.floats(-10.0, 10.0, allow_nan=False))
+
+
+@st.composite
+def _certify_states(draw):
+    """A final state to certify: x at its bounds (inside the rows' bounds)
+    or up to 0.5 past them, reduced costs around the 1e-11 zero band
+    (nonbasic columns at an infinite bound included), and an objective at
+    or near the dual one. Enough columns that a pairwise sum would round
+    differently."""
+    program = draw(_bounded_programs(max_vars=12, max_rows=8))
+    core = _Core(program)
+    n, m = core.n_struct, core.m
+    cols = n + m
+    inside = draw(st.booleans())
+    offsets = [0.0, -0.0] if inside else [0.0, -0.0, 1e-9, -1e-9, 2e-7, -2e-7, 0.5]
+    x = []
+    for lo, hi in zip(core.lb[:n], core.ub[:n]):
+        base = draw(st.sampled_from([b for b in (lo, hi) if math.isfinite(b)] or [0.0]))
+        x.append(base + draw(st.sampled_from(offsets)))
+    x = np.array(x)
+    if inside and m:
+        s = core.F[:, :n] @ x
+        core.lb[n:] = np.minimum(core.lb[n:], s)
+        core.ub[n:] = np.maximum(core.ub[n:], s)
+    core.status = np.array([draw(st.sampled_from([_AT_LOWER, _AT_UPPER, _FREE, _BASIC]))
+                            for _ in range(cols)], dtype=np.int8)
+    rc = np.array([draw(_RC) for _ in range(cols)])
+    dual = 0.0
+    for j in range(cols):
+        if core.status[j] != _BASIC and abs(rc[j]) > _CERT_RC_TOL:
+            bound = core.lb[j] if rc[j] > 0.0 else core.ub[j]
+            dual += rc[j] * bound if math.isfinite(bound) else 0.0
+    objective = float(dual) + draw(st.sampled_from([0.0, 1e-9, -1e-6, 1.0]))
+    return program, core, x, objective, rc
+
+
+def _sum_order_state():
+    """Eight dual terms, 1.0 and seven of 1e-16: added one by one they stay
+    1.0, while a pairwise sum rounds up to 1.0 + 2**-52."""
+    lp = LinearProgram()
+    lp.add_variable("x0", 1.0, 2.0)
+    for j in range(1, 8):
+        lp.add_variable(f"x{j}", 1e-6, 1.0)
+    core = _Core(lp)
+    rc = np.array([1.0] + [1e-10] * 7)
+    return lp, core, core.xval.copy(), 1.0, rc
+
+
+@settings(max_examples=400, deadline=None)
+@given(_certify_states())
+@example(_sum_order_state())
+def test_certify_matches_the_scalar_reference_bit_for_bit(state):
+    program, core, x, objective, rc = state
+
+    def outcome(certify, *args):
+        try:
+            resid, gap = certify(*args)
+        except NumericalError as exc:
+            return str(exc)
+        return resid.hex(), gap.hex()
+
+    assert (outcome(simplex._certify, core, x, objective, rc)
+            == outcome(_reference_certify, program, core, x, objective, rc))
+
+# ---------------------------------------------------------------------------
 # Branch and bound
 # ---------------------------------------------------------------------------
 
@@ -389,113 +795,3 @@ def test_milp_matches_exhaustive_enumeration():
             assert sol.status == "infeasible"
         else:
             assert sol.objective == pytest.approx(best, abs=1e-8)
-
-
-# ---------------------------------------------------------------------------
-# LP-file export
-# ---------------------------------------------------------------------------
-
-def test_export_bound_toy():
-    lp = LinearProgram()
-    lp.add_variable("x", 2.0, 5.0, cost=1.0)
-    text = export_lp(lp)
-    assert "Minimize" in text
-    assert "Bounds" in text
-    assert "2 <= x <= 5" in text
-
-
-def test_export_one_hot_sections():
-    lp = LinearProgram()
-    ys = [lp.add_variable(f"y{k}", 0.0, 1.0, cost=1.0) for k in range(3)]
-    mp = MixedProgram(lp, [ys])
-    text = export_lp(mp)
-    assert "Binaries" in text
-    assert "y0 y1 y2" in text
-    assert re.search(r"onehot0:.*y0.*y1.*y2.*= 1", text)
-
-
-def parse_lp_text(text: str):
-    """Minimal reader for the exported subset, used to hand the file to an
-    external solver."""
-    sections = {}
-    current = None
-    for raw in text.splitlines():
-        line = raw.strip()
-        if line in ("Minimize", "Subject To", "Bounds", "Binaries", "End"):
-            current = line
-            sections[current] = []
-        elif line and current:
-            sections[current].append(line)
-
-    number = r"(\d+(?:\.\d+)?(?:[eE][+-]?\d+)?)"
-
-    def parse_terms(expr):
-        terms = {}
-        for sign, mag, name in re.findall(r"([+-]?)\s*" + number +
-                                          r"\s+([A-Za-z0-9_.]+)", expr):
-            terms[name] = terms.get(name, 0.0) + float(sign + mag)
-        return terms
-
-    obj = parse_terms(sections["Minimize"][0].split(":", 1)[1])
-    rows = []
-    for line in sections.get("Subject To", []):
-        body = line.split(":", 1)[1]
-        op = "=" if "=" in body and "<=" not in body and ">=" not in body else \
-            ("<=" if "<=" in body else ">=")
-        lhs, rhs = body.split(op)
-        rows.append((parse_terms(lhs), op, float(rhs)))
-    bounds = {}
-    for line in sections.get("Bounds", []):
-        if line.endswith("free"):
-            bounds[line.split()[0]] = (-math.inf, math.inf)
-        elif "<=" in line:
-            parts = [p.strip() for p in line.split("<=")]
-            if len(parts) == 3:
-                bounds[parts[1]] = (float(parts[0]), float(parts[2]))
-            else:
-                bounds[parts[0]] = (0.0, float(parts[1]))
-        elif ">=" in line:
-            name, lo = [p.strip() for p in line.split(">=")]
-            bounds[name] = (float(lo), math.inf)
-        elif "=" in line:
-            name, val = [p.strip() for p in line.split("=")]
-            bounds[name] = (float(val), float(val))
-    return obj, rows, bounds
-
-
-def test_export_round_trip_through_external_solver(m1_up_only):
-    # Export the micro-case local clearing, re-read the text, and solve it
-    # with an external LP solver; objectives must agree.
-    from flexmkt.clearing import _CaseProgram
-
-    case = m1_up_only
-    dso = case.dsos[0]
-    prog = _CaseProgram(case)
-    prog.add_z(1, dso.z_min, dso.z_max, 0.0)
-    prog.add_system(1)
-    mine = solve_lp(prog.lp)
-
-    obj, rows, bounds = parse_lp_text(export_lp(prog.lp))
-    names = sorted(set(obj) | set(bounds) | {n for r in rows for n in r[0]})
-    pos = {n: i for i, n in enumerate(names)}
-    c = np.zeros(len(names))
-    for n, v in obj.items():
-        c[pos[n]] = v
-    a_eq, b_eq, a_ub, b_ub = [], [], [], []
-    for terms, op, rhs in rows:
-        row = np.zeros(len(names))
-        for n, v in terms.items():
-            row[pos[n]] = v
-        if op == "=":
-            a_eq.append(row), b_eq.append(rhs)
-        elif op == "<=":
-            a_ub.append(row), b_ub.append(rhs)
-        else:
-            a_ub.append(-row), b_ub.append(-rhs)
-    lims = [bounds.get(n, (0.0, math.inf)) for n in names]
-    ref = linprog(c, A_ub=np.array(a_ub) if a_ub else None,
-                  b_ub=b_ub or None, A_eq=np.array(a_eq) if a_eq else None,
-                  b_eq=b_eq or None, bounds=lims, method="highs")
-    assert ref.success
-    assert mine.objective == pytest.approx(ref.fun, abs=1e-6)
-    assert mine.objective == pytest.approx(80.0)
