@@ -34,7 +34,7 @@ import numpy as np
 
 from .errors import ContractError, ModelError
 from .market_model import DIR_DOWN, DIR_UP, Bid, MarketCase
-from .mp_solver import INF, LinearProgram, Solution, solve_lp
+from .mp_solver import INF, LinearProgram, Solution, solve_lp, solve_lp_batch
 from .netmodel import Network
 
 __all__ = [
@@ -292,7 +292,9 @@ def clear_dso_fixed_interface(case: MarketCase, m: int, flows, *,
     """Layer-1 problem with a zero interface price and the interface bound
     replaced by a pinned flow, solved for each of ``flows`` in order.
 
-    The program is built once and re-pinned before each solve. Returns one
+    The program is built once, and ``solve_lp_batch`` solves its pins, each
+    as a solve of the re-pinned program alone would. On failure it raises
+    the first error such solves, in order, would reach. Returns one
     (clearing, pin dual) pair per flow; the dual is the local marginal
     value of one more MW of import (the subgradient the dual-price
     residual supply function accumulates), NaN when the pin is infeasible.
@@ -301,27 +303,42 @@ def clear_dso_fixed_interface(case: MarketCase, m: int, flows, *,
     polyhedron onto one coordinate. With ``sorted_grid`` the flows must be
     strictly ascending, and every flow after the first infeasible pin that
     follows an optimal one is returned infeasible (no iterations, NaN
-    dual) without a solve.
+    dual) without a solve, or with its solve dropped.
     """
-    flows = list(flows)
+    flows = [float(z) for z in flows]
     if sorted_grid and any(not a < b for a, b in zip(flows, flows[1:])):
         raise ContractError("sorted_grid flows must be strictly ascending")
+    if not flows:
+        return []
     prog = _CaseProgram(case)
     prog.add_z(m, -INF, INF, 0.0)
     prog.add_system(m)
+    pin_row = prog.pin_z(m, flows[0])
+    row_lo, row_hi = (np.tile(bounds, (len(flows), 1)) for bounds in (prog.lp.row_lo, prog.lp.row_hi))
+    row_lo[:, pin_row] = row_hi[:, pin_row] = flows
+    solved = solve_lp_batch(prog.lp, row_lo, row_hi, _reached if sorted_grid else None)
     out = []
-    reached = False  # an optimal pin has been solved
-    for z in flows:
-        pin_row = prog.pin_z(m, z)
-        sol = solve_lp(prog.lp)
+    for sol in solved[:_reached(solved) if sorted_grid else len(solved)]:
+        if not isinstance(sol, Solution):
+            raise sol
         dual = float(sol.duals[pin_row]) if sol.status == "optimal" else float("nan")
         out.append((prog.extract(sol), dual))
-        if sorted_grid and reached and sol.status == "infeasible":
-            break
-        reached = reached or sol.status == "optimal"
     out += [(ClearingResult(status="infeasible", objective=float("nan")), float("nan"))
             for _ in flows[len(out):]]
     return out
+
+
+def _reached(solved: list) -> int:
+    """How many pins of an ascending grid a one-at-a-time run reaches, given
+    the solves so far (None where unfinished): it stops at its first error,
+    and after its first infeasible pin that follows an optimal one."""
+    optimal = False
+    for k, sol in enumerate(solved):
+        if isinstance(sol, Exception) or (optimal and sol is not None
+                                          and sol.status == "infeasible"):
+            return k + 1
+        optimal = optimal or (sol is not None and sol.status == "optimal")
+    return len(solved)
 
 
 # ---------------------------------------------------------------------------

@@ -3,7 +3,8 @@
 Every program ``solve_lp`` receives while the methods run on one Recipe B
 2x7 and one 4x15 case, and while the common market of one 8x30 case is
 cleared, is snapshot at call time (``pin_z`` moves a program's bounds
-between solves) and solved again by ``scipy.optimize.linprog``. Statuses
+between solves) and solved again by ``scipy.optimize.linprog``; so is
+every item ``solve_lp_batch`` solves, under its own row bounds. Statuses
 must match and objectives agree within 1e-7 relative. Duals are not
 unique under degeneracy, so they are checked by what an optimal dual must
 satisfy, not entry by entry: reduced costs equal ``c - A'y``, and every
@@ -39,7 +40,7 @@ def _snapshot(lp, sol):
 @pytest.fixture(scope="module")
 def corpus(tmp_path_factory):
     """(label, snapshot) of every program solved on the ladder corpus."""
-    original = simplex.solve_lp
+    original, original_batch = simplex.solve_lp, simplex.solve_lp_batch
     programs = []
     label = ""
 
@@ -48,12 +49,22 @@ def corpus(tmp_path_factory):
         programs.append((label, _snapshot(lp, sol)))
         return sol
 
+    def recorded_batch(lp, row_lo, row_hi, needed=None):
+        solved = original_batch(lp, row_lo, row_hi, needed)
+        for lo, hi, sol in zip(row_lo, row_hi, solved):
+            if sol is not None:
+                programs.append((label, {**_snapshot(lp, sol), "row_lo": np.array(lo),
+                                         "row_hi": np.array(hi)}))
+        return solved
+
     mp = pytest.MonkeyPatch()
     for name, module in list(sys.modules.items()):
         if name.split(".")[0] == "flexmkt" and module is not None:
             for attr, value in list(vars(module).items()):
                 if value is original:
                     mp.setattr(module, attr, recorded)
+                elif value is original_batch:
+                    mp.setattr(module, attr, recorded_batch)
     try:
         t0 = time.perf_counter()
         for n_dsos, dso_buses, seed in ((2, 7, 1000), (4, 15, 1004)):

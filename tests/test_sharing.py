@@ -2,6 +2,7 @@
 CaseClearings object gives the outcome of a run alone, while each shared
 program is solved once."""
 
+import copy
 import hashlib
 import itertools
 import math
@@ -140,6 +141,19 @@ def test_no_program_is_solved_twice_within_a_case(monkeypatch, tmp_path, style, 
     recording(clearing, "solve_lp", fingerprint)
     recording(forwarding, "solve_lp", fingerprint)
     recording(forwarding, "solve_milp", lambda mp: fingerprint(mp.lp, mp.groups))
+    original_batch = clearing.solve_lp_batch
+
+    def batch(program, row_lo, row_hi, needed=None):
+        # Each item solved is the program under its own row bounds.
+        solved = original_batch(program, row_lo, row_hi, needed)
+        for lo, hi, sol in zip(row_lo, row_hi, solved):
+            if sol is not None:
+                item = copy.copy(program)
+                item.row_lo, item.row_hi = lo.tolist(), hi.tolist()
+                seen[fingerprint(item)] += 1
+        return solved
+
+    monkeypatch.setattr(clearing, "solve_lp_batch", batch)
     run_experiment(ExperimentConfig(cases=((case.name, 0, case),), methods=METHODS,
                                     pricings=PRICINGS, deltas=(2.0, 4.0), refine_rounds=1,
                                     out_dir=str(tmp_path)))
