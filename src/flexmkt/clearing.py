@@ -155,7 +155,6 @@ class _CaseProgram:
         self.up_vars: dict[str, int] = {}
         self.down_vars: dict[str, int] = {}
         self.z_vars: dict[int, int] = {}
-        self.pin_rows: dict[int, int] = {}
         self.balance_rows: dict[int, dict[int, int]] = {}
 
     def add_z(self, m: int, lo: float, hi: float, cost: float = 0.0) -> int:
@@ -164,19 +163,9 @@ class _CaseProgram:
         return zv
 
     def pin_z(self, m: int, value: float) -> int:
-        """Pin an interface flow with an explicit row so its dual is exposed.
-
-        The first call appends the row; later calls only move its
-        right-hand side, so one program serves every pinned value and each
-        solve sees the program a fresh build would give.
-        """
-        row = self.pin_rows.get(m)
-        if row is None:
-            row = self.pin_rows[m] = self.lp.add_equality(
-                {self.z_vars[m]: 1.0}, value, name=f"zpin[{m}]")
-        else:
-            self.lp.row_lo[row] = self.lp.row_hi[row] = float(value)
-        return row
+        """Append the row pinning flow ``m`` at ``value``, so its dual is
+        exposed; a batch's row bounds pin it at other values."""
+        return self.lp.add_equality({self.z_vars[m]: 1.0}, value, name=f"zpin[{m}]")
 
     def add_system(self, system: int, *,
                    prior: tuple[ClearingResult, ...] = (),
@@ -287,27 +276,26 @@ def clear_dso_layer1(case: MarketCase, m: int, pricing: PricingRule) -> Clearing
     return prog.extract(sol)
 
 
-def clear_dso_fixed_interface(case: MarketCase, m: int, flows, *,
-                              sorted_grid: bool = False) -> list[tuple[ClearingResult, float]]:
+def clear_dso_fixed_interface(case: MarketCase, m: int, flows) -> list[tuple[ClearingResult, float]]:
     """Layer-1 problem with a zero interface price and the interface bound
-    replaced by a pinned flow, solved for each of ``flows`` in order.
+    replaced by a pinned flow, solved for each of ``flows``, which must be
+    strictly ascending.
 
     The program is built once, and ``solve_lp_batch`` solves its pins, each
-    as a solve of the re-pinned program alone would. On failure it raises
-    the first error such solves, in order, would reach. Returns one
+    as a solve of the program pinned there alone would. On failure it
+    raises the first error such solves, in order, would reach. Returns one
     (clearing, pin dual) pair per flow; the dual is the local marginal
     value of one more MW of import (the subgradient the dual-price
     residual supply function accumulates), NaN when the pin is infeasible.
 
     The feasible flows of the DSO form an interval, the projection of a
-    polyhedron onto one coordinate. With ``sorted_grid`` the flows must be
-    strictly ascending, and every flow after the first infeasible pin that
-    follows an optimal one is returned infeasible (no iterations, NaN
-    dual) without a solve, or with its solve dropped.
+    polyhedron onto one coordinate. So every flow after the first
+    infeasible pin that follows an optimal one is returned infeasible (no
+    iterations, NaN dual) without a solve, or with its solve dropped.
     """
     flows = [float(z) for z in flows]
-    if sorted_grid and any(not a < b for a, b in zip(flows, flows[1:])):
-        raise ContractError("sorted_grid flows must be strictly ascending")
+    if any(not a < b for a, b in zip(flows, flows[1:])):
+        raise ContractError("pinned flows must be strictly ascending")
     if not flows:
         return []
     prog = _CaseProgram(case)
@@ -316,9 +304,9 @@ def clear_dso_fixed_interface(case: MarketCase, m: int, flows, *,
     pin_row = prog.pin_z(m, flows[0])
     row_lo, row_hi = (np.tile(bounds, (len(flows), 1)) for bounds in (prog.lp.row_lo, prog.lp.row_hi))
     row_lo[:, pin_row] = row_hi[:, pin_row] = flows
-    solved = solve_lp_batch(prog.lp, row_lo, row_hi, _reached if sorted_grid else None)
+    solved = solve_lp_batch(prog.lp, row_lo, row_hi, _reached)
     out = []
-    for sol in solved[:_reached(solved) if sorted_grid else len(solved)]:
+    for sol in solved[:_reached(solved)]:
         if not isinstance(sol, Solution):
             raise sol
         dual = float(sol.duals[pin_row]) if sol.status == "optimal" else float("nan")
@@ -475,17 +463,15 @@ class CaseClearings:
             self.case, self.layer1(pricing), pricing))
 
     def pinned(self, m: int, flows) -> list[tuple[ClearingResult, float]]:
-        """:func:`clear_dso_fixed_interface` for each of ``flows``; only
-        the flows not pinned before are solved, in ascending order and in
-        one batch, stopping at the edge of the feasible interval."""
+        """:func:`clear_dso_fixed_interface` for each of the strictly
+        ascending ``flows``; only the flows not pinned before are solved,
+        in one batch, stopping at the edge of the feasible interval."""
         flows = [float(z) for z in flows]
         keys = [("pin", m, _exact(z)) for z in flows]
         new = {k: z for k, z in zip(keys, flows) if k not in self._solved}
         if new:
-            order = sorted(new, key=new.get)
-            solved = clear_dso_fixed_interface(self.case, m, [new[k] for k in order],
-                                               sorted_grid=True)
-            self._solved.update(zip(order, solved))
+            solved = clear_dso_fixed_interface(self.case, m, list(new.values()))
+            self._solved.update(zip(new, solved))
         return [self._solved[k] for k in keys]
 
 

@@ -42,7 +42,7 @@ from .clearing import (
 )
 from .errors import ContractError, ModelError
 from .market_model import DIR_DOWN, DIR_UP, MarketCase
-from .mp_solver import INF, MixedProgram, solve_lp, solve_milp
+from .mp_solver import INF, MixedProgram, Solution, solve_lp, solve_lp_batch, solve_milp
 from .safety import _SAFE_TOL, SafetyVerdict, _dso_point, inefficiency, is_grid_safe
 
 __all__ = [
@@ -654,17 +654,21 @@ def suboptimality_constant(case: MarketCase, *,
         samples.append(dict(zip(case.dso_indices, corner)))
     # A repeated sample pins the same program and gives the same duals:
     # keep the first of each, told apart by the exact bits of its flows.
-    unique: dict[tuple[str, ...], dict[int, float]] = {}
+    unique: dict[tuple[str, ...], list[float]] = {}
     for zvec in samples:
-        unique.setdefault(tuple(_exact(zvec[m]) for m in case.dso_indices), zvec)
-    # One common program with free interface flows, re-pinned per sample.
+        pin = [zvec[m] for m in case.dso_indices]
+        unique.setdefault(tuple(_exact(z) for z in pin), pin)
+    pins = list(unique.values())
+    # One common program with free interface flows, pinned at every sample
+    # through the row bounds of one batch.
     prog = _common_program(case, bound_interfaces=False)
-    worst = {m: 0.0 for m in case.dso_indices}
-    for zvec in unique.values():
-        pins = {m: prog.pin_z(m, zvec[m]) for m in case.dso_indices}
-        sol = solve_lp(prog.lp)
-        if sol.status != "optimal":
-            continue
-        for m, row in pins.items():
-            worst[m] = max(worst[m], abs(float(sol.duals[row])))
-    return max(paper_norm, sum(worst.values()))
+    rows = [prog.pin_z(m, z) for m, z in zip(case.dso_indices, pins[0])]
+    row_lo, row_hi = (np.tile(b, (len(pins), 1)) for b in (prog.lp.row_lo, prog.lp.row_hi))
+    row_lo[:, rows] = row_hi[:, rows] = pins
+    worst = [0.0] * len(rows)
+    for sol in solve_lp_batch(prog.lp, row_lo, row_hi):
+        if not isinstance(sol, Solution):
+            raise sol
+        if sol.status == "optimal":
+            worst = [max(w, abs(float(sol.duals[row]))) for w, row in zip(worst, rows)]
+    return max(paper_norm, sum(worst))

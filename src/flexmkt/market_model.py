@@ -35,6 +35,13 @@ DIR_UP = "up"
 DIR_DOWN = "down"
 
 
+def _finite(owner: str, **fields) -> None:
+    """Reject a NaN or infinite field, or field entry, as parse_case does."""
+    for name, value in fields.items():
+        if not all(map(math.isfinite, value if isinstance(value, (tuple, list)) else [value])):
+            raise ValidationError(f"{owner}: {name} must be finite")
+
+
 @dataclass(frozen=True)
 class Bid:
     """Single-step flexibility offer: a price and a maximum volume.
@@ -53,6 +60,7 @@ class Bid:
     def __post_init__(self):
         if self.direction not in (DIR_UP, DIR_DOWN):
             raise ValidationError(f"bid {self.id}: direction must be 'up' or 'down'")
+        _finite(f"bid {self.id}", price=self.price, quantity_max=self.quantity_max)
         if self.price < 0.0:
             raise ValidationError(f"bid {self.id}: negative price")
         if self.quantity_max < 0.0:
@@ -71,6 +79,8 @@ class DistributionSystem:
     def __post_init__(self):
         if self.index <= 0:
             raise ValidationError(f"DSO index must be positive, got {self.index}")
+        _finite(f"DSO {self.index}", z_min=self.z_min, z_max=self.z_max,
+                base_injections=self.base_injections)
         if self.z_min > self.z_max:
             raise ValidationError(f"DSO {self.index}: z_min exceeds z_max")
         if len(self.base_injections) != self.network.n_buses:
@@ -89,6 +99,7 @@ class MarketCase:
     name: str = "case"
 
     def __post_init__(self):
+        _finite("transmission", base_injections=self.base_injections)
         if len(self.base_injections) != self.transmission.n_buses:
             raise ValidationError("transmission base injection vector length mismatch")
         seen_idx: set[int] = set()

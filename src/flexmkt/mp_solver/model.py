@@ -62,6 +62,8 @@ class LinearProgram:
 
     def add_range(self, coeffs: dict[int, float], lo: float, hi: float,
                   name: str | None = None) -> int:
+        if math.isnan(lo) or math.isnan(hi):
+            raise ContractError(f"row {name or len(self.rows)}: NaN bound")
         if lo > hi:
             raise ContractError(f"row {name or len(self.rows)}: lo {lo} exceeds hi {hi}")
         terms = []

@@ -32,7 +32,7 @@ import math
 
 import numpy as np
 
-from ..errors import NumericalError
+from ..errors import ContractError, NumericalError
 from .model import INF, LinearProgram, Solution
 
 __all__ = ["solve_lp", "solve_lp_batch"]
@@ -82,19 +82,10 @@ class _Form:
 
 
 class _Core:
-    """Working state shared by the two phases."""
+    """Working state shared by the two phases, starting from ``form``'s
+    program under the row bounds ``row_lo`` and ``row_hi``."""
 
-    def __init__(self, program: LinearProgram):
-        self._start(_Form(program), program.row_lo, program.row_hi)
-
-    @classmethod
-    def bounded(cls, form: _Form, row_lo, row_hi) -> _Core:
-        """The start of ``form``'s program with the given row bounds."""
-        core = cls.__new__(cls)
-        core._start(form, row_lo, row_hi)
-        return core
-
-    def _start(self, form: _Form, row_lo, row_hi) -> None:
+    def __init__(self, form: _Form, row_lo, row_hi):
         n, m = form.n, form.m
         self.n_struct = n
         self.m = m
@@ -102,6 +93,9 @@ class _Core:
         self.F = form.F
         self.lb = np.concatenate([form.var_lb, np.asarray(row_lo, dtype=float)])
         self.ub = np.concatenate([form.var_ub, np.asarray(row_hi, dtype=float)])
+        # Row bounds given as arrays bypass LinearProgram.add_range's check.
+        if np.isnan(self.lb[n:]).any() or np.isnan(self.ub[n:]).any():
+            raise ContractError("row bounds must not be NaN")
         self.cost = form.cost
         self.status = form.status.copy()
         self.xval = form.xval.copy()
@@ -312,7 +306,7 @@ class _Core:
 
 def solve_lp(program: LinearProgram) -> Solution:
     """Solve a linear program; duals come from the optimal basis."""
-    core = _Core(program)
+    core = _Core(_Form(program), program.row_lo, program.row_hi)
     phases = _phases(core)
     return _run(core, phases, next(phases))
 
@@ -371,7 +365,7 @@ def solve_lp_batch(program: LinearProgram, row_lo, row_hi,
     results: list = [None] * len(row_lo)
     groups: dict[int, list] = {}
     for k, (lo, hi) in enumerate(zip(row_lo, row_hi)):
-        core = _Core.bounded(form, lo, hi)
+        core = _Core(form, lo, hi)
         phases = _phases(core)
         request = next(phases)  # installs the artificials
         groups.setdefault(core.F.shape[1], []).append((k, core, phases, request))

@@ -4,6 +4,8 @@ Expected values were computed with the enumeration oracles in conftest
 (and frozen), so every nontrivial number here has an LP-free derivation.
 """
 
+import math
+
 import numpy as np
 import pytest
 
@@ -281,36 +283,46 @@ def test_fixed_interface_steps_match_oracle(m1_wide):
     assert res.status == "infeasible"
 
 
-def test_repinned_solves_equal_single_flow_solves():
-    # One program re-pinned across the flows gives exactly what a fresh
-    # program per flow gives, in either order, infeasible pins included.
+def _pinned_grid():
+    """A Recipe C DSO, its flows from 2 MW below its interface bounds to 2
+    MW above them, and each flow's clearing on a program of its own."""
     case = generate_case(CaseRecipe(style="C", n_dsos=1, dso_buses=15), 0)
     dso = case.dso(1)
     flows = list(np.linspace(dso.z_min - 2.0, dso.z_max + 2.0, 13))
-    forward = clear_dso_fixed_interface(case, 1, flows)
-    backward = clear_dso_fixed_interface(case, 1, flows[::-1])[::-1]
     single = [clear_dso_fixed_interface(case, 1, [z])[0] for z in flows]
-    assert repr(forward) == repr(single) == repr(backward)
-    assert {r.status for r, _ in forward} == {"optimal", "infeasible"}
-
-
-def test_sorted_grid_stops_at_the_edge_of_the_feasible_interval():
-    # The feasible flows form an interval: past the first infeasible pin
-    # after an optimal one, every pin is returned infeasible unsolved.
-    case = generate_case(CaseRecipe(style="C", n_dsos=1, dso_buses=15), 0)
-    dso = case.dso(1)
-    flows = list(np.linspace(dso.z_min - 2.0, dso.z_max + 2.0, 13))
-    plain = clear_dso_fixed_interface(case, 1, flows)
-    stopped = clear_dso_fixed_interface(case, 1, flows, sorted_grid=True)
-    statuses = [r.status for r, _ in plain]
+    statuses = [r.status for r, _ in single]
     edge = next(i for i in range(1, len(flows))
                 if statuses[i] == "infeasible" and "optimal" in statuses[:i])
+    return case, flows, single, edge
+
+
+def test_repinned_solves_equal_single_flow_solves():
+    # One program pinned at each ascending flow gives exactly what a fresh
+    # program per flow gives, up to and including the first infeasible pin
+    # after an optimal one.
+    case, flows, single, edge = _pinned_grid()
+    batch = clear_dso_fixed_interface(case, 1, flows)
+    assert repr(batch[:edge + 1]) == repr(single[:edge + 1])
+    assert {r.status for r, _ in batch[:edge + 1]} == {"optimal", "infeasible"}
+
+
+def test_pins_past_the_edge_of_the_feasible_interval_are_infeasible_unsolved():
+    # The feasible flows form an interval: past the first infeasible pin
+    # after an optimal one, every pin is returned infeasible unsolved.
+    case, flows, single, edge = _pinned_grid()
     assert edge < len(flows) - 1
-    assert repr(stopped[:edge + 1]) == repr(plain[:edge + 1])
-    for res, dual in stopped[edge + 1:]:
-        assert res.status == "infeasible" and res.iterations == 0
+    batch = clear_dso_fixed_interface(case, 1, flows)
+    for (res, dual), (alone, _) in zip(batch[edge + 1:], single[edge + 1:]):
+        assert res.status == alone.status == "infeasible" and res.iterations == 0
         assert np.isnan(res.objective) and np.isnan(dual)
     with pytest.raises(ContractError, match="strictly ascending"):
-        clear_dso_fixed_interface(case, 1, flows[::-1], sorted_grid=True)
+        clear_dso_fixed_interface(case, 1, flows[::-1])
     with pytest.raises(ContractError, match="strictly ascending"):
-        clear_dso_fixed_interface(case, 1, [flows[0], flows[0]], sorted_grid=True)
+        clear_dso_fixed_interface(case, 1, [flows[0], flows[0]])
+
+
+def test_a_nan_flow_is_rejected():
+    case = generate_case(CaseRecipe(style="B"), 1)
+    for flows in ([math.nan], [0.0, math.nan]):
+        with pytest.raises(ContractError):
+            clear_dso_fixed_interface(case, 1, flows)

@@ -2,9 +2,9 @@
 
 Every program ``solve_lp`` receives while the methods run on one Recipe B
 2x7 and one 4x15 case, and while the common market of one 8x30 case is
-cleared, is snapshot at call time (``pin_z`` moves a program's bounds
-between solves) and solved again by ``scipy.optimize.linprog``; so is
-every item ``solve_lp_batch`` solves, under its own row bounds. Statuses
+cleared, is snapshot at call time and solved again by
+``scipy.optimize.linprog``; so is every item ``solve_lp_batch`` solves,
+under its own row bounds. Statuses
 must match and objectives agree within 1e-7 relative. Duals are not
 unique under degeneracy, so they are checked by what an optimal dual must
 satisfy, not entry by entry: reduced costs equal ``c - A'y``, and every

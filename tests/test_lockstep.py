@@ -1,8 +1,9 @@
 """Lockstep solves: ``solve_lp_batch`` gives every item the Solution
 ``solve_lp`` gives the same program, bit for bit, counters included, and
-``clear_dso_fixed_interface`` gives what re-pinning one program and
-solving it one flow at a time gives."""
+``clear_dso_fixed_interface`` gives what solving a fresh program per flow,
+one flow at a time, gives."""
 
+import csv
 import importlib.util
 import math
 import sys
@@ -12,7 +13,8 @@ import numpy as np
 import pytest
 
 import flexmkt.clearing as clearing
-from flexmkt.cli import run_experiment
+from flexmkt.casegen import CaseRecipe, generate_case
+from flexmkt.cli import ExperimentConfig, run_experiment
 from flexmkt.errors import NumericalError
 from flexmkt.mp_solver import INF, LinearProgram, simplex, solve_lp, solve_lp_batch
 
@@ -262,19 +264,20 @@ def _workloads(monkeypatch):
     return module
 
 
-def _one_at_a_time(case, m, flows, sorted_grid):
-    """clear_dso_fixed_interface as a loop of solve_lp calls on one
-    re-pinned program, stopping at the edge of the feasible flows."""
-    prog = clearing._CaseProgram(case)
-    prog.add_z(m, -INF, INF, 0.0)
-    prog.add_system(m)
+def _one_at_a_time(case, m, flows):
+    """clear_dso_fixed_interface as a loop of solve_lp calls on a fresh
+    program per flow, stopping at the edge of the feasible flows; raises
+    the first error it meets."""
     out, reached = [], False
     for z in flows:
+        prog = clearing._CaseProgram(case)
+        prog.add_z(m, -INF, INF, 0.0)
+        prog.add_system(m)
         row = prog.pin_z(m, z)
         sol = solve_lp(prog.lp)
         out.append((prog.extract(sol),
                     float(sol.duals[row]) if sol.status == "optimal" else math.nan))
-        if sorted_grid and reached and sol.status == "infeasible":
+        if reached and sol.status == "infeasible":
             break
         reached = reached or sol.status == "optimal"
     out += [(clearing.ClearingResult(status="infeasible", objective=math.nan), math.nan)
@@ -287,9 +290,9 @@ def test_every_pin_batch_of_the_workloads_equals_one_at_a_time(monkeypatch, tmp_
     batches, items = [], []
     original, original_batch = clearing.clear_dso_fixed_interface, clearing.solve_lp_batch
 
-    def pinned(case, m, flows, **kwargs):
-        out = original(case, m, flows, **kwargs)
-        batches.append((case, m, list(flows), kwargs.get("sorted_grid", False), out))
+    def pinned(case, m, flows):
+        out = original(case, m, flows)
+        batches.append((case, m, list(flows), out))
         return out
 
     def batch(program, lo, hi, needed=None):
@@ -306,9 +309,120 @@ def test_every_pin_batch_of_the_workloads_equals_one_at_a_time(monkeypatch, tmp_
                 run_experiment(config)
     monkeypatch.undo()
 
-    assert max(len(flows) for *_, flows, _, _ in batches) >= simplex._LOCKSTEP_MIN
-    for case, m, flows, sorted_grid, out in batches:
-        alone = _one_at_a_time(case, m, flows, sorted_grid)
+    assert max(len(flows) for _, _, flows, _ in batches) >= simplex._LOCKSTEP_MIN
+    for case, m, flows, out in batches:
+        alone = _one_at_a_time(case, m, flows)
         assert repr(out) == repr(alone), (case.name, m)
     for program, lo, hi, result in items:
         assert _bits(result) == _bits(_alone(program, lo, hi))
+
+
+def _outcome(run):
+    """What ``run()`` returns, or the NumericalError it raises."""
+    try:
+        return run()
+    except NumericalError as exc:
+        return exc
+
+
+def _pinned_grid():
+    """A Recipe C DSO, 20 ascending flows from 2 MW below its interface
+    bounds to 2 MW above them, their clearings one at a time, and the
+    index of the edge of its feasible flows: the first infeasible pin
+    after an optimal one."""
+    case = generate_case(CaseRecipe(style="C", n_dsos=1, dso_buses=15), 0)
+    dso = case.dso(1)
+    flows = list(np.linspace(dso.z_min - 2.0, dso.z_max + 2.0, 20))
+    plain = _one_at_a_time(case, 1, flows)
+    statuses = [r.status for r, _ in plain]
+    edge = next(k for k in range(1, len(flows))
+                if statuses[k] == "infeasible" and "optimal" in statuses[:k])
+    assert edge < len(flows) - 1
+    return case, flows, plain, edge
+
+
+def _pin(core) -> float:
+    """The pinned flow of a pinned program's core: its last row's bound."""
+    return core.lb[core.n_struct + core.m - 1]
+
+
+_MODES = pytest.mark.parametrize("lockstep_min", [1, 10**9], ids=["lockstep", "alone"])
+
+
+@_MODES
+def test_pinned_flows_raise_the_first_error_a_run_one_at_a_time_meets(monkeypatch,
+                                                                      lockstep_min):
+    monkeypatch.setattr(simplex, "_LOCKSTEP_MIN", lockstep_min)
+    case, flows, plain, edge = _pinned_grid()
+    # Certification fails, naming the pin, from the pin before the one
+    # with the fewest pivots on: a lockstep finishes that later pin first
+    # and must still raise the earlier pin's error.
+    quickest = min(range(edge), key=lambda k: plain[k][0].iterations)
+    assert quickest > 0
+    certify = simplex._certify
+
+    def failing(core, *args):
+        if _pin(core) >= flows[quickest - 1]:
+            raise NumericalError(f"pin {flows.index(_pin(core))}")
+        return certify(core, *args)
+
+    # Every pin takes more than 6 pivots.
+    for name, replacement, message in (("_iteration_cap", lambda core: 6,
+                                        "simplex iteration cap exceeded"),
+                                       ("_certify", failing, f"pin {quickest - 1}")):
+        with monkeypatch.context() as mp:
+            mp.setattr(simplex, name, replacement)
+            want = _outcome(lambda: _one_at_a_time(case, 1, flows))
+            got = _outcome(lambda: clearing.clear_dso_fixed_interface(case, 1, flows))
+        assert isinstance(got, NumericalError) and str(got) == str(want) == message
+
+
+@_MODES
+def test_errors_past_the_edge_of_the_feasible_flows_are_not_raised(monkeypatch, lockstep_min):
+    # Every pin past the edge, which a run one at a time never solves,
+    # ends in an error.
+    monkeypatch.setattr(simplex, "_LOCKSTEP_MIN", lockstep_min)
+    case, flows, plain, edge = _pinned_grid()
+    phases = simplex._phases
+
+    def failing(core):
+        solution = yield from phases(core)
+        if _pin(core) > flows[edge]:
+            raise NumericalError("past the edge")
+        return solution
+
+    monkeypatch.setattr(simplex, "_phases", failing)
+    with pytest.raises(NumericalError, match="past the edge"):
+        clearing.clear_dso_fixed_interface(case, 1, [flows[edge + 1]])
+    errors = []
+    batch = clearing.solve_lp_batch
+
+    def recording(*args):
+        solved = batch(*args)
+        errors.extend(r for r in solved if isinstance(r, NumericalError))
+        return solved
+
+    monkeypatch.setattr(clearing, "solve_lp_batch", recording)
+    assert repr(clearing.clear_dso_fixed_interface(case, 1, flows)) == repr(plain)
+    # A lockstep runs the pins past the edge until the edge is known, and
+    # they finish first; one at a time, they are never started.
+    assert bool(errors) == (lockstep_min == 1)
+
+
+def test_run_experiment_turns_a_pinned_flow_error_into_an_error_row(monkeypatch, tmp_path):
+    original = clearing.solve_lp_batch
+
+    def capped(*args, **kwargs):
+        with monkeypatch.context() as mp:
+            mp.setattr(simplex, "_iteration_cap", lambda core: 6)
+            return original(*args, **kwargs)
+
+    monkeypatch.setattr(clearing, "solve_lp_batch", capped)
+    case = generate_case(CaseRecipe(style="C", n_dsos=1, dso_buses=15), 0)
+    path = run_experiment(ExperimentConfig(
+        cases=((case.name, 0, case),), methods=("aggregation_primal", "three_layer"),
+        pricings=("none",), deltas=(4.0,), out_dir=str(tmp_path)))
+    with open(path, newline="", encoding="utf-8") as fh:
+        rows = [(r["method"], r["status"]) for r in csv.DictReader(fh)]
+    assert rows == [("aggregation_primal", "error: simplex iteration cap exceeded"),
+                    ("three_layer", "ok")]

@@ -2,8 +2,10 @@
 
 import functools
 import json
+import math
 import re
 import warnings
+from dataclasses import replace
 
 import numpy as np
 import pytest
@@ -12,7 +14,7 @@ from hypothesis import strategies as st
 
 from flexmkt.casegen import CaseRecipe, generate_case
 from flexmkt.errors import GenerationError, ParseError, ValidationError
-from flexmkt.market_model import (parse_case, parse_matpower, serialize_case,
+from flexmkt.market_model import (Bid, parse_case, parse_matpower, serialize_case,
                                   validate_case)
 from flexmkt.netmodel import is_radial
 
@@ -58,6 +60,28 @@ def test_parse_rejects_unknown_bid_bus():
     doc["bids"][0]["bus"] = 99
     with pytest.raises(ValidationError, match="does not exist"):
         parse_case(json.dumps(doc))
+
+
+@pytest.mark.parametrize("field,value", [("price", math.nan), ("quantity_max", math.nan),
+                                         ("price", math.inf)])
+def test_bid_rejects_a_non_finite_number_naming_the_field(field, value):
+    fields = dict(id="b", system=1, bus=2, direction="up", price=40.0, quantity_max=5.0)
+    with pytest.raises(ValidationError, match=f"bid b: {field} must be finite"):
+        Bid(**{**fields, field: value})
+
+
+def test_systems_reject_a_non_finite_number_naming_the_field():
+    case = generate_case(CaseRecipe(style="B"), 1)
+    dso = case.dso(1)
+    injections = list(dso.base_injections)
+    injections[2] = math.nan
+    with pytest.raises(ValidationError, match="DSO 1: base_injections must be finite"):
+        replace(dso, base_injections=tuple(injections))
+    for field in ("z_min", "z_max"):
+        with pytest.raises(ValidationError, match=f"DSO 1: {field} must be finite"):
+            replace(dso, **{field: math.nan})
+    with pytest.raises(ValidationError, match="transmission: base_injections must be finite"):
+        replace(case, base_injections=(math.nan,) + case.base_injections[1:])
 
 
 def test_parse_error_carries_path():

@@ -124,6 +124,23 @@ def fingerprint(lp, groups=()) -> str:
     return hashlib.sha256(repr(content).encode()).hexdigest()
 
 
+def recording_batch(monkeypatch, module, seen: Counter) -> None:
+    """Rebind ``module.solve_lp_batch`` to count in ``seen`` the fingerprint
+    of each item it solves: the program under that item's row bounds."""
+    original = module.solve_lp_batch
+
+    def batch(program, row_lo, row_hi, needed=None):
+        solved = original(program, row_lo, row_hi, needed)
+        for lo, hi, sol in zip(row_lo, row_hi, solved):
+            if sol is not None:
+                item = copy.copy(program)
+                item.row_lo, item.row_hi = lo.tolist(), hi.tolist()
+                seen[fingerprint(item)] += 1
+        return solved
+
+    monkeypatch.setattr(module, "solve_lp_batch", batch)
+
+
 @pytest.mark.parametrize("style,dsos", [("A", 1), ("B", 2), ("C", 3), ("D", 2)])
 def test_no_program_is_solved_twice_within_a_case(monkeypatch, tmp_path, style, dsos):
     case = generate_case(CaseRecipe(style=style, n_dsos=dsos, tn_buses=max(4, dsos + 1)), 20 + dsos)
@@ -141,19 +158,8 @@ def test_no_program_is_solved_twice_within_a_case(monkeypatch, tmp_path, style, 
     recording(clearing, "solve_lp", fingerprint)
     recording(forwarding, "solve_lp", fingerprint)
     recording(forwarding, "solve_milp", lambda mp: fingerprint(mp.lp, mp.groups))
-    original_batch = clearing.solve_lp_batch
-
-    def batch(program, row_lo, row_hi, needed=None):
-        # Each item solved is the program under its own row bounds.
-        solved = original_batch(program, row_lo, row_hi, needed)
-        for lo, hi, sol in zip(row_lo, row_hi, solved):
-            if sol is not None:
-                item = copy.copy(program)
-                item.row_lo, item.row_hi = lo.tolist(), hi.tolist()
-                seen[fingerprint(item)] += 1
-        return solved
-
-    monkeypatch.setattr(clearing, "solve_lp_batch", batch)
+    recording_batch(monkeypatch, clearing, seen)
+    recording_batch(monkeypatch, forwarding, seen)
     run_experiment(ExperimentConfig(cases=((case.name, 0, case),), methods=METHODS,
                                     pricings=PRICINGS, deltas=(2.0, 4.0), refine_rounds=1,
                                     out_dir=str(tmp_path)))
@@ -166,16 +172,18 @@ def test_suboptimality_constant_solves_each_sample_once(monkeypatch, style, dsos
     case = generate_case(CaseRecipe(style=style, n_dsos=dsos, tn_buses=max(4, dsos + 1)), 7)
     shared = CaseClearings(case)
     assert shared.common.status == "optimal"
-    seen = Counter()
+    alone, batched = Counter(), Counter()
     original = forwarding.solve_lp
 
     def recording(program):
-        seen[fingerprint(program)] += 1
+        alone[fingerprint(program)] += 1
         return original(program)
 
     monkeypatch.setattr(forwarding, "solve_lp", recording)
+    recording_batch(monkeypatch, forwarding, batched)
     forwarding.suboptimality_constant(case, clearings=shared)
-    assert seen
+    assert alone and batched
+    seen = alone + batched
     assert max(seen.values()) == 1, sum(n - 1 for n in seen.values())
 
 

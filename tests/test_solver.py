@@ -12,10 +12,15 @@ from scipy.optimize import linprog
 
 from flexmkt.errors import ContractError, NumericalError
 from flexmkt.mp_solver import (INF, LinearProgram, MixedProgram, Solution, simplex,
-                               solve_lp, solve_milp)
+                               solve_lp, solve_lp_batch, solve_milp)
 from flexmkt.mp_solver.simplex import (_AT_LOWER, _AT_UPPER, _BASIC, _CERT_RC_TOL, _CERT_TOL,
                                        _DEGEN_TOL, _FREE, _PHASE1_TOL, _PIVOT_TOL, _RC_TOL,
-                                       _SIGNS, _Core)
+                                       _SIGNS, _Core, _Form)
+
+
+def _core_of(program: LinearProgram) -> _Core:
+    """The _Core solve_lp starts ``program`` from."""
+    return _Core(_Form(program), program.row_lo, program.row_hi)
 
 
 def random_lp(rng, n_max=12, with_equality=True):
@@ -107,6 +112,24 @@ def test_contract_checks():
         lp.add_equality({5: 1.0}, 0.0)
     with pytest.raises(ContractError):
         lp.add_range({0: 1.0}, 2.0, 1.0)
+
+
+@pytest.mark.parametrize("lo,hi", [(math.nan, math.nan), (math.nan, 1.0), (0.0, math.nan)])
+def test_nan_row_bounds_are_rejected(lo, hi):
+    # A NaN bound compares false both ways, so without a check it would
+    # pass every feasibility test and certify as optimal.
+    lp = LinearProgram()
+    lp.add_variable("x", 0.0, 10.0, cost=1.0)
+    with pytest.raises(ContractError, match="NaN"):
+        lp.add_range({0: 1.0}, lo, hi)
+    lp.add_range({0: 1.0}, 0.0, 1.0)
+    # Row bounds given to a batch as arrays, or written into the program's
+    # lists, bypass add_range.
+    with pytest.raises(ContractError, match="NaN"):
+        solve_lp_batch(lp, np.array([[0.0], [lo]]), np.array([[1.0], [hi]]))
+    lp.row_lo[0], lp.row_hi[0] = lo, hi
+    with pytest.raises(ContractError, match="NaN"):
+        solve_lp(lp)
 
 
 def test_strong_duality_on_random_lps():
@@ -436,7 +459,7 @@ def _guard_lp(rng) -> LinearProgram:
 def _run_phases(program: LinearProgram, optimize) -> list:
     """solve_lp's two phases on a fresh _Core with the given pivot loop,
     recording the whole state after each phase."""
-    core = _Core(program)
+    core = _core_of(program)
     cap = 200 * (core.m + core.F.shape[1]) + 20000
     record = []
 
@@ -629,7 +652,7 @@ def _bounded_programs(draw, max_vars=6, max_rows=5):
 def test_start_state_matches_the_scalar_reference_bit_for_bit(program):
     ref = object.__new__(_Core)
     _reference_init(ref, program)
-    assert _core_bits(_Core(program)) == _core_bits(ref)
+    assert _core_bits(_core_of(program)) == _core_bits(ref)
 
 
 @st.composite
@@ -662,7 +685,7 @@ def _two_row_program() -> LinearProgram:
                                float(np.nextafter(0.0 - _PHASE1_TOL, -INF))]))
 def test_artificials_match_the_scalar_reference_bit_for_bit(state):
     program, slacks = state
-    got, ref = _Core(program), _Core(program)
+    got, ref = _core_of(program), _core_of(program)
     for core in (got, ref):
         core.xval[core.n_struct:] = slacks
     c1_got = got.install_artificials()
@@ -685,7 +708,7 @@ def _certify_states(draw):
     or near the dual one. Enough columns that a pairwise sum would round
     differently."""
     program = draw(_bounded_programs(max_vars=12, max_rows=8))
-    core = _Core(program)
+    core = _core_of(program)
     n, m = core.n_struct, core.m
     cols = n + m
     inside = draw(st.booleans())
@@ -718,7 +741,7 @@ def _sum_order_state():
     lp.add_variable("x0", 1.0, 2.0)
     for j in range(1, 8):
         lp.add_variable(f"x{j}", 1e-6, 1.0)
-    core = _Core(lp)
+    core = _core_of(lp)
     rc = np.array([1.0] + [1e-10] * 7)
     return lp, core, core.xval.copy(), 1.0, rc
 
