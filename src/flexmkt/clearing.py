@@ -32,7 +32,7 @@ from dataclasses import dataclass, field
 
 import numpy as np
 
-from .errors import ContractError, ModelError
+from .errors import ContractError, ModelError, NumericalError
 from .market_model import DIR_DOWN, DIR_UP, Bid, MarketCase
 from .mp_solver import INF, LinearProgram, Solution, solve_lp, solve_lp_batch
 from .netmodel import Network
@@ -276,43 +276,56 @@ def clear_dso_layer1(case: MarketCase, m: int, pricing: PricingRule) -> Clearing
     return prog.extract(sol)
 
 
-def clear_dso_fixed_interface(case: MarketCase, m: int, flows) -> list[tuple[ClearingResult, float]]:
-    """Layer-1 problem with a zero interface price and the interface bound
-    replaced by a pinned flow, solved for each of ``flows``, which must be
-    strictly ascending.
+def clear_dso_fixed_interface(case: MarketCase, flows: dict[int, list[float]]
+                              ) -> dict[int, list[tuple[ClearingResult, float]] | NumericalError]:
+    """Layer-1 problem of each DSO ``m`` in ``flows`` with a zero interface
+    price and the interface bound replaced by a pinned flow, solved for
+    each of ``flows[m]``, which must be strictly ascending.
 
-    The program is built once, and ``solve_lp_batch`` solves its pins, each
-    as a solve of the program pinned there alone would. On failure it
-    raises the first error such solves, in order, would reach. Returns one
-    (clearing, pin dual) pair per flow; the dual is the local marginal
-    value of one more MW of import (the subgradient the dual-price
-    residual supply function accumulates), NaN when the pin is infeasible.
+    Each DSO's program is built once, and one ``solve_lp_batch`` call
+    solves the pins of every DSO, each as a solve of its program pinned
+    there alone would. Returns per DSO one (clearing, pin dual) pair per
+    flow, or the first error such solves of that DSO, in order, would
+    reach. The dual is the local marginal value of one more MW of import
+    (the subgradient the dual-price residual supply function accumulates),
+    NaN when the pin is infeasible.
 
-    The feasible flows of the DSO form an interval, the projection of a
+    The feasible flows of a DSO form an interval, the projection of a
     polyhedron onto one coordinate. So every flow after the first
     infeasible pin that follows an optimal one is returned infeasible (no
     iterations, NaN dual) without a solve, or with its solve dropped.
     """
-    flows = [float(z) for z in flows]
-    if any(not a < b for a, b in zip(flows, flows[1:])):
-        raise ContractError("pinned flows must be strictly ascending")
-    if not flows:
-        return []
-    prog = _CaseProgram(case)
-    prog.add_z(m, -INF, INF, 0.0)
-    prog.add_system(m)
-    pin_row = prog.pin_z(m, flows[0])
-    row_lo, row_hi = (np.tile(bounds, (len(flows), 1)) for bounds in (prog.lp.row_lo, prog.lp.row_hi))
-    row_lo[:, pin_row] = row_hi[:, pin_row] = flows
-    solved = solve_lp_batch(prog.lp, row_lo, row_hi, _reached)
+    programs, batches = {}, []
+    for m, zs in flows.items():
+        zs = [float(z) for z in zs]
+        if any(not a < b for a, b in zip(zs, zs[1:])):
+            raise ContractError("pinned flows must be strictly ascending")
+        if not zs:
+            continue
+        prog = _CaseProgram(case)
+        prog.add_z(m, -INF, INF, 0.0)
+        prog.add_system(m)
+        pin_row = prog.pin_z(m, zs[0])
+        row_lo, row_hi = (np.tile(bounds, (len(zs), 1)) for bounds in (prog.lp.row_lo, prog.lp.row_hi))
+        row_lo[:, pin_row] = row_hi[:, pin_row] = zs
+        programs[m] = prog, pin_row
+        batches.append((prog.lp, row_lo, row_hi, _reached))
+    solved = dict(zip(programs, solve_lp_batch(batches)))
+    return {m: _dso_pins(*programs[m], solved[m]) if m in programs else [] for m in flows}
+
+
+def _dso_pins(prog: _CaseProgram, pin_row: int, solved: list
+              ) -> list[tuple[ClearingResult, float]] | NumericalError:
+    """One DSO's (clearing, pin dual) pairs from its batch's solves, or the
+    first error a run one pin at a time reaches."""
     out = []
     for sol in solved[:_reached(solved)]:
         if not isinstance(sol, Solution):
-            raise sol
+            return sol
         dual = float(sol.duals[pin_row]) if sol.status == "optimal" else float("nan")
         out.append((prog.extract(sol), dual))
     out += [(ClearingResult(status="infeasible", objective=float("nan")), float("nan"))
-            for _ in flows[len(out):]]
+            for _ in solved[len(out):]]
     return out
 
 
@@ -462,16 +475,36 @@ class CaseClearings:
         return self._once(("layer2", self._prices(pricing)), lambda: clear_tso_layer2(
             self.case, self.layer1(pricing), pricing))
 
+    def pin(self, flows: dict[int, list[float]]) -> None:
+        """Solve, in one :func:`clear_dso_fixed_interface` call, the flows
+        of each DSO ``m`` in ``flows`` (strictly ascending) not pinned
+        before, each DSO stopping at the edge of its feasible interval. A
+        DSO whose pins fail keeps its error, which :meth:`pinned` raises."""
+        new = {}
+        for m, zs in flows.items():
+            keys = {("pin", m, _exact(z)): float(z) for z in zs}
+            fresh = {k: z for k, z in keys.items() if k not in self._solved}
+            if fresh and ("pin_error", m, tuple(fresh)) not in self._solved:
+                new[m] = fresh
+        if not new:
+            return
+        solved = clear_dso_fixed_interface(self.case, {m: list(f.values()) for m, f in new.items()})
+        for m, fresh in new.items():
+            if isinstance(solved[m], Exception):
+                self._solved[("pin_error", m, tuple(fresh))] = solved[m]
+            else:
+                self._solved.update(zip(fresh, solved[m]))
+
     def pinned(self, m: int, flows) -> list[tuple[ClearingResult, float]]:
-        """:func:`clear_dso_fixed_interface` for each of the strictly
-        ascending ``flows``; only the flows not pinned before are solved,
-        in one batch, stopping at the edge of the feasible interval."""
-        flows = [float(z) for z in flows]
+        """DSO ``m``'s pinned clearing for each of the strictly ascending
+        ``flows``, those not pinned before solved through :meth:`pin`; the
+        error a run one pin at a time would reach if they fail."""
         keys = [("pin", m, _exact(z)) for z in flows]
-        new = {k: z for k, z in zip(keys, flows) if k not in self._solved}
-        if new:
-            solved = clear_dso_fixed_interface(self.case, m, list(new.values()))
-            self._solved.update(zip(new, solved))
+        if any(k not in self._solved for k in keys):
+            self.pin({m: flows})
+            fresh = tuple(k for k in keys if k not in self._solved)
+            if fresh:
+                raise self._solved[("pin_error", m, fresh)]
         return [self._solved[k] for k in keys]
 
 

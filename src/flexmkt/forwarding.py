@@ -396,18 +396,24 @@ class Rsf:
             raise ContractError("RSF steps must be strictly increasing")
 
 
-def _rsf(case: MarketCase, m: int, grid, clearings: CaseClearings | None) -> Rsf:
-    """Exact steps over the sorted grid: one pinned clearing per grid point
-    (near-duplicates skipped), infeasible pins dropped. The pinned
-    clearings come from the shared ``clearings``."""
+def _rsf_flows(case: MarketCase, m: int, grid) -> list[float]:
+    """The flows DSO ``m`` pins for ``grid``: sorted, near-duplicates
+    skipped, each within its interface bounds."""
     dso = case.dso(m)
-    grid = sorted(float(z) for z in grid)
     flows: list[float] = []
-    for zhat in grid:
+    for zhat in sorted(float(z) for z in grid):
         if not dso.z_min - _GRID_TOL <= zhat <= dso.z_max + _GRID_TOL:
             raise ContractError(f"grid value {zhat} outside interface bounds of DSO {m}")
         if not flows or zhat > flows[-1] + _DUPLICATE_GAP:
             flows.append(zhat)
+    return flows
+
+
+def _rsf(case: MarketCase, m: int, grid, clearings: CaseClearings | None) -> Rsf:
+    """Exact steps over the sorted grid: one pinned clearing per grid point
+    (near-duplicates skipped), infeasible pins dropped. The pinned
+    clearings come from the shared ``clearings``."""
+    flows = _rsf_flows(case, m, grid)
     solved = _shared(case, clearings).pinned(m, flows)
     steps = tuple(RsfStep(z=z, cost=c.objective, clearing=c, price_dual=dual)
                   for z, (c, dual) in zip(flows, solved) if c.status == "optimal")
@@ -504,7 +510,8 @@ def run_bid_aggregation(case: MarketCase, delta_bar: float,
     tests inject specific flow values (for example common-market optima).
 
     The pinned steps come from the shared ``clearings``, so both variants
-    and every refinement round solve each (DSO, flow) pin once; so is the
+    and every refinement round solve each (DSO, flow) pin once, the new
+    pins of every DSO in a round together; so is the
     MILP over each set of forwarded steps, which every pricing row of a
     variant repeats. A case the method cannot clear ends with status
     "rsf_infeasible" when some DSO has no feasible step on its grid, or
@@ -532,6 +539,9 @@ def run_bid_aggregation(case: MarketCase, delta_bar: float,
     solves = 0
     milp_nodes = 0
     for round_no in range(refine_rounds + 1):
+        # Every DSO's new pins of the round in one batch; a DSO's error is
+        # raised when its RSF reads them, in DSO order.
+        clearings.pin({m: _rsf_flows(case, m, grids[m]) for m in case.dso_indices})
         rsfs: dict[int, Rsf] = {}
         for m in case.dso_indices:
             try:
@@ -666,7 +676,8 @@ def suboptimality_constant(case: MarketCase, *,
     row_lo, row_hi = (np.tile(b, (len(pins), 1)) for b in (prog.lp.row_lo, prog.lp.row_hi))
     row_lo[:, rows] = row_hi[:, rows] = pins
     worst = [0.0] * len(rows)
-    for sol in solve_lp_batch(prog.lp, row_lo, row_hi):
+    [solved] = solve_lp_batch([(prog.lp, row_lo, row_hi)])
+    for sol in solved:
         if not isinstance(sol, Solution):
             raise sol
         if sol.status == "optimal":

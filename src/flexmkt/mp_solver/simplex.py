@@ -21,9 +21,11 @@ arrays but keep the arithmetic order of a per-column loop. The tests keep
 that scalar formulation as the reference and hold every result to it bit
 for bit.
 
-``solve_lp_batch`` solves one program under many row-bound vectors. It
-builds ``F`` once, and items of one shape pivot in lockstep on stacked
-arrays (``_Lockstep``), each to the Solution ``solve_lp`` gives it.
+``solve_lp_batch`` solves several programs, each under many row-bound
+vectors. It builds each program's ``F`` once and installs its artificials
+once per distinct starting pattern; items of one shape, whatever their
+program, pivot in lockstep on stacked arrays (``_Lockstep``), each to the
+Solution ``solve_lp`` gives it.
 """
 
 from __future__ import annotations
@@ -83,19 +85,18 @@ class _Form:
 
 class _Core:
     """Working state shared by the two phases, starting from ``form``'s
-    program under the row bounds ``row_lo`` and ``row_hi``."""
+    program under the row bounds ``row_lo`` and ``row_hi``, before its
+    artificials are installed (see ``_start``)."""
 
     def __init__(self, form: _Form, row_lo, row_hi):
         n, m = form.n, form.m
         self.n_struct = n
         self.m = m
-        # F is shared with every core of the form: nothing writes into it.
+        # F and cost are shared with every core of the form: nothing writes
+        # into them.
         self.F = form.F
-        self.lb = np.concatenate([form.var_lb, np.asarray(row_lo, dtype=float)])
-        self.ub = np.concatenate([form.var_ub, np.asarray(row_hi, dtype=float)])
-        # Row bounds given as arrays bypass LinearProgram.add_range's check.
-        if np.isnan(self.lb[n:]).any() or np.isnan(self.ub[n:]).any():
-            raise ContractError("row bounds must not be NaN")
+        self.lb = np.concatenate([form.var_lb, row_lo])
+        self.ub = np.concatenate([form.var_ub, row_hi])
         self.cost = form.cost
         self.status = form.status.copy()
         self.xval = form.xval.copy()
@@ -105,44 +106,6 @@ class _Core:
         self.phase1_iterations = 0
         self.refactorizations = 0
         self.bland_switches = 0
-
-    # -- phase 1 ------------------------------------------------------
-
-    def install_artificials(self) -> np.ndarray:
-        """Swap out-of-bounds initial slacks for artificial columns.
-
-        Returns the phase-1 cost vector (1 on artificials, 0 elsewhere).
-        """
-        n, m = self.n_struct, self.m
-        slack = self.xval[n:]
-        above = slack > self.ub[n:] + _PHASE1_TOL
-        below = ~above & (slack < self.lb[n:] - _PHASE1_TOL)
-        art_rows = (above | below).nonzero()[0]
-        if not art_rows.size:
-            return np.zeros(0)
-
-        k = art_rows.size
-        up = above[art_rows]
-        cols = n + art_rows
-        self.status[cols] = np.where(up, _AT_UPPER, _AT_LOWER)
-        self.xval[cols] = np.where(up, self.ub[cols], self.lb[cols])
-        extra = np.zeros((m, k))
-        extra[art_rows, np.arange(k)] = np.where(up, -1.0, 1.0)
-        self.basis[art_rows] = n + m + np.arange(k)
-        self.F = np.hstack([self.F, extra])
-        self.lb = np.concatenate([self.lb, np.zeros(k)])
-        self.ub = np.concatenate([self.ub, np.full(k, INF)])
-        self.cost = np.concatenate([self.cost, np.zeros(k)])
-        self.status = np.concatenate([self.status, np.full(k, _BASIC, dtype=np.int8)])
-        # The basis of slacks (-1) and artificials (+-1) is diagonal, so its
-        # inverse needs no factorization. This sets every basic value, the
-        # artificials' too.
-        self.xval = np.concatenate([self.xval, np.zeros(k)])
-        self.binv = np.diag(1.0 / self.F[np.arange(m), self.basis])
-        self._set_basic_values()
-        c1 = np.zeros(self.F.shape[1])
-        c1[self.n_struct + self.m:] = 1.0
-        return c1
 
     def counters(self) -> dict[str, int]:
         """The pivot counters a ``Solution`` carries."""
@@ -306,9 +269,97 @@ class _Core:
 
 def solve_lp(program: LinearProgram) -> Solution:
     """Solve a linear program; duals come from the optimal basis."""
-    core = _Core(_Form(program), program.row_lo, program.row_hi)
+    [core] = _start(_Form(program), [program.row_lo], [program.row_hi])
     phases = _phases(core)
     return _run(core, phases, next(phases))
+
+
+def _start(form: _Form, row_lo, row_hi) -> list[_Core]:
+    """One core per pair of row-bound vectors in ``row_lo`` and ``row_hi``,
+    its artificials installed once per distinct pattern of them."""
+    row_lo, row_hi = (np.asarray(b, dtype=float) for b in (row_lo, row_hi))
+    # Row bounds given as arrays bypass LinearProgram.add_range's check.
+    if np.isnan(row_lo).any() or np.isnan(row_hi).any():
+        raise ContractError("row bounds must not be NaN")
+    cores = [_Core(form, lo, hi) for lo, hi in zip(row_lo, row_hi)]
+    groups = [cores]
+    if len(cores) > 1:
+        # Every core starts from the form's slack values: the rows whose
+        # slacks leave their bounds, and on which side, set its pattern.
+        above, below = _outside(form.xval[form.n:], row_lo, row_hi)
+        patterns: dict[bytes, list[_Core]] = {}
+        for core, code in zip(cores, (above + 2 * below).astype(np.int8)):
+            patterns.setdefault(code.tobytes(), []).append(core)
+        groups = list(patterns.values())
+    # The cores hold all the install reads: without the form, [A | -I] is
+    # freed as soon as the patterns' own F replace it.
+    del form
+    for group in groups:
+        if group:
+            _install_artificials(group)
+    return cores
+
+
+def _outside(slack, lo, hi):
+    """Which slacks lie above their upper bound, and which below their
+    lower one, by more than the phase-1 tolerance."""
+    above = slack > hi + _PHASE1_TOL
+    return above, ~above & (slack < lo - _PHASE1_TOL)
+
+
+def _install_artificials(cores: list[_Core]) -> None:
+    """Swap the out-of-bounds initial slacks of each core for artificial
+    columns.
+
+    The cores are fresh from one form, and their slacks leave their bounds
+    on the same rows in the same direction: one pattern. Its ``F``, costs,
+    statuses, basis and diagonal inverse are built once. Per core remain
+    its bounds, the starting values of the artificial rows' slacks, and
+    its basic values.
+    """
+    first = cores[0]
+    n, m = first.n_struct, first.m
+    above, below = _outside(first.xval[n:], first.lb[n:], first.ub[n:])
+    art_rows = (above | below).nonzero()[0]
+    if not art_rows.size:
+        return
+    k = art_rows.size
+    up = above[art_rows]
+    cols = n + art_rows
+    extra = np.zeros((m, k))
+    extra[art_rows, np.arange(k)] = np.where(up, -1.0, 1.0)
+    F = np.hstack([first.F, extra])
+    for core in cores:
+        core.F = F
+    cost = np.concatenate([first.cost, np.zeros(k)])
+    status = first.status.copy()
+    status[cols] = np.where(up, _AT_UPPER, _AT_LOWER)
+    status = np.concatenate([status, np.full(k, _BASIC, dtype=np.int8)])
+    basis = np.arange(n, n + m)
+    basis[art_rows] = n + m + np.arange(k)
+    # The basis of slacks (-1) and artificials (+-1) is diagonal, so its
+    # inverse needs no factorization.
+    binv = np.diag(1.0 / F[np.arange(m), basis])
+    zeros, infs = np.zeros(k), np.full(k, INF)
+    for i, core in enumerate(cores):
+        # The first core takes the pattern's arrays, each other one a copy.
+        core.cost = cost
+        core.status, core.basis, core.binv = ((status, basis, binv) if not i else
+                                              (status.copy(), basis.copy(), binv.copy()))
+        core.lb = np.concatenate([core.lb, zeros])
+        core.ub = np.concatenate([core.ub, infs])
+        core.xval = np.concatenate([core.xval, zeros])
+        core.xval[cols] = np.where(up, core.ub[cols], core.lb[cols])
+    # _set_basic_values of each core, which sets every basic value, the
+    # artificials' too, with its nonbasic columns and -B^-1 built once, and
+    # not held at once: for a large program each is as large as B^-1.
+    nonbasic = status != _BASIC
+    F_nonbasic = F[:, nonbasic]
+    rhs = [F_nonbasic @ core.xval[nonbasic] for core in cores]
+    del F_nonbasic
+    minus_binv = -binv
+    for core, r in zip(cores, rhs):
+        core.xval[basis] = minus_binv @ r
 
 
 def _phases(core: _Core):
@@ -316,8 +367,11 @@ def _phases(core: _Core):
     iteration cap of each pivot loop, receives the loop's outcome, and
     returns the Solution."""
     cap = _iteration_cap(core)
-    c1 = core.install_artificials()
-    if c1.size:
+    n_basic = core.n_struct + core.m
+    # Phase 1 minimizes the sum of the artificials, if there are any.
+    if core.F.shape[1] > n_basic:
+        c1 = np.zeros(core.F.shape[1])
+        c1[n_basic:] = 1.0
         if (yield c1, cap) != "optimal":
             raise NumericalError("phase-1 subproblem reported unbounded")
         core.phase1_iterations = core.iterations
@@ -326,7 +380,7 @@ def _phases(core: _Core):
         core.retire_artificials()
 
     cost = np.zeros(core.F.shape[1])
-    cost[: core.n_struct + core.m] = core.cost[: core.n_struct + core.m]
+    cost[:n_basic] = core.cost[:n_basic]
     if (yield cost, cap) == "unbounded":
         return Solution.non_optimal("unbounded", **core.counters())
 
@@ -346,38 +400,44 @@ def _run(core: _Core, phases, request) -> Solution:
         return done.value
 
 
-def solve_lp_batch(program: LinearProgram, row_lo, row_hi,
-                   needed=None) -> list[Solution | NumericalError | None]:
-    """``solve_lp`` of ``program`` under each pair of row-bound vectors in
-    ``row_lo`` and ``row_hi``, bit for bit, with ``[A | -I]`` built once.
+def solve_lp_batch(batches) -> list[list[Solution | NumericalError | None]]:
+    """``solve_lp`` of each of several programs under each pair of
+    row-bound vectors given for it, bit for bit, with each program's
+    ``[A | -I]`` built once. ``batches`` holds one ``(program, row_lo,
+    row_hi)`` or ``(program, row_lo, row_hi, needed)`` tuple per program;
+    the result is one list per program, one entry per pair of vectors.
 
-    Items whose phase-1 programs have the same number of columns (the same
-    number of artificials) pivot in lockstep when there are at least
-    ``_LOCKSTEP_MIN`` of them, and one at a time otherwise. A solve that
-    raises ``NumericalError`` gives that error in its place.
+    Items whose phase-1 programs have the same shape (rows and columns,
+    artificials included) pivot in lockstep when there are at least
+    ``_LOCKSTEP_MIN`` of them, whatever their program, and one at a time
+    otherwise. A solve that raises ``NumericalError`` gives that error in
+    its place.
 
-    ``needed(results)``, if given, returns how many leading items still
-    matter, from the results so far (None for an item not finished); it
-    may only shrink as results come in. The items past that count are
-    dropped unsolved and come back None, unless they finished first.
+    ``needed(results)``, if given, returns how many leading items of its
+    program still matter, from that program's results so far (None for an
+    item not finished); it may only shrink as results come in. The items
+    past that count are dropped unsolved and come back None, unless they
+    finished first.
     """
-    form = _Form(program)
-    results: list = [None] * len(row_lo)
-    groups: dict[int, list] = {}
-    for k, (lo, hi) in enumerate(zip(row_lo, row_hi)):
-        core = _Core(form, lo, hi)
-        phases = _phases(core)
-        request = next(phases)  # installs the artificials
-        groups.setdefault(core.F.shape[1], []).append((k, core, phases, request))
-    for items in groups.values():
+    results: list[list] = []
+    cuts: list = []
+    groups: dict[tuple[int, int], list] = {}
+    for p, (program, row_lo, row_hi, *cut) in enumerate(batches):
+        cuts.append(cut[0] if cut else None)
+        cores = _start(_Form(program), row_lo, row_hi)
+        results.append([None] * len(cores))
+        for k, core in enumerate(cores):
+            phases = _phases(core)
+            request = next(phases)
+            groups.setdefault(core.F.shape, []).append(((p, k), core, phases, request))
+    for (m, _), items in groups.items():
         # The lockstep ratio test needs two rows to compare steps.
-        if form.m > 1 and len(items) >= _LOCKSTEP_MIN:
-            _Lockstep(items, results, needed).run()
+        if m > 1 and len(items) >= _LOCKSTEP_MIN:
+            _Lockstep(items, results, cuts).run()
             continue
-        for k, core, phases, request in items:
-            if needed is not None and k >= needed(results):
-                break
-            results[k] = _alone(core, phases, request)
+        for (p, k), core, phases, request in items:
+            if cuts[p] is None or k < cuts[p](results[p]):
+                results[p][k] = _alone(core, phases, request)
     return results
 
 
@@ -389,7 +449,8 @@ def _alone(core: _Core, phases, request) -> Solution | NumericalError:
 
 
 class _Lockstep:
-    """Items of one shape that pivot together on stacked arrays.
+    """Items of one shape, from one program or several, that pivot
+    together on stacked arrays.
 
     Row r of each array holds the state of one item's pivot loop, the
     locals of ``_Core.optimize`` included. A step does for every item what
@@ -397,21 +458,30 @@ class _Lockstep:
     elementwise work on the stacked arrays, and as reductions only stacked
     ``np.matmul`` calls, which run the BLAS routine of the 2-D call once
     per item (a 2-D product over all items, ``Y @ F`` or ``einsum``, would
-    sum in another order). The ratio test's tie fold and the inverse
+    sum in another order). The items that share an ``F`` (one artificial
+    pattern of one program) sit in adjacent rows, and ``y @ F`` runs once
+    per such run of rows, ``F`` broadcast over them: one copy of each
+    ``F``, not one per item. The ratio test's tie fold and the inverse
     update keep their per-item order and rows. What happens once per loop
     or once per ``_REFACTOR_EVERY`` pivots (the phases, refactorizations,
     certification) runs on the item's own core through the scalar code.
     """
 
-    _ROWS = ("F", "binv", "basis", "status", "xval", "x_b", "lb", "ub", "span", "cost",
+    _ROWS = ("pattern", "binv", "basis", "status", "xval", "x_b", "lb", "ub", "span", "cost",
              "iterations", "bland_switches", "bland", "degen")
 
-    def __init__(self, items, results, needed):
-        self.results, self.needed = results, needed
-        self.index = [k for k, *_ in items]
+    def __init__(self, items, results, cuts):
+        shared: dict[int, int] = {}  # id of each distinct F -> its index
+        for _, core, _, _ in items:
+            shared.setdefault(id(core.F), len(shared))
+        items = sorted(items, key=lambda item: shared[id(item[1].F)])
+        self.results, self.cuts = results, cuts
+        self.index = [pk for pk, *_ in items]  # (program, item) of each row
         self.cores = [core for _, core, _, _ in items]
         self.phases = [phases for _, _, phases, _ in items]
-        for name in ("F", "binv", "basis", "status", "xval", "lb", "ub"):
+        self.Fs = np.stack(list({id(core.F): core.F for core in self.cores}.values()))
+        self.pattern = np.array([shared[id(core.F)] for core in self.cores])
+        for name in ("binv", "basis", "status", "xval", "lb", "ub"):
             setattr(self, name, np.stack([getattr(core, name) for core in self.cores]))
         self.cost = np.stack([cost for *_, (cost, _) in items])
         self.cap = items[0][3][1]  # the same for every item of one shape
@@ -422,10 +492,13 @@ class _Lockstep:
         self._number_rows()
 
     def _number_rows(self) -> None:
-        """Flat offsets of each row in the (rows, m) and (rows, n) arrays."""
-        size, m, n = self.F.shape
+        """Flat offsets of each row in the (rows, m) and (rows, n) arrays,
+        and the runs of rows (F index, first row, end row) that share an F."""
+        size, m, n = *self.binv.shape[:2], self.cost.shape[1]
         self.ar = np.arange(size)
         self.row0, self.col0 = self.ar * m, self.ar * n
+        bounds = [0, *(np.flatnonzero(np.diff(self.pattern)) + 1).tolist(), size]
+        self.runs = [(int(self.pattern[a]), a, b) for a, b in zip(bounds, bounds[1:]) if a < b]
 
     def run(self) -> None:
         # No row has pivoted more often than the lockstep has stepped, so
@@ -446,7 +519,10 @@ class _Lockstep:
         row0, col0 = self.row0, self.col0
         at_basis = self.basis + col0[:, None]
         y = np.matmul(self.cost.take(at_basis)[:, None, :], self.binv)
-        rc = self.cost - np.matmul(y, self.F)[:, 0]
+        y_F = np.empty_like(self.cost)
+        for q, a, b in self.runs:
+            y_F[a:b] = np.matmul(y[a:b], self.Fs[q])[:, 0]
+        rc = self.cost - y_F
 
         signs = _SIGNS.take(self.status, axis=1)
         improving = np.maximum(rc * signs[0], rc * signs[1])
@@ -456,7 +532,7 @@ class _Lockstep:
         at_enter = col0 + enter
         done = ~(improving.take(at_enter) > _RC_TOL)
         sigma = np.where(rc.take(at_enter) < 0, 1.0, -1.0)
-        w = np.matmul(self.binv, self.F[self.ar, :, enter][:, :, None])[:, :, 0]
+        w = np.matmul(self.binv, self.Fs[self.pattern, :, enter][:, :, None])[:, :, 0]
 
         # The ratio test of every row. The scalar one works on Python floats,
         # which never warn. Its rate is -sigma * w; an infinite bound gives
@@ -548,7 +624,11 @@ class _Lockstep:
         old = rows[at_q]
         nz = np.flatnonzero(wq)
         item = nz // m
-        rows[(q * m)[item] + nz % m] -= wq.take(nz)[:, None] * old[item] / piv[item][:, None]
+        # (w * old) / piv, as the scalar update, in one gathered buffer.
+        change = old[item]
+        change *= wq.take(nz)[:, None]
+        change /= piv[item][:, None]
+        rows[(q * m)[item] + nz % m] -= change
         rows[at_q] = old / piv[:, None]
 
     def _refactor(self, r: int, exits) -> None:
@@ -565,11 +645,13 @@ class _Lockstep:
     def _settle(self, exits: dict) -> None:
         """End the pivot loop of each row in ``exits`` with its outcome: hand
         it to the item's phases, then start their next loop or keep their
-        result. Finished rows, and rows past what ``needed`` asks for, go."""
+        result. Finished rows, and rows past what their program's cut asks
+        for, go."""
         gone = []
         for r, outcome in exits.items():
+            p, k = self.index[r]
             if not isinstance(outcome, str):
-                self.results[self.index[r]] = outcome
+                self.results[p][k] = outcome
                 gone.append(r)
                 continue
             self.xval[r, self.basis[r]] = self.x_b[r]
@@ -581,10 +663,10 @@ class _Lockstep:
             try:
                 cost, _ = self.phases[r].send(outcome)
             except StopIteration as stop:
-                self.results[self.index[r]] = stop.value
+                self.results[p][k] = stop.value
                 gone.append(r)
             except NumericalError as exc:
-                self.results[self.index[r]] = exc
+                self.results[p][k] = exc
                 gone.append(r)
             else:
                 # The next loop starts from the core, as optimize does.
@@ -593,9 +675,10 @@ class _Lockstep:
                 self.span[r] = _span(core.lb, core.ub)
                 self.x_b[r] = self.xval[r, self.basis[r]]
                 self.bland[r], self.degen[r] = False, 0
-        if self.needed is not None and gone:
-            limit = self.needed(self.results)
-            gone += [r for r, k in enumerate(self.index) if k >= limit]
+        for p in {self.index[r][0] for r in gone}:
+            if self.cuts[p] is not None:
+                limit = self.cuts[p](self.results[p])
+                gone += [r for r, (q, k) in enumerate(self.index) if q == p and k >= limit]
         if gone:
             keep = np.ones(len(self.index), dtype=bool)
             keep[gone] = False

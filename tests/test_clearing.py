@@ -269,17 +269,22 @@ def test_optimal_pricing_reproduces_benchmark_on_benign_case():
 # Pinned-interface clearing (the aggregation building block)
 # ---------------------------------------------------------------------------
 
+def _pins(case, m, flows):
+    """DSO ``m``'s pinned clearings at ``flows``, solved on their own."""
+    return clear_dso_fixed_interface(case, {m: flows})[m]
+
+
 def test_fixed_interface_steps_match_oracle(m1_wide):
     expected = {2.0: 160.0, 4.0: 80.0, 6.0: 0.0}
     for zhat, want in expected.items():
         best, _ = dso_grid_oracle(m1_wide, 1, 0.0, 0.1, z_fixed=zhat)
         assert best == pytest.approx(want, abs=1e-6)
-        [(res, dual)] = clear_dso_fixed_interface(m1_wide, 1, [zhat])
+        [(res, dual)] = _pins(m1_wide, 1, [zhat])
         assert res.objective == pytest.approx(want, abs=1e-7)
     # Steps outside the reachable import range are infeasible.
-    [(res, _)] = clear_dso_fixed_interface(m1_wide, 1, [8.0])
+    [(res, _)] = _pins(m1_wide, 1, [8.0])
     assert res.status == "infeasible"
-    [(res, _)] = clear_dso_fixed_interface(m1_wide, 1, [0.0])
+    [(res, _)] = _pins(m1_wide, 1, [0.0])
     assert res.status == "infeasible"
 
 
@@ -289,7 +294,7 @@ def _pinned_grid():
     case = generate_case(CaseRecipe(style="C", n_dsos=1, dso_buses=15), 0)
     dso = case.dso(1)
     flows = list(np.linspace(dso.z_min - 2.0, dso.z_max + 2.0, 13))
-    single = [clear_dso_fixed_interface(case, 1, [z])[0] for z in flows]
+    single = [_pins(case, 1, [z])[0] for z in flows]
     statuses = [r.status for r, _ in single]
     edge = next(i for i in range(1, len(flows))
                 if statuses[i] == "infeasible" and "optimal" in statuses[:i])
@@ -301,7 +306,7 @@ def test_repinned_solves_equal_single_flow_solves():
     # program per flow gives, up to and including the first infeasible pin
     # after an optimal one.
     case, flows, single, edge = _pinned_grid()
-    batch = clear_dso_fixed_interface(case, 1, flows)
+    batch = _pins(case, 1, flows)
     assert repr(batch[:edge + 1]) == repr(single[:edge + 1])
     assert {r.status for r, _ in batch[:edge + 1]} == {"optimal", "infeasible"}
 
@@ -311,18 +316,18 @@ def test_pins_past_the_edge_of_the_feasible_interval_are_infeasible_unsolved():
     # after an optimal one, every pin is returned infeasible unsolved.
     case, flows, single, edge = _pinned_grid()
     assert edge < len(flows) - 1
-    batch = clear_dso_fixed_interface(case, 1, flows)
+    batch = _pins(case, 1, flows)
     for (res, dual), (alone, _) in zip(batch[edge + 1:], single[edge + 1:]):
         assert res.status == alone.status == "infeasible" and res.iterations == 0
         assert np.isnan(res.objective) and np.isnan(dual)
     with pytest.raises(ContractError, match="strictly ascending"):
-        clear_dso_fixed_interface(case, 1, flows[::-1])
+        _pins(case, 1, flows[::-1])
     with pytest.raises(ContractError, match="strictly ascending"):
-        clear_dso_fixed_interface(case, 1, [flows[0], flows[0]])
+        _pins(case, 1, [flows[0], flows[0]])
 
 
 def test_a_nan_flow_is_rejected():
     case = generate_case(CaseRecipe(style="B"), 1)
     for flows in ([math.nan], [0.0, math.nan]):
         with pytest.raises(ContractError):
-            clear_dso_fixed_interface(case, 1, flows)
+            _pins(case, 1, flows)

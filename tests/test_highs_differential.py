@@ -4,7 +4,7 @@ Every program ``solve_lp`` receives while the methods run on one Recipe B
 2x7 and one 4x15 case, and while the common market of one 8x30 case is
 cleared, is snapshot at call time and solved again by
 ``scipy.optimize.linprog``; so is every item ``solve_lp_batch`` solves,
-under its own row bounds. Statuses
+of every program in a call, under its own row bounds. Statuses
 must match and objectives agree within 1e-7 relative. Duals are not
 unique under degeneracy, so they are checked by what an optimal dual must
 satisfy, not entry by entry: reduced costs equal ``c - A'y``, and every
@@ -49,12 +49,13 @@ def corpus(tmp_path_factory):
         programs.append((label, _snapshot(lp, sol)))
         return sol
 
-    def recorded_batch(lp, row_lo, row_hi, needed=None):
-        solved = original_batch(lp, row_lo, row_hi, needed)
-        for lo, hi, sol in zip(row_lo, row_hi, solved):
-            if sol is not None:
-                programs.append((label, {**_snapshot(lp, sol), "row_lo": np.array(lo),
-                                         "row_hi": np.array(hi)}))
+    def recorded_batch(batches):
+        solved = original_batch(batches)
+        for (lp, row_lo, row_hi, *_), results in zip(batches, solved):
+            for lo, hi, sol in zip(row_lo, row_hi, results):
+                if sol is not None:
+                    programs.append((label, {**_snapshot(lp, sol), "row_lo": np.array(lo),
+                                             "row_hi": np.array(hi)}))
         return solved
 
     mp = pytest.MonkeyPatch()

@@ -1,7 +1,8 @@
 """Lockstep solves: ``solve_lp_batch`` gives every item the Solution
-``solve_lp`` gives the same program, bit for bit, counters included, and
-``clear_dso_fixed_interface`` gives what solving a fresh program per flow,
-one flow at a time, gives."""
+``solve_lp`` gives the same program, bit for bit, counters included,
+whatever other programs share its batch, and ``clear_dso_fixed_interface``
+gives each DSO what solving a fresh program per flow, one DSO and one flow
+at a time, gives."""
 
 import csv
 import importlib.util
@@ -13,10 +14,11 @@ import numpy as np
 import pytest
 
 import flexmkt.clearing as clearing
+import flexmkt.forwarding as forwarding
 from flexmkt.casegen import CaseRecipe, generate_case
 from flexmkt.cli import ExperimentConfig, run_experiment
 from flexmkt.errors import NumericalError
-from flexmkt.mp_solver import INF, LinearProgram, simplex, solve_lp, solve_lp_batch
+from flexmkt.mp_solver import INF, LinearProgram, Solution, simplex, solve_lp, solve_lp_batch
 
 # ---------------------------------------------------------------------------
 # The assumption: a stacked matmul runs the 2-D call's BLAS routine per item
@@ -33,8 +35,9 @@ def test_stacked_matmul_equals_the_per_item_calls_byte_for_byte(seed):
     # with each item's own F (vector-matrix), and B^-1 @ F[:, j], where the
     # scalar loop reads a strided column and the lockstep a gathered one
     # (matrix-vector). Items leave the stack as they finish, so compacted
-    # sub-stacks must hold it too. A numpy or BLAS build that sums a
-    # stacked product in another order fails here first.
+    # sub-stacks must hold it too; items of several programs share one
+    # stack. A numpy or BLAS build that sums a stacked product in another
+    # order fails here first.
     rng = np.random.default_rng(seed)
     for _ in range(60):
         size, m = int(rng.integers(1, 30)), int(rng.integers(2, 60))
@@ -53,6 +56,13 @@ def test_stacked_matmul_equals_the_per_item_calls_byte_for_byte(seed):
                 assert _same(y[k, 0], cs[k] @ bs[k])
                 assert _same(yF[k], y[k, 0] @ Fs[k])
                 assert _same(w[k], bs[k] @ Fs[k][:, es[k]])
+        # Items that share one F (one artificial pattern): y @ F on a run
+        # of rows, with F broadcast over them.
+        y = np.matmul(c_b[:, None, :], binv)
+        a, b = sorted(rng.integers(0, size + 1, size=2))
+        yF = np.matmul(y[a:b], F[0])[:, 0]
+        for k in range(a, b):
+            assert _same(yF[k - a], y[k, 0] @ F[0])
 
 
 # ---------------------------------------------------------------------------
@@ -150,11 +160,13 @@ def _degenerate_program(bounded: bool) -> LinearProgram:
 
 
 def _check_batches(batches) -> list:
-    """Solve each (program, lo, hi) batch in lockstep and alone; returns the
-    lockstep results after asserting they equal the lone solves."""
+    """Solve the (program, lo, hi) batches in one call, in lockstep, and
+    each item alone; returns the lockstep results in batch order after
+    asserting they equal the lone solves."""
+    solved = solve_lp_batch(batches)
+    assert len(solved) == len(batches)
     out = []
-    for program, lo, hi in batches:
-        got = solve_lp_batch(program, lo, hi)
+    for (program, lo, hi), got in zip(batches, solved):
         assert len(got) == len(lo)
         for k, result in enumerate(got):
             assert _bits(result) == _bits(_alone(program, lo[k], hi[k])), k
@@ -240,13 +252,91 @@ def test_needed_drops_the_items_past_it(every_batch_in_lockstep):
     rng = np.random.default_rng(2)
     program = _degenerate_program(False)
     _, lo, hi = _pinned_batch(program, rng, 12, 3.0)
-    got = solve_lp_batch(program, lo, hi, first_optimal)
+    [got] = solve_lp_batch([(program, lo, hi, first_optimal)])
     stop = first_optimal(got)
     assert 0 < stop < len(got)
     assert any(r is None for r in got[stop:])
     for k, result in enumerate(got):
         if k < stop or result is not None:
             assert _bits(result) == _bits(_alone(program, lo[k], hi[k]))
+
+
+def _shaped_program(rng, n, m) -> LinearProgram:
+    """``n`` variables in [0, 5] and ``m`` rows ``a x >= b`` with positive
+    ``a`` and ``b``, each violated at the start: a phase-1 shape of m rows
+    and n + 2m columns, whatever the drawn matrix."""
+    lp = LinearProgram()
+    for j in range(n):
+        lp.add_variable(f"x{j}", 0.0, 5.0, cost=float(rng.normal()))
+    x0 = rng.uniform(0.5, 4.5, size=n)
+    for _ in range(m):
+        a = rng.uniform(0.1, 2.0, size=n)
+        lp.add_range({j: float(a[j]) for j in range(n)}, 0.8 * float(a @ x0), INF)
+    return lp
+
+
+def _shaped_batch(rng, n, m, size):
+    """A shaped program with its first row pinned at ``size`` values from
+    1 to 60, past its reach at the top."""
+    program = _shaped_program(rng, n, m)
+    lo, hi = np.tile(program.row_lo, (size, 1)), np.tile(program.row_hi, (size, 1))
+    lo[:, 0] = hi[:, 0] = np.linspace(1.0, 60.0, size)
+    return program, lo, hi
+
+
+@pytest.fixture
+def locksteps(monkeypatch):
+    """Each lockstep built, as the (program, item) pairs and shape of its
+    rows; every batch of one shape pivots in lockstep."""
+    built = []
+
+    class Recording(simplex._Lockstep):
+        def __init__(self, items, *args):
+            built.append(([pk for pk, *_ in items], {core.F.shape for _, core, *_ in items}))
+            super().__init__(items, *args)
+
+    monkeypatch.setattr(simplex, "_LOCKSTEP_MIN", 1)
+    monkeypatch.setattr(simplex, "_Lockstep", Recording)
+    return built
+
+
+def test_programs_of_one_shape_pivot_in_one_lockstep(locksteps):
+    # Five programs with different matrices and one shape, each re-pinned
+    # with its own cut: one lockstep runs all their items, and each item is
+    # solve_lp's Solution byte for byte.
+    rng = np.random.default_rng(8)
+    batches = [_shaped_batch(rng, 9, 6, 7) for _ in range(5)]
+    got = _check_batches(batches)
+    assert len(locksteps) == 1
+    pairs, shapes = locksteps[0]
+    assert sorted(pairs) == [(p, k) for p in range(5) for k in range(7)]
+    assert shapes == {(6, 9 + 12)}
+    assert {r.status for r in got} >= {"optimal", "infeasible"}
+
+    def up_to_first_finished(results):
+        return next((k + 1 for k, r in enumerate(results) if r is not None), len(results))
+
+    # Each program's cut drops its own unfinished items, and only its own.
+    locksteps.clear()
+    solved = solve_lp_batch([(program, lo, hi, up_to_first_finished)
+                             for program, lo, hi in batches])
+    assert len(locksteps) == 1
+    for (program, lo, hi), results in zip(batches, solved):
+        stop = up_to_first_finished(results)
+        assert any(r is None for r in results[stop:])
+        for k, result in enumerate(results):
+            if k < stop or result is not None:
+                assert _bits(result) == _bits(_alone(program, lo[k], hi[k]))
+
+
+def test_programs_with_other_row_counts_are_never_stacked(locksteps):
+    # 10 + 2 x 6 and 8 + 2 x 7 columns: equal column counts, 6 and 7 rows.
+    rng = np.random.default_rng(9)
+    batches = [_shaped_batch(rng, n, m, 5) for n, m in ((10, 6), (8, 7), (10, 6))]
+    _check_batches(batches)
+    assert sorted(shapes.pop() for _, shapes in locksteps) == [(6, 22), (7, 22)]
+    for pairs, _ in locksteps:
+        assert {p for p, _ in pairs} in ({0, 2}, {1})
 
 
 # ---------------------------------------------------------------------------
@@ -287,18 +377,19 @@ def _one_at_a_time(case, m, flows):
 
 def test_every_pin_batch_of_the_workloads_equals_one_at_a_time(monkeypatch, tmp_path):
     workloads = _workloads(monkeypatch)
-    batches, items = [], []
+    calls, items = [], []
     original, original_batch = clearing.clear_dso_fixed_interface, clearing.solve_lp_batch
 
-    def pinned(case, m, flows):
-        out = original(case, m, flows)
-        batches.append((case, m, list(flows), out))
+    def pinned(case, flows):
+        out = original(case, flows)
+        calls.append((case, {m: list(zs) for m, zs in flows.items()}, out))
         return out
 
-    def batch(program, lo, hi, needed=None):
-        got = original_batch(program, lo, hi, needed)
-        items.extend((program, lo[k], hi[k], r) for k, r in enumerate(got) if r is not None)
-        return got
+    def batch(batches):
+        solved = original_batch(batches)
+        for (program, lo, hi, *_), got in zip(batches, solved):
+            items.extend((program, lo[k], hi[k], r) for k, r in enumerate(got) if r is not None)
+        return solved
 
     monkeypatch.setattr(clearing, "clear_dso_fixed_interface", pinned)
     monkeypatch.setattr(clearing, "solve_lp_batch", batch)
@@ -309,10 +400,13 @@ def test_every_pin_batch_of_the_workloads_equals_one_at_a_time(monkeypatch, tmp_
                 run_experiment(config)
     monkeypatch.undo()
 
-    assert max(len(flows) for _, _, flows, _ in batches) >= simplex._LOCKSTEP_MIN
-    for case, m, flows, out in batches:
-        alone = _one_at_a_time(case, m, flows)
-        assert repr(out) == repr(alone), (case.name, m)
+    # Rounds of several DSOs, enough pins in one call for a lockstep.
+    assert max(len(flows) for _, flows, _ in calls) > 1
+    assert max(sum(map(len, flows.values())) for _, flows, _ in calls) >= simplex._LOCKSTEP_MIN
+    for case, flows, out in calls:
+        assert list(out) == list(flows)
+        for m, zs in flows.items():
+            assert repr(out[m]) == repr(_one_at_a_time(case, m, zs)), (case.name, m)
     for program, lo, hi, result in items:
         assert _bits(result) == _bits(_alone(program, lo, hi))
 
@@ -373,7 +467,7 @@ def test_pinned_flows_raise_the_first_error_a_run_one_at_a_time_meets(monkeypatc
         with monkeypatch.context() as mp:
             mp.setattr(simplex, name, replacement)
             want = _outcome(lambda: _one_at_a_time(case, 1, flows))
-            got = _outcome(lambda: clearing.clear_dso_fixed_interface(case, 1, flows))
+            got = clearing.clear_dso_fixed_interface(case, {1: flows})[1]
         assert isinstance(got, NumericalError) and str(got) == str(want) == message
 
 
@@ -392,18 +486,18 @@ def test_errors_past_the_edge_of_the_feasible_flows_are_not_raised(monkeypatch, 
         return solution
 
     monkeypatch.setattr(simplex, "_phases", failing)
-    with pytest.raises(NumericalError, match="past the edge"):
-        clearing.clear_dso_fixed_interface(case, 1, [flows[edge + 1]])
+    alone = clearing.clear_dso_fixed_interface(case, {1: [flows[edge + 1]]})[1]
+    assert isinstance(alone, NumericalError) and str(alone) == "past the edge"
     errors = []
     batch = clearing.solve_lp_batch
 
-    def recording(*args):
-        solved = batch(*args)
-        errors.extend(r for r in solved if isinstance(r, NumericalError))
+    def recording(batches):
+        solved = batch(batches)
+        errors.extend(r for got in solved for r in got if isinstance(r, NumericalError))
         return solved
 
     monkeypatch.setattr(clearing, "solve_lp_batch", recording)
-    assert repr(clearing.clear_dso_fixed_interface(case, 1, flows)) == repr(plain)
+    assert repr(clearing.clear_dso_fixed_interface(case, {1: flows})[1]) == repr(plain)
     # A lockstep runs the pins past the edge until the edge is known, and
     # they finish first; one at a time, they are never started.
     assert bool(errors) == (lockstep_min == 1)
@@ -426,3 +520,72 @@ def test_run_experiment_turns_a_pinned_flow_error_into_an_error_row(monkeypatch,
         rows = [(r["method"], r["status"]) for r in csv.DictReader(fh)]
     assert rows == [("aggregation_primal", "error: simplex iteration cap exceeded"),
                     ("three_layer", "ok")]
+
+
+def _rows(path):
+    """The (method, status, ...) fields of each results.csv row, wall_ms
+    left out."""
+    with open(path, newline="", encoding="utf-8") as fh:
+        return [{k: v for k, v in row.items() if k != "wall_ms"} for row in csv.DictReader(fh)]
+
+
+@_MODES
+def test_a_merged_round_keeps_the_dso_by_dso_order(monkeypatch, tmp_path, lockstep_min):
+    # Two DSOs of one shape, whose pins a round solves in one call. A DSO
+    # set to fail makes every pin of it raise or come back infeasible; the
+    # outcome is what pinning one DSO after the other gives.
+    monkeypatch.setattr(simplex, "_LOCKSTEP_MIN", lockstep_min)
+    case = generate_case(CaseRecipe(style="C", n_dsos=2, dso_buses=15), 0)
+    owner = {}
+    for m in case.dso_indices:
+        prog = clearing._CaseProgram(case)
+        prog.add_z(m, -INF, INF, 0.0)
+        prog.add_system(m)
+        owner[np.array(prog.lp.var_cost).tobytes()] = m
+    assert len(owner) == 2
+    fails: dict[int, str] = {}
+    phases = simplex._phases
+
+    def failing(core):
+        solution = yield from phases(core)
+        m = owner.get(core.cost[:core.n_struct].tobytes())  # None: not a pinned program
+        if fails.get(m) == "error":
+            raise NumericalError(f"DSO {m}")
+        if fails.get(m) == "infeasible":
+            return Solution.non_optimal("infeasible", **core.counters())
+        return solution
+
+    monkeypatch.setattr(simplex, "_phases", failing)
+    calls = []
+    pinned = clearing.clear_dso_fixed_interface
+
+    def recording(case, flows):
+        calls.append(sorted(flows))
+        return pinned(case, flows)
+
+    monkeypatch.setattr(clearing, "clear_dso_fixed_interface", recording)
+
+    def run(merged: bool):
+        with monkeypatch.context() as mp:
+            if not merged:
+                pin = clearing.CaseClearings.pin
+                mp.setattr(clearing.CaseClearings, "pin", lambda self, flows: [
+                    pin(self, {m: zs}) for m, zs in flows.items()])
+            path = run_experiment(ExperimentConfig(
+                cases=((case.name, 0, case),), methods=("aggregation_primal",),
+                pricings=("none",), deltas=(4.0,), out_dir=str(tmp_path / str(merged))))
+        return _rows(path)
+
+    fails.update({1: "error", 2: "error"})
+    with pytest.raises(NumericalError, match="^DSO 1$"):
+        forwarding.run_bid_aggregation(case, 4.0)
+    assert calls == [[1, 2]]
+    merged = run(True)
+    assert [row["status"] for row in merged] == ["error: DSO 1"]
+    assert merged == run(False)
+
+    fails.update({1: "infeasible"})
+    assert forwarding.run_bid_aggregation(case, 4.0).status == "rsf_infeasible"
+    merged = run(True)
+    assert [row["status"] for row in merged] == ["rsf_infeasible"]
+    assert merged == run(False)

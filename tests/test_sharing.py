@@ -85,7 +85,7 @@ def test_run_experiment_solves_each_shared_program_once(monkeypatch, tmp_path):
     # One practical Layer 2 per pricing rule serves three_layer and
     # sequential_raw; filtering clears its own capped one.
     assert len(layer2) == 2 * len(PRICINGS)
-    pins = Counter((m, z) for _, m, flows in pinned for z in flows)
+    pins = Counter((m, z) for _, flows in pinned for m, zs in flows.items() for z in zs)
     assert pins and set(pins.values()) == {1}
     # One TSO MILP per variant, step size and round, whatever the pricing
     # rule: 2 variants x 1 step size x 2 rounds, not 3 rows x 2 rounds each.
@@ -126,16 +126,18 @@ def fingerprint(lp, groups=()) -> str:
 
 def recording_batch(monkeypatch, module, seen: Counter) -> None:
     """Rebind ``module.solve_lp_batch`` to count in ``seen`` the fingerprint
-    of each item it solves: the program under that item's row bounds."""
+    of each item it solves, of every program in the call: the program under
+    that item's row bounds."""
     original = module.solve_lp_batch
 
-    def batch(program, row_lo, row_hi, needed=None):
-        solved = original(program, row_lo, row_hi, needed)
-        for lo, hi, sol in zip(row_lo, row_hi, solved):
-            if sol is not None:
-                item = copy.copy(program)
-                item.row_lo, item.row_hi = lo.tolist(), hi.tolist()
-                seen[fingerprint(item)] += 1
+    def batch(batches):
+        solved = original(batches)
+        for (program, row_lo, row_hi, *_), results in zip(batches, solved):
+            for lo, hi, sol in zip(row_lo, row_hi, results):
+                if sol is not None:
+                    item = copy.copy(program)
+                    item.row_lo, item.row_hi = lo.tolist(), hi.tolist()
+                    seen[fingerprint(item)] += 1
         return solved
 
     monkeypatch.setattr(module, "solve_lp_batch", batch)
@@ -220,7 +222,7 @@ def test_every_pin_skipped_past_the_feasible_interval_is_infeasible():
             if key[0] != "pin" or res.status == "optimal" or res.iterations:
                 continue
             _, m, z = key
-            [(alone, _)] = clear_dso_fixed_interface(case, m, [float.fromhex(z)])
+            [(alone, _)] = clear_dso_fixed_interface(case, {m: [float.fromhex(z)]})[m]
             assert alone.status == "infeasible", (case.name, m, z)
             skipped += 1
     assert skipped > 0
