@@ -277,69 +277,41 @@ def clear_dso_layer1(case: MarketCase, m: int, pricing: PricingRule) -> Clearing
 
 
 def clear_dso_fixed_interface(case: MarketCase, flows: dict[int, list[float]]
-                              ) -> dict[int, list[tuple[ClearingResult, float]] | NumericalError]:
+                              ) -> dict[int, list[tuple[ClearingResult, float] | NumericalError]]:
     """Layer-1 problem of each DSO ``m`` in ``flows`` with a zero interface
     price and the interface bound replaced by a pinned flow, solved for
-    each of ``flows[m]``, which must be strictly ascending.
+    each of ``flows[m]``.
 
     Each DSO's program is built once, and one ``solve_lp_batch`` call
-    solves the pins of every DSO, each as a solve of its program pinned
-    there alone would. Returns per DSO one (clearing, pin dual) pair per
-    flow, or the first error such solves of that DSO, in order, would
-    reach. The dual is the local marginal value of one more MW of import
-    (the subgradient the dual-price residual supply function accumulates),
-    NaN when the pin is infeasible.
-
-    The feasible flows of a DSO form an interval, the projection of a
-    polyhedron onto one coordinate. So every flow after the first
-    infeasible pin that follows an optimal one is returned infeasible (no
-    iterations, NaN dual) without a solve, or with its solve dropped.
+    solves the pins of every DSO. Returns per DSO one entry per flow: what
+    solving its program pinned at that flow alone gives, the (clearing,
+    pin dual) pair or the ``NumericalError`` the solve raised. The dual is
+    the local marginal value of one more MW of import (the subgradient the
+    dual-price residual supply function accumulates), NaN when the pin is
+    not optimal.
     """
-    programs, batches = {}, []
+    programs, batches = [], []
     for m, zs in flows.items():
-        zs = [float(z) for z in zs]
-        if any(not a < b for a, b in zip(zs, zs[1:])):
-            raise ContractError("pinned flows must be strictly ascending")
-        if not zs:
-            continue
         prog = _CaseProgram(case)
         prog.add_z(m, -INF, INF, 0.0)
         prog.add_system(m)
-        pin_row = prog.pin_z(m, zs[0])
+        # The batch's row bounds pin the flow at each of zs.
+        pin_row = prog.pin_z(m, 0.0)
         row_lo, row_hi = (np.tile(bounds, (len(zs), 1)) for bounds in (prog.lp.row_lo, prog.lp.row_hi))
         row_lo[:, pin_row] = row_hi[:, pin_row] = zs
-        programs[m] = prog, pin_row
-        batches.append((prog.lp, row_lo, row_hi, _reached))
-    solved = dict(zip(programs, solve_lp_batch(batches)))
-    return {m: _dso_pins(*programs[m], solved[m]) if m in programs else [] for m in flows}
+        programs.append((m, prog, pin_row))
+        batches.append((prog.lp, row_lo, row_hi))
+    return {m: [_pin_entry(prog, pin_row, sol) for sol in solved]
+            for (m, prog, pin_row), solved in zip(programs, solve_lp_batch(batches))}
 
 
-def _dso_pins(prog: _CaseProgram, pin_row: int, solved: list
-              ) -> list[tuple[ClearingResult, float]] | NumericalError:
-    """One DSO's (clearing, pin dual) pairs from its batch's solves, or the
-    first error a run one pin at a time reaches."""
-    out = []
-    for sol in solved[:_reached(solved)]:
-        if not isinstance(sol, Solution):
-            return sol
-        dual = float(sol.duals[pin_row]) if sol.status == "optimal" else float("nan")
-        out.append((prog.extract(sol), dual))
-    out += [(ClearingResult(status="infeasible", objective=float("nan")), float("nan"))
-            for _ in solved[len(out):]]
-    return out
-
-
-def _reached(solved: list) -> int:
-    """How many pins of an ascending grid a one-at-a-time run reaches, given
-    the solves so far (None where unfinished): it stops at its first error,
-    and after its first infeasible pin that follows an optimal one."""
-    optimal = False
-    for k, sol in enumerate(solved):
-        if isinstance(sol, Exception) or (optimal and sol is not None
-                                          and sol.status == "infeasible"):
-            return k + 1
-        optimal = optimal or (sol is not None and sol.status == "optimal")
-    return len(solved)
+def _pin_entry(prog: _CaseProgram, pin_row: int, sol: Solution | NumericalError
+               ) -> tuple[ClearingResult, float] | NumericalError:
+    """One pin's (clearing, pin dual) pair from its solve, or its error."""
+    if not isinstance(sol, Solution):
+        return sol
+    dual = float(sol.duals[pin_row]) if sol.status == "optimal" else float("nan")
+    return prog.extract(sol), dual
 
 
 # ---------------------------------------------------------------------------
@@ -477,35 +449,33 @@ class CaseClearings:
 
     def pin(self, flows: dict[int, list[float]]) -> None:
         """Solve, in one :func:`clear_dso_fixed_interface` call, the flows
-        of each DSO ``m`` in ``flows`` (strictly ascending) not pinned
-        before, each DSO stopping at the edge of its feasible interval. A
-        DSO whose pins fail keeps its error, which :meth:`pinned` raises."""
+        of each DSO ``m`` in ``flows`` not pinned before. Each pin keeps
+        its own entry, the error its solve raised included, which
+        :meth:`pinned` raises."""
         new = {}
         for m, zs in flows.items():
             keys = {("pin", m, _exact(z)): float(z) for z in zs}
             fresh = {k: z for k, z in keys.items() if k not in self._solved}
-            if fresh and ("pin_error", m, tuple(fresh)) not in self._solved:
+            if fresh:
                 new[m] = fresh
         if not new:
             return
         solved = clear_dso_fixed_interface(self.case, {m: list(f.values()) for m, f in new.items()})
         for m, fresh in new.items():
-            if isinstance(solved[m], Exception):
-                self._solved[("pin_error", m, tuple(fresh))] = solved[m]
-            else:
-                self._solved.update(zip(fresh, solved[m]))
+            self._solved.update(zip(fresh, solved[m]))
 
     def pinned(self, m: int, flows) -> list[tuple[ClearingResult, float]]:
-        """DSO ``m``'s pinned clearing for each of the strictly ascending
-        ``flows``, those not pinned before solved through :meth:`pin`; the
-        error a run one pin at a time would reach if they fail."""
+        """DSO ``m``'s pinned clearing for each of ``flows``, those not
+        pinned before solved through :meth:`pin`; raises the first error
+        among them, in flow order."""
         keys = [("pin", m, _exact(z)) for z in flows]
         if any(k not in self._solved for k in keys):
             self.pin({m: flows})
-            fresh = tuple(k for k in keys if k not in self._solved)
-            if fresh:
-                raise self._solved[("pin_error", m, fresh)]
-        return [self._solved[k] for k in keys]
+        entries = [self._solved[k] for k in keys]
+        for entry in entries:
+            if isinstance(entry, Exception):
+                raise entry
+        return entries
 
 
 # ---------------------------------------------------------------------------

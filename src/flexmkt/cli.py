@@ -255,6 +255,8 @@ def cmd_check(args) -> int:
     cases = _case_files(args.case)
     for seed in _parse_seeds(args.seed):
         cases.append(generate_case(_recipe(args, styles[seed % len(styles)]), seed))
+    if not cases:
+        raise ContractError("no cases: pass --case files and/or --recipe with --seed")
     for case in cases:
         clearings = CaseClearings(case, clear_common(case))
         if clearings.common.status != "optimal":

@@ -400,30 +400,22 @@ def _run(core: _Core, phases, request) -> Solution:
         return done.value
 
 
-def solve_lp_batch(batches) -> list[list[Solution | NumericalError | None]]:
+def solve_lp_batch(batches) -> list[list[Solution | NumericalError]]:
     """``solve_lp`` of each of several programs under each pair of
     row-bound vectors given for it, bit for bit, with each program's
     ``[A | -I]`` built once. ``batches`` holds one ``(program, row_lo,
-    row_hi)`` or ``(program, row_lo, row_hi, needed)`` tuple per program;
-    the result is one list per program, one entry per pair of vectors.
+    row_hi)`` tuple per program; the result is one list per program, one
+    entry per pair of vectors.
 
     Items whose phase-1 programs have the same shape (rows and columns,
     artificials included) pivot in lockstep when there are at least
     ``_LOCKSTEP_MIN`` of them, whatever their program, and one at a time
     otherwise. A solve that raises ``NumericalError`` gives that error in
     its place.
-
-    ``needed(results)``, if given, returns how many leading items of its
-    program still matter, from that program's results so far (None for an
-    item not finished); it may only shrink as results come in. The items
-    past that count are dropped unsolved and come back None, unless they
-    finished first.
     """
     results: list[list] = []
-    cuts: list = []
     groups: dict[tuple[int, int], list] = {}
-    for p, (program, row_lo, row_hi, *cut) in enumerate(batches):
-        cuts.append(cut[0] if cut else None)
+    for p, (program, row_lo, row_hi) in enumerate(batches):
         cores = _start(_Form(program), row_lo, row_hi)
         results.append([None] * len(cores))
         for k, core in enumerate(cores):
@@ -433,11 +425,10 @@ def solve_lp_batch(batches) -> list[list[Solution | NumericalError | None]]:
     for (m, _), items in groups.items():
         # The lockstep ratio test needs two rows to compare steps.
         if m > 1 and len(items) >= _LOCKSTEP_MIN:
-            _Lockstep(items, results, cuts).run()
+            _Lockstep(items, results).run()
             continue
         for (p, k), core, phases, request in items:
-            if cuts[p] is None or k < cuts[p](results[p]):
-                results[p][k] = _alone(core, phases, request)
+            results[p][k] = _alone(core, phases, request)
     return results
 
 
@@ -470,12 +461,12 @@ class _Lockstep:
     _ROWS = ("pattern", "binv", "basis", "status", "xval", "x_b", "lb", "ub", "span", "cost",
              "iterations", "bland_switches", "bland", "degen")
 
-    def __init__(self, items, results, cuts):
+    def __init__(self, items, results):
         shared: dict[int, int] = {}  # id of each distinct F -> its index
         for _, core, _, _ in items:
             shared.setdefault(id(core.F), len(shared))
         items = sorted(items, key=lambda item: shared[id(item[1].F)])
-        self.results, self.cuts = results, cuts
+        self.results = results
         self.index = [pk for pk, *_ in items]  # (program, item) of each row
         self.cores = [core for _, core, _, _ in items]
         self.phases = [phases for _, _, phases, _ in items]
@@ -645,8 +636,7 @@ class _Lockstep:
     def _settle(self, exits: dict) -> None:
         """End the pivot loop of each row in ``exits`` with its outcome: hand
         it to the item's phases, then start their next loop or keep their
-        result. Finished rows, and rows past what their program's cut asks
-        for, go."""
+        result. Finished rows go."""
         gone = []
         for r, outcome in exits.items():
             p, k = self.index[r]
@@ -675,10 +665,6 @@ class _Lockstep:
                 self.span[r] = _span(core.lb, core.ub)
                 self.x_b[r] = self.xval[r, self.basis[r]]
                 self.bland[r], self.degen[r] = False, 0
-        for p in {self.index[r][0] for r in gone}:
-            if self.cuts[p] is not None:
-                limit = self.cuts[p](self.results[p])
-                gone += [r for r, (q, k) in enumerate(self.index) if q == p and k >= limit]
         if gone:
             keep = np.ones(len(self.index), dtype=bool)
             keep[gone] = False

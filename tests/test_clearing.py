@@ -16,6 +16,7 @@ from flexmkt.clearing import (ClearingResult, clear_common,
                               clear_tso_layer2, interface_price)
 from flexmkt.errors import ContractError
 from flexmkt.market_model import Bid, MarketCase
+from flexmkt.mp_solver import simplex
 
 from conftest import dso_grid_oracle, layer2_grid_oracle, micro_case
 
@@ -288,42 +289,21 @@ def test_fixed_interface_steps_match_oracle(m1_wide):
     assert res.status == "infeasible"
 
 
-def _pinned_grid():
-    """A Recipe C DSO, its flows from 2 MW below its interface bounds to 2
-    MW above them, and each flow's clearing on a program of its own."""
+def test_repinned_solves_equal_single_flow_solves(monkeypatch):
+    # One program pinned at each flow gives exactly what a fresh program
+    # per flow gives, the pins past the edge of the feasible flows
+    # included, in lockstep and one at a time.
     case = generate_case(CaseRecipe(style="C", n_dsos=1, dso_buses=15), 0)
     dso = case.dso(1)
     flows = list(np.linspace(dso.z_min - 2.0, dso.z_max + 2.0, 13))
     single = [_pins(case, 1, [z])[0] for z in flows]
     statuses = [r.status for r, _ in single]
-    edge = next(i for i in range(1, len(flows))
-                if statuses[i] == "infeasible" and "optimal" in statuses[:i])
-    return case, flows, single, edge
-
-
-def test_repinned_solves_equal_single_flow_solves():
-    # One program pinned at each ascending flow gives exactly what a fresh
-    # program per flow gives, up to and including the first infeasible pin
-    # after an optimal one.
-    case, flows, single, edge = _pinned_grid()
-    batch = _pins(case, 1, flows)
-    assert repr(batch[:edge + 1]) == repr(single[:edge + 1])
-    assert {r.status for r, _ in batch[:edge + 1]} == {"optimal", "infeasible"}
-
-
-def test_pins_past_the_edge_of_the_feasible_interval_are_infeasible_unsolved():
-    # The feasible flows form an interval: past the first infeasible pin
-    # after an optimal one, every pin is returned infeasible unsolved.
-    case, flows, single, edge = _pinned_grid()
+    edge = next(k for k in range(1, len(flows))
+                if statuses[k] == "infeasible" and "optimal" in statuses[:k])
     assert edge < len(flows) - 1
-    batch = _pins(case, 1, flows)
-    for (res, dual), (alone, _) in zip(batch[edge + 1:], single[edge + 1:]):
-        assert res.status == alone.status == "infeasible" and res.iterations == 0
-        assert np.isnan(res.objective) and np.isnan(dual)
-    with pytest.raises(ContractError, match="strictly ascending"):
-        _pins(case, 1, flows[::-1])
-    with pytest.raises(ContractError, match="strictly ascending"):
-        _pins(case, 1, [flows[0], flows[0]])
+    for lockstep_min in (1, 10**9):
+        monkeypatch.setattr(simplex, "_LOCKSTEP_MIN", lockstep_min)
+        assert repr(_pins(case, 1, flows)) == repr(single)
 
 
 def test_a_nan_flow_is_rejected():

@@ -131,6 +131,7 @@ def test_run_aggregation_requires_delta(tmp_path, capsys):
     ["sweep-delta", "--recipe", "A", "--out", "OUT"],    # no step size
     ["sweep-delta", "--recipe", "A", "--delta", "nan", "--out", "OUT"],
     ["check", "--recipe", "A", "--delta", "nan"],
+    ["check", "--seed", ","],                           # no cases
 ])
 def test_bad_command_input_exits_two_with_an_error_message(tmp_path, capsys, command):
     argv = [str(tmp_path / "out") if a == "OUT" else a for a in command]

@@ -239,28 +239,6 @@ def test_batches_below_the_cut_off_solve_one_at_a_time(monkeypatch):
     _check_batches([(program, *_random_bounds(rng, program, simplex._LOCKSTEP_MIN - 1))])
 
 
-def test_needed_drops_the_items_past_it(every_batch_in_lockstep):
-    # Stop after the first optimal item. The items up to it come back
-    # solved; the items after it come back None, or solved when they
-    # finished first.
-    def first_optimal(results):
-        for k, r in enumerate(results):
-            if getattr(r, "status", None) == "optimal":
-                return k + 1
-        return len(results)
-
-    rng = np.random.default_rng(2)
-    program = _degenerate_program(False)
-    _, lo, hi = _pinned_batch(program, rng, 12, 3.0)
-    [got] = solve_lp_batch([(program, lo, hi, first_optimal)])
-    stop = first_optimal(got)
-    assert 0 < stop < len(got)
-    assert any(r is None for r in got[stop:])
-    for k, result in enumerate(got):
-        if k < stop or result is not None:
-            assert _bits(result) == _bits(_alone(program, lo[k], hi[k]))
-
-
 def _shaped_program(rng, n, m) -> LinearProgram:
     """``n`` variables in [0, 5] and ``m`` rows ``a x >= b`` with positive
     ``a`` and ``b``, each violated at the start: a phase-1 shape of m rows
@@ -301,9 +279,9 @@ def locksteps(monkeypatch):
 
 
 def test_programs_of_one_shape_pivot_in_one_lockstep(locksteps):
-    # Five programs with different matrices and one shape, each re-pinned
-    # with its own cut: one lockstep runs all their items, and each item is
-    # solve_lp's Solution byte for byte.
+    # Five programs with different matrices and one shape, each re-pinned:
+    # one lockstep runs all their items, and each item is solve_lp's
+    # Solution byte for byte.
     rng = np.random.default_rng(8)
     batches = [_shaped_batch(rng, 9, 6, 7) for _ in range(5)]
     got = _check_batches(batches)
@@ -312,21 +290,6 @@ def test_programs_of_one_shape_pivot_in_one_lockstep(locksteps):
     assert sorted(pairs) == [(p, k) for p in range(5) for k in range(7)]
     assert shapes == {(6, 9 + 12)}
     assert {r.status for r in got} >= {"optimal", "infeasible"}
-
-    def up_to_first_finished(results):
-        return next((k + 1 for k, r in enumerate(results) if r is not None), len(results))
-
-    # Each program's cut drops its own unfinished items, and only its own.
-    locksteps.clear()
-    solved = solve_lp_batch([(program, lo, hi, up_to_first_finished)
-                             for program, lo, hi in batches])
-    assert len(locksteps) == 1
-    for (program, lo, hi), results in zip(batches, solved):
-        stop = up_to_first_finished(results)
-        assert any(r is None for r in results[stop:])
-        for k, result in enumerate(results):
-            if k < stop or result is not None:
-                assert _bits(result) == _bits(_alone(program, lo[k], hi[k]))
 
 
 def test_programs_with_other_row_counts_are_never_stacked(locksteps):
@@ -356,22 +319,21 @@ def _workloads(monkeypatch):
 
 def _one_at_a_time(case, m, flows):
     """clear_dso_fixed_interface as a loop of solve_lp calls on a fresh
-    program per flow, stopping at the edge of the feasible flows; raises
-    the first error it meets."""
-    out, reached = [], False
+    single-flow program per flow: each pin's (clearing, pin dual) pair, or
+    the error its solve raises."""
+    out = []
     for z in flows:
         prog = clearing._CaseProgram(case)
         prog.add_z(m, -INF, INF, 0.0)
         prog.add_system(m)
         row = prog.pin_z(m, z)
-        sol = solve_lp(prog.lp)
+        try:
+            sol = solve_lp(prog.lp)
+        except NumericalError as exc:
+            out.append(exc)
+            continue
         out.append((prog.extract(sol),
                     float(sol.duals[row]) if sol.status == "optimal" else math.nan))
-        if reached and sol.status == "infeasible":
-            break
-        reached = reached or sol.status == "optimal"
-    out += [(clearing.ClearingResult(status="infeasible", objective=math.nan), math.nan)
-            for _ in flows[len(out):]]
     return out
 
 
@@ -387,8 +349,8 @@ def test_every_pin_batch_of_the_workloads_equals_one_at_a_time(monkeypatch, tmp_
 
     def batch(batches):
         solved = original_batch(batches)
-        for (program, lo, hi, *_), got in zip(batches, solved):
-            items.extend((program, lo[k], hi[k], r) for k, r in enumerate(got) if r is not None)
+        for (program, lo, hi), got in zip(batches, solved):
+            items.extend((program, lo[k], hi[k], r) for k, r in enumerate(got))
         return solved
 
     monkeypatch.setattr(clearing, "clear_dso_fixed_interface", pinned)
@@ -409,14 +371,6 @@ def test_every_pin_batch_of_the_workloads_equals_one_at_a_time(monkeypatch, tmp_
             assert repr(out[m]) == repr(_one_at_a_time(case, m, zs)), (case.name, m)
     for program, lo, hi, result in items:
         assert _bits(result) == _bits(_alone(program, lo, hi))
-
-
-def _outcome(run):
-    """What ``run()`` returns, or the NumericalError it raises."""
-    try:
-        return run()
-    except NumericalError as exc:
-        return exc
 
 
 def _pinned_grid():
@@ -449,8 +403,8 @@ def test_pinned_flows_raise_the_first_error_a_run_one_at_a_time_meets(monkeypatc
     monkeypatch.setattr(simplex, "_LOCKSTEP_MIN", lockstep_min)
     case, flows, plain, edge = _pinned_grid()
     # Certification fails, naming the pin, from the pin before the one
-    # with the fewest pivots on: a lockstep finishes that later pin first
-    # and must still raise the earlier pin's error.
+    # with the fewest pivots on: a lockstep finishes that later pin first,
+    # and reading the flows must still raise the earlier pin's error.
     quickest = min(range(edge), key=lambda k: plain[k][0].iterations)
     assert quickest > 0
     certify = simplex._certify
@@ -461,20 +415,25 @@ def test_pinned_flows_raise_the_first_error_a_run_one_at_a_time_meets(monkeypatc
         return certify(core, *args)
 
     # Every pin takes more than 6 pivots.
-    for name, replacement, message in (("_iteration_cap", lambda core: 6,
-                                        "simplex iteration cap exceeded"),
-                                       ("_certify", failing, f"pin {quickest - 1}")):
+    for name, replacement, first in (("_iteration_cap", lambda core: 6, 0),
+                                     ("_certify", failing, quickest - 1)):
+        shared = clearing.CaseClearings(case)
         with monkeypatch.context() as mp:
             mp.setattr(simplex, name, replacement)
-            want = _outcome(lambda: _one_at_a_time(case, 1, flows))
+            want = _one_at_a_time(case, 1, flows)
             got = clearing.clear_dso_fixed_interface(case, {1: flows})[1]
-        assert isinstance(got, NumericalError) and str(got) == str(want) == message
+            with pytest.raises(NumericalError) as raised:
+                shared.pinned(1, flows)
+        assert repr(got) == repr(want)
+        errors = [k for k, entry in enumerate(got) if isinstance(entry, NumericalError)]
+        assert errors[0] == first
+        assert raised.value is shared._solved[("pin", 1, clearing._exact(flows[first]))]
 
 
 @_MODES
-def test_errors_past_the_edge_of_the_feasible_flows_are_not_raised(monkeypatch, lockstep_min):
-    # Every pin past the edge, which a run one at a time never solves,
-    # ends in an error.
+def test_an_error_past_the_edge_of_the_feasible_flows_is_raised(monkeypatch, lockstep_min):
+    # Every pin past the edge ends in an error: each is that pin's entry,
+    # as its solve alone gives it, and reading the flows raises the first.
     monkeypatch.setattr(simplex, "_LOCKSTEP_MIN", lockstep_min)
     case, flows, plain, edge = _pinned_grid()
     phases = simplex._phases
@@ -482,25 +441,16 @@ def test_errors_past_the_edge_of_the_feasible_flows_are_not_raised(monkeypatch, 
     def failing(core):
         solution = yield from phases(core)
         if _pin(core) > flows[edge]:
-            raise NumericalError("past the edge")
+            raise NumericalError(f"pin {flows.index(_pin(core))}")
         return solution
 
     monkeypatch.setattr(simplex, "_phases", failing)
-    alone = clearing.clear_dso_fixed_interface(case, {1: [flows[edge + 1]]})[1]
-    assert isinstance(alone, NumericalError) and str(alone) == "past the edge"
-    errors = []
-    batch = clearing.solve_lp_batch
-
-    def recording(batches):
-        solved = batch(batches)
-        errors.extend(r for got in solved for r in got if isinstance(r, NumericalError))
-        return solved
-
-    monkeypatch.setattr(clearing, "solve_lp_batch", recording)
-    assert repr(clearing.clear_dso_fixed_interface(case, {1: flows})[1]) == repr(plain)
-    # A lockstep runs the pins past the edge until the edge is known, and
-    # they finish first; one at a time, they are never started.
-    assert bool(errors) == (lockstep_min == 1)
+    got = clearing.clear_dso_fixed_interface(case, {1: flows})[1]
+    assert repr(got) == repr(_one_at_a_time(case, 1, flows))
+    assert repr(got[:edge + 1]) == repr(plain[:edge + 1])
+    assert [str(e) for e in got[edge + 1:]] == [f"pin {k}" for k in range(edge + 1, len(flows))]
+    with pytest.raises(NumericalError, match=f"^pin {edge + 1}$"):
+        clearing.CaseClearings(case).pinned(1, flows)
 
 
 def test_run_experiment_turns_a_pinned_flow_error_into_an_error_row(monkeypatch, tmp_path):

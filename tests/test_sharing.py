@@ -4,7 +4,6 @@ program is solved once."""
 
 import copy
 import hashlib
-import itertools
 import math
 import sys
 from collections import Counter
@@ -16,10 +15,9 @@ import flexmkt.clearing as clearing
 import flexmkt.forwarding as forwarding
 from flexmkt.casegen import CaseRecipe, generate_case
 from flexmkt.cli import METHODS, PRICINGS, ExperimentConfig, _run_method, main, run_experiment
-from flexmkt.clearing import (CaseClearings, clear_common, clear_dso_fixed_interface,
-                              interface_price)
+from flexmkt.clearing import CaseClearings, clear_common, interface_price
 from flexmkt.errors import ContractError
-from flexmkt.forwarding import _correction, run_bid_aggregation, run_three_layer
+from flexmkt.forwarding import _correction, run_three_layer
 from flexmkt.market_model import DIR_UP
 
 DELTA = 4.0
@@ -132,12 +130,11 @@ def recording_batch(monkeypatch, module, seen: Counter) -> None:
 
     def batch(batches):
         solved = original(batches)
-        for (program, row_lo, row_hi, *_), results in zip(batches, solved):
-            for lo, hi, sol in zip(row_lo, row_hi, results):
-                if sol is not None:
-                    item = copy.copy(program)
-                    item.row_lo, item.row_hi = lo.tolist(), hi.tolist()
-                    seen[fingerprint(item)] += 1
+        for program, row_lo, row_hi in batches:
+            for lo, hi in zip(row_lo, row_hi):
+                item = copy.copy(program)
+                item.row_lo, item.row_hi = lo.tolist(), hi.tolist()
+                seen[fingerprint(item)] += 1
         return solved
 
     monkeypatch.setattr(module, "solve_lp_batch", batch)
@@ -209,20 +206,3 @@ def test_fresh_clearings_clear_the_common_market_on_first_use(monkeypatch):
     assert not calls
     assert shared.common is shared.common
     assert len(calls) == 1
-
-
-def test_every_pin_skipped_past_the_feasible_interval_is_infeasible():
-    skipped = 0
-    for style, dsos, seed, congestion in itertools.product("ABCD", (1, 2, 3), (0, 1), (0.8, 1.1)):
-        case = generate_case(CaseRecipe(style=style, n_dsos=dsos, congestion=congestion), seed)
-        shared = CaseClearings(case)
-        for variant, step in itertools.product(("primal", "dual"), (2.0, 4.0)):
-            run_bid_aggregation(case, step, 1, variant, clearings=shared)
-        for key, (res, _) in shared._solved.items():
-            if key[0] != "pin" or res.status == "optimal" or res.iterations:
-                continue
-            _, m, z = key
-            [(alone, _)] = clear_dso_fixed_interface(case, {m: [float.fromhex(z)]})[m]
-            assert alone.status == "infeasible", (case.name, m, z)
-            skipped += 1
-    assert skipped > 0
