@@ -54,6 +54,11 @@ __all__ = [
 
 _GRID_TOL = 1e-9       # RSF grid values this far outside the interface bounds are accepted
 _DUPLICATE_GAP = 1e-12  # grid values at most this above the previous one are skipped
+# A grid's interval count is its span over the largest gap, rounded up, but
+# a ratio within this relative distance above an integer counts as that
+# integer: a refinement band two gaps wide, sampled at a tenth of a gap, is
+# 20 intervals at every volume scale, whatever the ratio's last bits.
+_GRID_COUNT_REL_TOL = 1e-12
 
 
 @dataclass(frozen=True)
@@ -483,7 +488,7 @@ def _uniform_grid(lo: float, hi: float, max_gap: float,
                   must_include: tuple[float, ...] = ()) -> list[float]:
     if hi <= lo:
         return [lo]
-    n = max(1, math.ceil((hi - lo) / max_gap))
+    n = max(1, math.ceil((hi - lo) / max_gap * (1.0 - _GRID_COUNT_REL_TOL)))
     points = set(float(v) for v in np.linspace(lo, hi, n + 1))
     if lo < 0.0 < hi:
         points.add(0.0)
@@ -499,11 +504,12 @@ def run_bid_aggregation(case: MarketCase, delta_bar: float,
                         extra_grid: dict[int, tuple[float, ...]] | None = None) -> Outcome:
     """End-to-end aggregation method.
 
-    Uniform interface-flow grids with gap at most ``delta_bar`` (endpoints
-    always included, zero included when interior) feed the residual supply
-    functions; the TSO MILP picks one step per DSO; each DSO then settles
-    on its stored clearing for the chosen step, the outcome's Layer 1
-    (the MILP clearing is its Layer 2). Every refinement round
+    Uniform interface-flow grids with gap at most ``delta_bar``, up to a
+    relative ``_GRID_COUNT_REL_TOL`` (endpoints always included, zero
+    included when interior), feed the residual supply functions; the TSO
+    MILP picks one step per DSO; each DSO then settles on its stored
+    clearing for the chosen step, the outcome's Layer 1 (the MILP clearing
+    is its Layer 2). Every refinement round
     re-grids a band of one realized gap around the previous selection at a
     tenth of the spacing and repeats; the previous selection stays on the
     grid, so refinement never worsens the outcome. ``extra_grid`` lets

@@ -22,10 +22,10 @@ that scalar formulation as the reference and hold every result to it bit
 for bit.
 
 ``solve_lp_batch`` solves several programs, each under many row-bound
-vectors. It builds each program's ``F`` once and installs its artificials
-once per distinct starting pattern; items of one shape, whatever their
-program, pivot in lockstep on stacked arrays (``_Lockstep``), each to the
-Solution ``solve_lp`` gives it.
+vectors. It builds each program's matrix once, and ``F`` with its
+artificials once per distinct starting pattern; items of one shape,
+whatever their program, pivot in lockstep on stacked arrays
+(``_Lockstep``), each to the Solution ``solve_lp`` gives it.
 """
 
 from __future__ import annotations
@@ -61,18 +61,18 @@ _SIGNS = np.array([[-1.0, 1.0, -1.0, 0.0],
 
 class _Form:
     """What every solve of one program starts from, whatever its row
-    bounds: ``F = [A | -I]``, the variables' bounds and costs, and the
-    starting statuses and values. Re-bounded copies of a program share it.
+    bounds: the dense matrix ``A``, the variables' bounds and costs, and
+    the starting statuses and values of the columns of ``[A | -I]``.
+    Re-bounded copies of a program share it.
     """
 
     def __init__(self, program: LinearProgram):
         n, m = program.n_vars, program.n_rows
         self.n, self.m = n, m
-        a = program.dense_matrix()
-        self.F = np.hstack([a, -np.eye(m)]) if m else np.zeros((0, n))
+        self.A = program.dense_matrix()
         self.var_lb = np.array(program.var_lb, dtype=float)
         self.var_ub = np.array(program.var_ub, dtype=float)
-        self.cost = np.array(program.var_cost + [0.0] * m, dtype=float)
+        self.cost = np.array(program.var_cost, dtype=float)
         # A structural starts at its finite lower bound, else at its finite
         # upper bound, else free at 0; every slack starts basic.
         has_lo, has_hi = np.isfinite(self.var_lb), np.isfinite(self.var_ub)
@@ -80,32 +80,20 @@ class _Form:
         self.status[:n] = np.where(has_lo, _AT_LOWER, np.where(has_hi, _AT_UPPER, _FREE))
         self.xval = np.zeros(n + m)
         self.xval[:n] = np.where(has_lo, self.var_lb, np.where(has_hi, self.var_ub, 0.0))
-        self.xval[n:] = a @ self.xval[:n] if m else np.zeros(0)
+        self.xval[n:] = self.A @ self.xval[:n] if m else np.zeros(0)
 
 
 class _Core:
-    """Working state shared by the two phases, starting from ``form``'s
-    program under the row bounds ``row_lo`` and ``row_hi``, before its
-    artificials are installed (see ``_start``)."""
+    """Working state shared by the two phases: the arrays ``_start`` builds
+    for one solve, artificial columns included."""
 
-    def __init__(self, form: _Form, row_lo, row_hi):
-        n, m = form.n, form.m
-        self.n_struct = n
-        self.m = m
-        # F and cost are shared with every core of the form: nothing writes
-        # into them.
-        self.F = form.F
-        self.lb = np.concatenate([form.var_lb, row_lo])
-        self.ub = np.concatenate([form.var_ub, row_hi])
-        self.cost = form.cost
-        self.status = form.status.copy()
-        self.xval = form.xval.copy()
-        self.basis = np.arange(n, n + m)
-        self.binv = -np.eye(m)
-        self.iterations = 0
-        self.phase1_iterations = 0
-        self.refactorizations = 0
-        self.bland_switches = 0
+    def __init__(self, n, F, cost, lb, ub, xval, status, basis, binv):
+        self.n_struct, self.m = n, F.shape[0]
+        # F and cost are shared by the pattern's cores: nothing writes into them.
+        self.F, self.cost = F, cost
+        self.lb, self.ub, self.xval, self.status = lb, ub, xval, status
+        self.basis, self.binv = basis, binv
+        self.iterations = self.phase1_iterations = self.refactorizations = self.bland_switches = 0
 
     def counters(self) -> dict[str, int]:
         """The pivot counters a ``Solution`` carries."""
@@ -269,97 +257,85 @@ class _Core:
 
 def solve_lp(program: LinearProgram) -> Solution:
     """Solve a linear program; duals come from the optimal basis."""
-    [core] = _start(_Form(program), [program.row_lo], [program.row_hi])
+    [core] = _start(_Form(program), np.array(program.row_lo, dtype=float)[None],
+                    np.array(program.row_hi, dtype=float)[None])
     phases = _phases(core)
     return _run(core, phases, next(phases))
 
 
 def _start(form: _Form, row_lo, row_hi) -> list[_Core]:
-    """One core per pair of row-bound vectors in ``row_lo`` and ``row_hi``,
-    its artificials installed once per distinct pattern of them."""
-    row_lo, row_hi = (np.asarray(b, dtype=float) for b in (row_lo, row_hi))
-    # Row bounds given as arrays bypass LinearProgram.add_range's check.
-    if np.isnan(row_lo).any() or np.isnan(row_hi).any():
-        raise ContractError("row bounds must not be NaN")
-    cores = [_Core(form, lo, hi) for lo, hi in zip(row_lo, row_hi)]
-    groups = [cores]
-    if len(cores) > 1:
-        # Every core starts from the form's slack values: the rows whose
-        # slacks leave their bounds, and on which side, set its pattern.
-        above, below = _outside(form.xval[form.n:], row_lo, row_hi)
-        patterns: dict[bytes, list[_Core]] = {}
-        for core, code in zip(cores, (above + 2 * below).astype(np.int8)):
-            patterns.setdefault(code.tobytes(), []).append(core)
-        groups = list(patterns.values())
-    # The cores hold all the install reads: without the form, [A | -I] is
-    # freed as soon as the patterns' own F replace it.
-    del form
-    for group in groups:
-        if group:
-            _install_artificials(group)
-    return cores
+    """One core per row of the ``(k, m)`` arrays ``row_lo`` and ``row_hi``:
+    ``form``'s program under those row bounds, its artificials installed.
 
-
-def _outside(slack, lo, hi):
-    """Which slacks lie above their upper bound, and which below their
-    lower one, by more than the phase-1 tolerance."""
-    above = slack > hi + _PHASE1_TOL
-    return above, ~above & (slack < lo - _PHASE1_TOL)
-
-
-def _install_artificials(cores: list[_Core]) -> None:
-    """Swap the out-of-bounds initial slacks of each core for artificial
-    columns.
-
-    The cores are fresh from one form, and their slacks leave their bounds
-    on the same rows in the same direction: one pattern. Its ``F``, costs,
-    statuses, basis and diagonal inverse are built once. Per core remain
-    its bounds, the starting values of the artificial rows' slacks, and
-    its basic values.
+    Every core starts from the form's slack values. The rows whose slacks
+    leave their bounds by more than the phase-1 tolerance, and on which
+    side, set its pattern; those rows get artificial columns, and their
+    slacks start at the bound they leave. Each pattern's ``F``, costs,
+    statuses, basis and inverse are built once; per core remain its bounds
+    and values.
     """
-    first = cores[0]
-    n, m = first.n_struct, first.m
-    above, below = _outside(first.xval[n:], first.lb[n:], first.ub[n:])
-    art_rows = (above | below).nonzero()[0]
-    if not art_rows.size:
-        return
-    k = art_rows.size
-    up = above[art_rows]
-    cols = n + art_rows
-    extra = np.zeros((m, k))
-    extra[art_rows, np.arange(k)] = np.where(up, -1.0, 1.0)
-    F = np.hstack([first.F, extra])
-    for core in cores:
-        core.F = F
-    cost = np.concatenate([first.cost, np.zeros(k)])
-    status = first.status.copy()
-    status[cols] = np.where(up, _AT_UPPER, _AT_LOWER)
-    status = np.concatenate([status, np.full(k, _BASIC, dtype=np.int8)])
-    basis = np.arange(n, n + m)
-    basis[art_rows] = n + m + np.arange(k)
-    # The basis of slacks (-1) and artificials (+-1) is diagonal, so its
-    # inverse needs no factorization.
-    binv = np.diag(1.0 / F[np.arange(m), basis])
-    zeros, infs = np.zeros(k), np.full(k, INF)
-    for i, core in enumerate(cores):
-        # The first core takes the pattern's arrays, each other one a copy.
-        core.cost = cost
-        core.status, core.basis, core.binv = ((status, basis, binv) if not i else
-                                              (status.copy(), basis.copy(), binv.copy()))
-        core.lb = np.concatenate([core.lb, zeros])
-        core.ub = np.concatenate([core.ub, infs])
-        core.xval = np.concatenate([core.xval, zeros])
-        core.xval[cols] = np.where(up, core.ub[cols], core.lb[cols])
-    # _set_basic_values of each core, which sets every basic value, the
-    # artificials' too, with its nonbasic columns and -B^-1 built once, and
-    # not held at once: for a large program each is as large as B^-1.
-    nonbasic = status != _BASIC
-    F_nonbasic = F[:, nonbasic]
-    rhs = [F_nonbasic @ core.xval[nonbasic] for core in cores]
-    del F_nonbasic
-    minus_binv = -binv
-    for core, r in zip(cores, rhs):
-        core.xval[basis] = minus_binv @ r
+    n, m = form.n, form.m
+    row_lo, row_hi = (np.asarray(b, dtype=float) for b in (row_lo, row_hi))
+    # Row bounds given as arrays bypass LinearProgram.add_range's checks. A
+    # NaN bound fails lo <= hi, as crossed bounds do.
+    if row_lo.ndim != 2 or row_lo.shape[1:] != (m,) or row_hi.shape != row_lo.shape:
+        raise ContractError(f"row bounds must be two (k, {m}) arrays, "
+                            f"not {row_lo.shape} and {row_hi.shape}")
+    if not (row_lo <= row_hi).all():
+        if np.isnan(row_lo).any() or np.isnan(row_hi).any():
+            raise ContractError("row bounds must not be NaN")
+        k, i = np.argwhere(row_lo > row_hi)[0]
+        raise ContractError(f"row {i}: lo {row_lo[k, i]} exceeds hi {row_hi[k, i]}")
+    slack = form.xval[n:]
+    above = slack > row_hi + _PHASE1_TOL
+    below = ~above & (slack < row_lo - _PHASE1_TOL)
+    patterns: dict[bytes, list[int]] = {}
+    for k, code in enumerate((above + 2 * below).astype(np.int8)):
+        patterns.setdefault(code.tobytes(), []).append(k)
+    cores: list[_Core] = [None] * len(row_lo)
+    for items in patterns.values():
+        art_rows = (above[items[0]] | below[items[0]]).nonzero()[0]
+        n_art = art_rows.size
+        # [A | -I | artificials] in one array, with no m x m temporary to add
+        # to a large program's peak memory; -I's zeros are -0.0, as -np.eye's.
+        F = np.zeros((m, n + m + n_art))
+        F[:, :n], F[:, n:n + m] = form.A, -0.0
+        F[np.arange(m), n + np.arange(m)] = -1.0
+        cost = np.concatenate([form.cost, np.zeros(m + n_art)])
+        status = np.concatenate([form.status, np.full(n_art, _BASIC, dtype=np.int8)])
+        basis = np.arange(n, n + m)
+        if n_art:
+            up, cols = above[items[0], art_rows], n + art_rows
+            basis[art_rows] = n + m + np.arange(n_art)
+            F[art_rows, basis[art_rows]] = np.where(up, -1.0, 1.0)
+            status[cols] = np.where(up, _AT_UPPER, _AT_LOWER)
+        # The basis of slacks (-1) and artificials (+-1) is diagonal, so its
+        # inverse needs no factorization. Without artificials it is -I,
+        # whose zeros are -0.0.
+        binv = np.diag(1.0 / F[np.arange(m), basis]) if n_art else -np.eye(m)
+        zeros, infs = np.zeros(n_art), np.full(n_art, INF)
+        for j, k in enumerate(items):
+            lb = np.concatenate([form.var_lb, row_lo[k], zeros])
+            ub = np.concatenate([form.var_ub, row_hi[k], infs])
+            xval = np.concatenate([form.xval, zeros])
+            if n_art:  # the artificial rows' slacks start at the bound they leave
+                xval[cols] = np.where(up, ub[cols], lb[cols])
+            # The first core takes the pattern's arrays, each other one a copy.
+            cores[k] = _Core(n, F, cost, lb, ub, xval,
+                             *((status, basis, binv) if not j else
+                               (status.copy(), basis.copy(), binv.copy())))
+        if n_art:
+            # Each core's _set_basic_values, with the nonbasic columns and
+            # -B^-1 built once and not held at once: for a large program each
+            # is as large as B^-1.
+            nonbasic = status != _BASIC
+            F_nonbasic = F[:, nonbasic]
+            rhs = [F_nonbasic @ cores[k].xval[nonbasic] for k in items]
+            del F_nonbasic
+            minus_binv = -binv
+            for k, r in zip(items, rhs):
+                cores[k].xval[basis] = minus_binv @ r
+    return cores
 
 
 def _phases(core: _Core):
@@ -403,7 +379,7 @@ def _run(core: _Core, phases, request) -> Solution:
 def solve_lp_batch(batches) -> list[list[Solution | NumericalError]]:
     """``solve_lp`` of each of several programs under each pair of
     row-bound vectors given for it, bit for bit, with each program's
-    ``[A | -I]`` built once. ``batches`` holds one ``(program, row_lo,
+    matrix built once. ``batches`` holds one ``(program, row_lo,
     row_hi)`` tuple per program; the result is one list per program, one
     entry per pair of vectors.
 

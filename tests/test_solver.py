@@ -1,5 +1,6 @@
 """Embedded LP/MILP solver: duality, determinism, external cross-checks."""
 
+import copy
 import itertools
 import math
 from types import SimpleNamespace
@@ -19,8 +20,20 @@ from flexmkt.mp_solver.simplex import (_AT_LOWER, _AT_UPPER, _BASIC, _CERT_RC_TO
 
 
 def _core_of(program: LinearProgram) -> _Core:
-    """The _Core solve_lp starts ``program`` from."""
-    return _Core(_Form(program), program.row_lo, program.row_hi)
+    """The _Core solve_lp starts ``program`` from, its artificials installed."""
+    [core] = simplex._start(_Form(program), [program.row_lo], [program.row_hi])
+    return core
+
+
+def _slack_core(program: LinearProgram) -> _Core:
+    """``program``'s starting state on ``[A | -I]``, before any artificial
+    column, built from its _Form."""
+    form = _Form(program)
+    n, m = form.n, form.m
+    return _Core(n, np.hstack([form.A, -np.eye(m)]), np.concatenate([form.cost, np.zeros(m)]),
+                 np.concatenate([form.var_lb, program.row_lo]),
+                 np.concatenate([form.var_ub, program.row_hi]), form.xval, form.status,
+                 np.arange(n, n + m), -np.eye(m))
 
 
 def random_lp(rng, n_max=12, with_equality=True):
@@ -114,25 +127,40 @@ def test_contract_checks():
         lp.add_range({0: 1.0}, 2.0, 1.0)
 
 
-@pytest.mark.parametrize("lo,hi", [(math.nan, math.nan), (math.nan, 1.0), (0.0, math.nan)])
+@pytest.mark.parametrize("lo,hi", [(math.nan, math.nan), (math.nan, 1.0), (0.0, math.nan),
+                                   (1.0, 0.0)])
 def test_nan_row_bounds_are_rejected(lo, hi):
     # A NaN bound compares false both ways, so without a check it would
-    # pass every feasibility test and certify as optimal.
+    # pass every feasibility test and certify as optimal. Crossed bounds
+    # (lo > hi) would end as a failed certificate.
+    match = "NaN" if math.isnan(lo) or math.isnan(hi) else "lo 1.0 exceeds hi 0.0"
     lp = LinearProgram()
     lp.add_variable("x", 0.0, 10.0, cost=1.0)
-    with pytest.raises(ContractError, match="NaN"):
+    with pytest.raises(ContractError, match=match):
         lp.add_range({0: 1.0}, lo, hi)
     lp.add_range({0: 1.0}, 0.0, 1.0)
     # Row bounds given to a batch as arrays, or written into the program's
     # lists, bypass add_range.
-    with pytest.raises(ContractError, match="NaN"):
+    with pytest.raises(ContractError, match=match):
         solve_lp_batch([(lp, np.array([[0.0], [lo]]), np.array([[1.0], [hi]]))])
-    # One program's NaN fails a call that holds a sound one too.
-    with pytest.raises(ContractError, match="NaN"):
+    # One program's bad bounds fail a call that holds a sound one too.
+    with pytest.raises(ContractError, match=match):
         solve_lp_batch([(lp, np.array([[0.0]]), np.array([[1.0]])),
                         (lp, np.array([[lo]]), np.array([[hi]]))])
     lp.row_lo[0], lp.row_hi[0] = lo, hi
-    with pytest.raises(ContractError, match="NaN"):
+    with pytest.raises(ContractError, match=match):
+        solve_lp(lp)
+
+
+def test_row_bounds_of_the_wrong_shape_are_rejected():
+    lp = _two_row_program()
+    for lo, hi in [(np.zeros((2, 3)), np.ones((2, 3))),  # three bounds for two rows
+                   (np.zeros(2), np.ones(2)),  # one vector, not one row per item
+                   (np.zeros((2, 2)), np.ones((3, 2)))]:  # two items' lower bounds, three upper
+        with pytest.raises(ContractError, match="row bounds must be two"):
+            solve_lp_batch([(lp, lo, hi)])
+    lp.row_lo.append(0.0)  # written into the list past add_range
+    with pytest.raises(ContractError, match="row bounds must be two"):
         solve_lp(lp)
 
 
@@ -472,7 +500,6 @@ def _run_phases(program: LinearProgram, optimize) -> list:
                        _bits(core.binv), core.counters()))
 
     try:
-        simplex._install_artificials([core])
         n_basic = core.n_struct + core.m
         if core.F.shape[1] > n_basic:
             c1 = np.zeros(core.F.shape[1])
@@ -659,6 +686,7 @@ def _bounded_programs(draw, max_vars=6, max_rows=5):
 def test_start_state_matches_the_scalar_reference_bit_for_bit(program):
     ref = object.__new__(_Core)
     _reference_init(ref, program)
+    _reference_install_artificials(ref)
     assert _core_bits(_core_of(program)) == _core_bits(ref)
 
 
@@ -692,10 +720,12 @@ def _two_row_program() -> LinearProgram:
                                float(np.nextafter(0.0 - _PHASE1_TOL, -INF))]))
 def test_artificials_match_the_scalar_reference_bit_for_bit(state):
     program, slacks = state
-    got, ref = _core_of(program), _core_of(program)
-    for core in (got, ref):
-        core.xval[core.n_struct:] = slacks
-    simplex._install_artificials([got])
+    form = _Form(program)
+    form.xval[form.n:] = slacks
+    [got] = simplex._start(form, [program.row_lo], [program.row_hi])
+    ref = object.__new__(_Core)
+    _reference_init(ref, program)
+    ref.xval[ref.n_struct:] = slacks
     c1_ref = _reference_install_artificials(ref)
     # The phase-1 cost vector, or the phase-2 one when no row needs an
     # artificial.
@@ -711,7 +741,7 @@ def _batch_states(draw):
     1e-7 phase-1 tolerance or one ulp past it: cores of several artificial
     patterns, several cores to a pattern."""
     program = draw(_bounded_programs(max_rows=4).filter(lambda lp: lp.n_rows))
-    slack = _core_of(program).xval[program.n_vars:]
+    slack = _Form(program).xval[program.n_vars:]
     vectors = []
     for _ in range(draw(st.integers(2, 8))):
         lo, hi = [], []
@@ -732,10 +762,12 @@ def test_artificials_of_a_batch_match_the_scalar_reference_bit_for_bit(state):
     # One call starts every core, installing the artificials once per
     # pattern; each core ends as the scalar install leaves it alone.
     program, vectors = state
-    form = _Form(program)
-    cores = simplex._start(form, [lo for lo, _ in vectors], [hi for _, hi in vectors])
+    cores = simplex._start(_Form(program), [lo for lo, _ in vectors], [hi for _, hi in vectors])
     for got, (lo, hi) in zip(cores, vectors):
-        ref = _Core(form, np.array(lo), np.array(hi))
+        item = copy.copy(program)
+        item.row_lo, item.row_hi = lo, hi
+        ref = object.__new__(_Core)
+        _reference_init(ref, item)
         _reference_install_artificials(ref)
         assert _core_bits(got) == _core_bits(ref)
 
@@ -754,7 +786,7 @@ def _certify_states(draw):
     or near the dual one. Enough columns that a pairwise sum would round
     differently."""
     program = draw(_bounded_programs(max_vars=12, max_rows=8))
-    core = _core_of(program)
+    core = _slack_core(program)
     n, m = core.n_struct, core.m
     cols = n + m
     inside = draw(st.booleans())
@@ -787,7 +819,7 @@ def _sum_order_state():
     lp.add_variable("x0", 1.0, 2.0)
     for j in range(1, 8):
         lp.add_variable(f"x{j}", 1e-6, 1.0)
-    core = _core_of(lp)
+    core = _slack_core(lp)
     rc = np.array([1.0] + [1e-10] * 7)
     return lp, core, core.xval.copy(), 1.0, rc
 
