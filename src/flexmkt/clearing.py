@@ -447,35 +447,38 @@ class CaseClearings:
         return self._once(("layer2", self._prices(pricing)), lambda: clear_tso_layer2(
             self.case, self.layer1(pricing), pricing))
 
-    def pin(self, flows: dict[int, list[float]]) -> None:
-        """Solve, in one :func:`clear_dso_fixed_interface` call, the flows
-        of each DSO ``m`` in ``flows`` not pinned before. Each pin keeps
-        its own entry, the error its solve raised included, which
-        :meth:`pinned` raises."""
+    def pin(self, flows: dict[int, list[float]]) -> dict[int, list]:
+        """The entry of each DSO ``m``'s pinned clearing for each of its
+        ``flows``, in flow order: the clearing with its pin dual, or the
+        error its solve raised. The flows not pinned before are solved in
+        one :func:`clear_dso_fixed_interface` call, each pin keeping its
+        own entry."""
+        keys = {m: [("pin", m, _exact(z)) for z in zs] for m, zs in flows.items()}
         new = {}
-        for m, zs in flows.items():
-            keys = {("pin", m, _exact(z)): float(z) for z in zs}
-            fresh = {k: z for k, z in keys.items() if k not in self._solved}
+        for m, ks in keys.items():
+            fresh = {k: float(z) for k, z in zip(ks, flows[m]) if k not in self._solved}
             if fresh:
                 new[m] = fresh
-        if not new:
-            return
-        solved = clear_dso_fixed_interface(self.case, {m: list(f.values()) for m, f in new.items()})
-        for m, fresh in new.items():
-            self._solved.update(zip(fresh, solved[m]))
+        if new:
+            solved = clear_dso_fixed_interface(self.case,
+                                               {m: list(f.values()) for m, f in new.items()})
+            for m, fresh in new.items():
+                self._solved.update(zip(fresh, solved[m]))
+        return {m: [self._solved[k] for k in ks] for m, ks in keys.items()}
 
     def pinned(self, m: int, flows) -> list[tuple[ClearingResult, float]]:
-        """DSO ``m``'s pinned clearing for each of ``flows``, those not
-        pinned before solved through :meth:`pin`; raises the first error
-        among them, in flow order."""
-        keys = [("pin", m, _exact(z)) for z in flows]
-        if any(k not in self._solved for k in keys):
-            self.pin({m: flows})
-        entries = [self._solved[k] for k in keys]
-        for entry in entries:
-            if isinstance(entry, Exception):
-                raise entry
-        return entries
+        """DSO ``m``'s pinned clearing for each of ``flows``, through
+        :meth:`pin`; raises the first error among them, in flow order."""
+        return _checked_pins(self.pin({m: flows})[m])
+
+
+def _checked_pins(entries: list) -> list[tuple[ClearingResult, float]]:
+    """Pin entries, as :meth:`CaseClearings.pin` gives them, once none is
+    an error; else the first error, raised."""
+    for entry in entries:
+        if isinstance(entry, Exception):
+            raise entry
+    return entries
 
 
 # ---------------------------------------------------------------------------

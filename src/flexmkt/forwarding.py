@@ -32,6 +32,7 @@ from .clearing import (
     ClearingResult,
     PricingRule,
     _CaseProgram,
+    _checked_pins,
     _common_program,
     _exact,
     _used_volume,
@@ -414,14 +415,18 @@ def _rsf_flows(case: MarketCase, m: int, grid) -> list[float]:
     return flows
 
 
-def _rsf(case: MarketCase, m: int, grid, clearings: CaseClearings | None) -> Rsf:
+def _rsf(case: MarketCase, m: int, grid, clearings: CaseClearings | None, pins) -> Rsf:
     """Exact steps over the sorted grid: one pinned clearing per grid point
     (near-duplicates skipped), infeasible pins dropped. The pinned
-    clearings come from the shared ``clearings``."""
-    flows = _rsf_flows(case, m, grid)
-    solved = _shared(case, clearings).pinned(m, flows)
+    clearings come from the shared ``clearings``; ``pins`` holds the
+    grid's flows and their entries there, when the caller has them."""
+    if pins is None:
+        flows = _rsf_flows(case, m, grid)
+        pins = flows, _shared(case, clearings).pin({m: flows})[m]
+    flows, entries = pins
     steps = tuple(RsfStep(z=z, cost=c.objective, clearing=c, price_dual=dual)
-                  for z, (c, dual) in zip(flows, solved) if c.status == "optimal")
+                  for z, (c, dual) in zip(flows, _checked_pins(entries))
+                  if c.status == "optimal")
     if not steps:
         raise ModelError(f"no feasible interface flow step for DSO {m}")
     delta = max((b.z - a.z for a, b in zip(steps, steps[1:])), default=0.0)
@@ -429,18 +434,21 @@ def _rsf(case: MarketCase, m: int, grid, clearings: CaseClearings | None) -> Rsf
 
 
 def build_rsf(case: MarketCase, m: int, grid, *,
-              clearings: CaseClearings | None = None) -> Rsf:
+              clearings: CaseClearings | None = None, pins=None) -> Rsf:
     """Exact residual supply function: each feasible step carries the true
-    optimal local cost for that pinned interface flow."""
-    return _rsf(case, m, grid, clearings)
+    optimal local cost for that pinned interface flow. ``pins``, if given,
+    is the grid's flows, sorted with near-duplicates skipped, with their
+    entries from :meth:`CaseClearings.pin`."""
+    return _rsf(case, m, grid, clearings, pins)
 
 
 def build_rsf_dual(case: MarketCase, m: int, grid, *,
-                   clearings: CaseClearings | None = None) -> Rsf:
+                   clearings: CaseClearings | None = None, pins=None) -> Rsf:
     """Dual-price surrogate: anchored at the lowest feasible step's exact
     cost, then accumulated as pin shadow price times step width. Stored
-    clearings still come from the exact solves."""
-    rsf = _rsf(case, m, grid, clearings)
+    clearings still come from the exact solves; ``pins`` as for
+    :func:`build_rsf`."""
+    rsf = _rsf(case, m, grid, clearings, pins)
     surrogate = [rsf.steps[0].cost]
     for prev, cur in zip(rsf.steps, rsf.steps[1:]):
         surrogate.append(surrogate[-1] + prev.price_dual * (cur.z - prev.z))
@@ -545,13 +553,16 @@ def run_bid_aggregation(case: MarketCase, delta_bar: float,
     solves = 0
     milp_nodes = 0
     for round_no in range(refine_rounds + 1):
-        # Every DSO's new pins of the round in one batch; a DSO's error is
-        # raised when its RSF reads them, in DSO order.
-        clearings.pin({m: _rsf_flows(case, m, grids[m]) for m in case.dso_indices})
+        # Every DSO's flows of the round, worked out once; its new pins in
+        # one batch. A DSO's error is raised when its RSF reads them, in
+        # DSO order.
+        flows = {m: _rsf_flows(case, m, grids[m]) for m in case.dso_indices}
+        entries = clearings.pin(flows)
         rsfs: dict[int, Rsf] = {}
         for m in case.dso_indices:
             try:
-                rsfs[m] = build(case, m, grids[m], clearings=clearings)
+                rsfs[m] = build(case, m, grids[m], clearings=clearings,
+                                pins=(flows[m], entries[m]))
             except ModelError:
                 return _outcome(clearings, method, t0, layer1={}, status="rsf_infeasible",
                                 lp_solves=solves + len(grids[m]), milp_nodes=milp_nodes)

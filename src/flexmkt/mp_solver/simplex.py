@@ -14,6 +14,22 @@ price per row (objective sensitivity to the row's right-hand side), and
 the reduced-cost vector gives the matching sensitivities for variable
 bounds.
 
+Pricing a program of at least ``_SPLIT_ROWS`` rows does not read F's
+slack and artificial columns (``_Split``). Each has one nonzero, -1 or
++1, so its product with ``y`` is exact in any summation order: a slack's
+reduced cost is ``cost + y[i]``, an artificial's ``cost - sign * y[row]``,
+and an entering one's column in the basis is ``0.0 -+ binv[:, row]``, not
+``binv @ F[:, j]``. The BLAS product ``y @ F`` runs over the structural
+columns only, padded to ``4 * ceil(n / 4)`` columns, as a view. OpenBLAS's
+gemv computes its outputs four at a time and the last ``N % 4`` apart, so
+over such a prefix each structural column sums as it does in the product
+over all of F; over the first n columns alone, the last ``n % 4`` would
+sum in another order. Below ``_SPLIT_ROWS`` rows the split's extra numpy
+calls cost more than it saves, and pricing stays one product over F.
+``test_split_pricing_matches_the_product_over_F_bit_for_bit`` and the
+pivot-loop guard in ``tests/test_solver.py`` hold this bit for bit, and
+CI runs them on OpenBLAS's Haswell kernel as well.
+
 The pivot loop keeps the state of the basic variables per row (cost,
 bounds, value and column), so a pivot rewrites one row with scalar writes
 instead of gathering by the basis. Set-up and certification run on whole
@@ -31,6 +47,7 @@ whatever their program, pivot in lockstep on stacked arrays
 from __future__ import annotations
 
 import math
+from typing import NamedTuple
 
 import numpy as np
 
@@ -51,6 +68,10 @@ _REFACTOR_EVERY = 100
 # a stacked step costs more than the scalar pivots it replaces (measured on
 # the benchmark's RSF pin batches, see CHANGES.md).
 _LOCKSTEP_MIN = 16
+# The fewest rows at which pricing splits F (_Split): below it, the split's
+# extra numpy calls cost more than the product over the identity block
+# they save (measured on the benchmark's programs, see the README).
+_SPLIT_ROWS = 128
 
 _AT_LOWER, _AT_UPPER, _FREE, _BASIC = 0, 1, 2, 3
 # Pricing signs by status: max(rc * s[0], rc * s[1]) is -rc at a lower
@@ -83,14 +104,33 @@ class _Form:
         self.xval[n:] = self.A @ self.xval[:n] if m else np.zeros(0)
 
 
+class _Split(NamedTuple):
+    """How a large program prices (``_Core.price``): the BLAS product runs
+    over ``prefix``, F's first ``4 * ceil(n / 4)`` columns as a view; each
+    slack and artificial column ``n + i`` has its one nonzero, ``signs[i]``,
+    in row ``rows[i]``."""
+
+    prefix: np.ndarray
+    rows: np.ndarray
+    signs: np.ndarray
+
+    def column(self, binv: np.ndarray, i: int) -> np.ndarray:
+        """``binv @ F[:, n + i]``, bit for bit: one column of ``binv``, its
+        sign applied. The BLAS sum starts from +0.0, and so does
+        ``0.0 +- b``, so a zero comes out +0.0 either way."""
+        b = binv[:, self.rows[i]]
+        return 0.0 - b if self.signs[i] < 0.0 else 0.0 + b
+
+
 class _Core:
     """Working state shared by the two phases: the arrays ``_start`` builds
     for one solve, artificial columns included."""
 
-    def __init__(self, n, F, cost, lb, ub, xval, status, basis, binv):
+    def __init__(self, n, F, cost, lb, ub, xval, status, basis, binv, split=None):
         self.n_struct, self.m = n, F.shape[0]
-        # F and cost are shared by the pattern's cores: nothing writes into them.
-        self.F, self.cost = F, cost
+        # F, cost and split are shared by the pattern's cores: nothing writes
+        # into them. Without a split, pricing is one product over F.
+        self.F, self.cost, self.split = F, cost, split
         self.lb, self.ub, self.xval, self.status = lb, ub, xval, status
         self.basis, self.binv = basis, binv
         self.iterations = self.phase1_iterations = self.refactorizations = self.bland_switches = 0
@@ -106,6 +146,24 @@ class _Core:
         self.ub[self.n_struct + self.m:] = 0.0
         self.lb[self.n_struct + self.m:] = 0.0
 
+    def price(self, cost: np.ndarray, y: np.ndarray) -> np.ndarray:
+        """The reduced costs ``cost - y @ F``, bit for bit.
+
+        With a split, the structural columns take the BLAS product over
+        the prefix, whose columns sum as they do in the product over all
+        of F (the module docstring says why). Column ``n + i`` has one
+        nonzero, so its product is the exact ``signs[i] * y[rows[i]]``: the
+        other terms are zeros. A logical column's cost is +0.0 or 1.0, so
+        the signs of zero products do not reach its reduced cost.
+        """
+        split = self.split
+        if split is None:
+            return cost - (y @ self.F if self.m else 0.0)
+        y_F = np.empty(cost.size)
+        np.matmul(y, split.prefix, out=y_F[:split.prefix.shape[1]])
+        np.multiply(y.take(split.rows), split.signs, out=y_F[self.n_struct:])
+        return cost - y_F
+
     # -- simplex iterations -------------------------------------------
 
     def optimize(self, cost: np.ndarray, iteration_cap: int) -> str:
@@ -114,7 +172,7 @@ class _Core:
         Returns "optimal" or "unbounded". While it runs, the basic values
         live in ``row_state``; every exit writes them back to ``xval``.
         """
-        m = self.m
+        m, n, split, price = self.m, self.n_struct, self.split, self.price
         if not cost.size:
             return "optimal"
         basis, status, xval, lb, ub = self.basis, self.status, self.xval, self.lb, self.ub
@@ -131,7 +189,7 @@ class _Core:
                 if self.iterations > iteration_cap:
                     raise NumericalError("simplex iteration cap exceeded")
                 y = c_b @ self.binv if m else np.zeros(0)
-                rc = cost - (y @ self.F if m else 0.0)
+                rc = price(cost, y)
 
                 # Dantzig enters the largest improvement, Bland the first one.
                 improving = np.maximum(rc * s_lo, rc * s_hi)
@@ -141,7 +199,10 @@ class _Core:
                 # An improving column rises when rc < 0 and falls when rc > 0.
                 sigma = 1.0 if rc[enter] < 0 else -1.0
 
-                w = self.binv @ self.F[:, enter] if m else np.zeros(0)
+                if split is not None and enter >= n:
+                    w = split.column(self.binv, enter - n)
+                else:
+                    w = self.binv @ self.F[:, enter] if m else np.zeros(0)
                 step, leave_row, leave_to_upper = self._ratio_test(enter, sigma, w)
                 if step is None:
                     return "unbounded"
@@ -313,6 +374,10 @@ def _start(form: _Form, row_lo, row_hi) -> list[_Core]:
         # inverse needs no factorization. Without artificials it is -I,
         # whose zeros are -0.0.
         binv = np.diag(1.0 / F[np.arange(m), basis]) if n_art else -np.eye(m)
+        split = None
+        if m >= _SPLIT_ROWS:
+            split = _Split(F[:, :4 * -(-n // 4)], np.concatenate([np.arange(m), art_rows]),
+                           np.concatenate([np.full(m, -1.0), F[art_rows, basis[art_rows]]]))
         zeros, infs = np.zeros(n_art), np.full(n_art, INF)
         for j, k in enumerate(items):
             lb = np.concatenate([form.var_lb, row_lo[k], zeros])
@@ -323,7 +388,7 @@ def _start(form: _Form, row_lo, row_hi) -> list[_Core]:
             # The first core takes the pattern's arrays, each other one a copy.
             cores[k] = _Core(n, F, cost, lb, ub, xval,
                              *((status, basis, binv) if not j else
-                               (status.copy(), basis.copy(), binv.copy())))
+                               (status.copy(), basis.copy(), binv.copy())), split)
         if n_art:
             # Each core's _set_basic_values, with the nonbasic columns and
             # -B^-1 built once and not held at once: for a large program each
@@ -678,7 +743,7 @@ def _extract(core: _Core, cost: np.ndarray) -> Solution:
     x = core.xval[:n].copy()
     objective = float(np.dot(core.cost[:n], x))
     y = cost[core.basis] @ core.binv if m else np.zeros(0)
-    rc = cost - (y @ core.F if m else 0.0)
+    rc = core.price(cost, y)
 
     resid, gap = _certify(core, x, objective, rc)
     return Solution(status="optimal", objective=objective, x=x,

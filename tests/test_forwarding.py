@@ -589,6 +589,42 @@ def test_aggregation_solve_accounting(m1):
     assert out.milp_nodes >= 0
 
 
+def test_aggregation_works_out_each_round_of_flows_once(monkeypatch):
+    # Each DSO's flows of a round are sorted, checked and keyed once, and
+    # its RSF reads them as they were handed on; the dual variant after the
+    # primal one, sharing its clearings, solves no pin again.
+    from flexmkt import clearing, forwarding
+    case = generate_case(CaseRecipe(style="B", n_dsos=2, dso_buses=7), 3)
+    calls = {"flows": [], "keys": 0, "pinned": []}
+    rsf_flows, exact, pin = forwarding._rsf_flows, clearing._exact, clearing.clear_dso_fixed_interface
+
+    def counted_flows(case, m, grid):
+        calls["flows"].append(m)
+        return rsf_flows(case, m, grid)
+
+    def counted_exact(z):
+        calls["keys"] += 1
+        return exact(z)
+
+    def counted_pin(case, flows):
+        calls["pinned"].append(sum(map(len, flows.values())))
+        return pin(case, flows)
+
+    monkeypatch.setattr(forwarding, "_rsf_flows", counted_flows)
+    monkeypatch.setattr(clearing, "_exact", counted_exact)
+    monkeypatch.setattr(clearing, "clear_dso_fixed_interface", counted_pin)
+    shared = CaseClearings(case)
+    outs = {}
+    for variant in ("primal", "dual"):
+        calls["flows"], calls["keys"] = [], 0
+        outs[variant] = out = run_bid_aggregation(case, 2.0, 1, variant, clearings=shared)
+        assert out.status == "ok"
+        assert calls["flows"] == list(case.dso_indices) * 2  # two rounds
+        assert calls["keys"] == out.lp_solves  # no grid point is a near-duplicate
+    assert len(calls["pinned"]) == 2 and sum(calls["pinned"]) <= outs["primal"].lp_solves
+    assert outs["dual"].lp_solves == outs["primal"].lp_solves
+
+
 # ---------------------------------------------------------------------------
 # Suboptimality constant
 # ---------------------------------------------------------------------------

@@ -519,8 +519,8 @@ def test_a_merged_round_keeps_the_dso_by_dso_order(monkeypatch, tmp_path, lockst
         with monkeypatch.context() as mp:
             if not merged:
                 pin = clearing.CaseClearings.pin
-                mp.setattr(clearing.CaseClearings, "pin", lambda self, flows: [
-                    pin(self, {m: zs}) for m, zs in flows.items()])
+                mp.setattr(clearing.CaseClearings, "pin", lambda self, flows: {
+                    m: pin(self, {m: zs})[m] for m, zs in flows.items()})
             path = run_experiment(ExperimentConfig(
                 cases=((case.name, 0, case),), methods=("aggregation_primal",),
                 pricings=("none",), deltas=(4.0,), out_dir=str(tmp_path / str(merged))))

@@ -517,12 +517,52 @@ def _run_phases(program: LinearProgram, optimize) -> list:
     return record
 
 
+def _split_guard_lp(rng, n: int) -> LinearProgram:
+    """A program above the split's row count: boxed, fixed, one-sided and
+    free variables; equality, range and one-sided rows around a feasible
+    point, so that phase 1 has artificials and phase 2 runs on."""
+    m = simplex._SPLIT_ROWS + int(rng.integers(0, 12))
+    lp = LinearProgram()
+    x0 = rng.uniform(0.5, 3.0, size=n)
+    for j in range(n):
+        lo, hi = [(0.0, 4.0), (x0[j], x0[j]), (0.0, INF), (-INF, 4.0), (-INF, INF)][
+            int(rng.choice(5, p=[0.7, 0.1, 0.1, 0.05, 0.05]))]
+        lp.add_variable(f"x{j}", lo, hi, cost=float(rng.normal()))
+    for _ in range(m):
+        cols = rng.choice(n, size=int(rng.integers(2, 9)), replace=False)
+        coeffs = {int(j): float(rng.normal()) for j in cols}
+        at = sum(c * x0[j] for j, c in coeffs.items())
+        lo, hi = [(at, at), (at - 1.0, at + 2.0), (at - 0.5, INF), (-INF, at + 0.5)][
+            int(rng.integers(4))]
+        lp.add_range(coeffs, lo, hi)
+    return lp
+
+
 @pytest.mark.parametrize("refactor_every", [None, 1, 3])
 def test_pivot_loop_matches_the_scalar_reference_bit_for_bit(monkeypatch, refactor_every):
     if refactor_every is not None:
         monkeypatch.setattr(simplex, "_REFACTOR_EVERY", refactor_every)
+    # The split's pivots: which kinds of column entered.
+    entered = dict.fromkeys(("structural", "slack", "artificial"), 0)
+    ratio_test = _Core._ratio_test
+
+    def counting_ratio_test(self, enter, sigma, w):
+        if self.split is not None:
+            kind = (enter >= self.n_struct) + (enter >= self.n_struct + self.m)
+            entered[("structural", "slack", "artificial")[kind]] += 1
+        return ratio_test(self, enter, sigma, w)
+
+    monkeypatch.setattr(_Core, "_ratio_test", counting_ratio_test)
     rng = np.random.default_rng(2024)
     programs = [_guard_lp(rng) for _ in range(300)]
+    # Programs that price with the split, whose product runs over a padded
+    # prefix of n + 3, n + 2 and n + 1 structural columns.
+    for n in (101, 102, 103):
+        lp = _split_guard_lp(rng, n)
+        core = _core_of(lp)
+        assert core.split is not None and core.split.prefix.shape[1] == 4 * -(-n // 4)
+        assert core.F.shape[1] > n + core.m  # phase 1 has artificials
+        programs.append(lp)
     # Two 30 x 30 programs: one needs phase 1 and more than 100 pivots, so
     # the default interval refactorizes too; the other starts at a
     # degenerate vertex and switches to Bland.
@@ -549,6 +589,66 @@ def test_pivot_loop_matches_the_scalar_reference_bit_for_bit(monkeypatch, refact
             totals[name] += got[-1][-1][name]
     assert totals["iterations"] > 2000
     assert totals["refactorizations"] > 0 and totals["bland_switches"] > 0
+    assert min(entered.values()) > 0, entered
+
+
+def test_split_pricing_matches_the_product_over_F_bit_for_bit():
+    """The OpenBLAS identities the split rests on, and the solver's use of
+    them: over a prefix padded to a multiple of 4 columns, the first n sums
+    are those of the product over all of F; a slack or artificial column in
+    the basis is ``0.0 -+`` a column of binv, its zeros +0.0; _Core.price
+    is ``cost - y @ F`` under both phases' costs."""
+    rng = np.random.default_rng(18)
+
+    def signed_zeros(a):
+        a[rng.random(a.shape) < 0.15] = 0.0
+        a[rng.random(a.shape) < 0.15] = -0.0
+        return a
+
+    def check_price(core):
+        # The logical columns cost 1.0 or +0.0, as _phases sets them; a
+        # structural column's cost may be any number, -0.0 included.
+        n = core.n_struct
+        for phase1 in (True, False):
+            cost = np.zeros(core.F.shape[1])
+            if phase1:
+                cost[n + core.m:] = 1.0
+            else:
+                cost[:n] = signed_zeros(rng.normal(size=n))
+            y = signed_zeros(rng.normal(size=core.m))
+            assert _bits(_Core.price(core, cost, y)) == _bits(cost - y @ core.F)
+
+    for trial in range(132):
+        n, m = 1 + trial % 33, int(rng.integers(1, 601))
+        art_rows = np.flatnonzero(rng.random(m) < 0.2)
+        art_signs = rng.choice([-1.0, 1.0], size=art_rows.size)
+        F = np.zeros((m, n + m + art_rows.size))
+        F[:, :n], F[:, n:n + m] = signed_zeros(rng.normal(size=(m, n))), -0.0
+        F[np.arange(m), n + np.arange(m)] = -1.0
+        F[art_rows, n + m + np.arange(art_rows.size)] = art_signs
+        y = signed_zeros(rng.normal(size=m))
+        k = 4 * -(-n // 4)
+        assert _bits((y @ F[:, :k])[:n]) == _bits((y @ F)[:n]), (n, m)
+        binv = signed_zeros(rng.normal(size=(m, m)))
+        for j in rng.choice(m, size=min(m, 4), replace=False).tolist():
+            assert _bits(0.0 - binv[:, j]) == _bits(binv @ F[:, n + j]), (n, m, j)
+
+        split = simplex._Split(F[:, :k], np.concatenate([np.arange(m), art_rows]),
+                               np.concatenate([np.full(m, -1.0), art_signs]))
+        logical = rng.choice(m + art_rows.size, size=min(m, 8), replace=False)
+        for i in [*logical.tolist(), *range(m, m + art_rows.size)][:12]:
+            assert _bits(split.column(binv, i)) == _bits(binv @ F[:, n + i]), (n, m, i)
+        check_price(SimpleNamespace(F=F, m=m, n_struct=n, split=split))
+
+    # As _start builds it, above the split's row count.
+    for n in (29, 30, 31, 32):
+        core = _core_of(_split_guard_lp(rng, n))
+        assert core.split is not None
+        logical = core.F[:, n:]
+        assert (logical[core.split.rows, np.arange(logical.shape[1])] == core.split.signs).all()
+        assert (np.count_nonzero(logical, axis=0) == 1).all()
+        for _ in range(10):
+            check_price(core)
 
 
 def _reference_init(self, program: LinearProgram):
