@@ -301,17 +301,16 @@ def clear_dso_fixed_interface(case: MarketCase, flows: dict[int, list[float]]
         row_lo[:, pin_row] = row_hi[:, pin_row] = zs
         programs.append((m, prog, pin_row))
         batches.append((prog.lp, row_lo, row_hi))
-    return {m: [_pin_entry(prog, pin_row, sol) for sol in solved]
-            for (m, prog, pin_row), solved in zip(programs, solve_lp_batch(batches))}
-
-
-def _pin_entry(prog: _CaseProgram, pin_row: int, sol: Solution | NumericalError
-               ) -> tuple[ClearingResult, float] | NumericalError:
-    """One pin's (clearing, pin dual) pair from its solve, or its error."""
-    if not isinstance(sol, Solution):
-        return sol
-    dual = float(sol.duals[pin_row]) if sol.status == "optimal" else float("nan")
-    return prog.extract(sol), dual
+    entries: dict[int, list] = {}
+    for (m, prog, pin_row), solved in zip(programs, solve_lp_batch(batches)):
+        entries[m] = []
+        for sol in solved:
+            if not isinstance(sol, Solution):
+                entries[m].append(sol)  # the error its solve raised
+                continue
+            dual = float(sol.duals[pin_row]) if sol.status == "optimal" else float("nan")
+            entries[m].append((prog.extract(sol), dual))
+    return entries
 
 
 # ---------------------------------------------------------------------------
@@ -465,20 +464,6 @@ class CaseClearings:
             for m, fresh in new.items():
                 self._solved.update(zip(fresh, solved[m]))
         return {m: [self._solved[k] for k in ks] for m, ks in keys.items()}
-
-    def pinned(self, m: int, flows) -> list[tuple[ClearingResult, float]]:
-        """DSO ``m``'s pinned clearing for each of ``flows``, through
-        :meth:`pin`; raises the first error among them, in flow order."""
-        return _checked_pins(self.pin({m: flows})[m])
-
-
-def _checked_pins(entries: list) -> list[tuple[ClearingResult, float]]:
-    """Pin entries, as :meth:`CaseClearings.pin` gives them, once none is
-    an error; else the first error, raised."""
-    for entry in entries:
-        if isinstance(entry, Exception):
-            raise entry
-    return entries
 
 
 # ---------------------------------------------------------------------------

@@ -166,8 +166,9 @@ class _Core:
 
     # -- simplex iterations -------------------------------------------
 
-    def optimize(self, cost: np.ndarray, iteration_cap: int) -> str:
-        """Run pivots to optimality for the given cost vector.
+    def optimize(self, cost: np.ndarray) -> str:
+        """Run pivots to optimality for the given cost vector, up to
+        ``_iteration_cap``.
 
         Returns "optimal" or "unbounded". While it runs, the basic values
         live in ``row_state``; every exit writes them back to ``xval``.
@@ -175,6 +176,7 @@ class _Core:
         m, n, split, price = self.m, self.n_struct, self.split, self.price
         if not cost.size:
             return "optimal"
+        iteration_cap = _iteration_cap(self)
         basis, status, xval, lb, ub = self.basis, self.status, self.xval, self.lb, self.ub
         # The basic variable of each row: its cost, and in row_state its
         # value, bounds and column. A pivot rewrites the leaving row.
@@ -320,8 +322,7 @@ def solve_lp(program: LinearProgram) -> Solution:
     """Solve a linear program; duals come from the optimal basis."""
     [core] = _start(_Form(program), np.array(program.row_lo, dtype=float)[None],
                     np.array(program.row_hi, dtype=float)[None])
-    phases = _phases(core)
-    return _run(core, phases, next(phases))
+    return _run(core)
 
 
 def _start(form: _Form, row_lo, row_hi) -> list[_Core]:
@@ -404,16 +405,15 @@ def _start(form: _Form, row_lo, row_hi) -> list[_Core]:
 
 
 def _phases(core: _Core):
-    """The two phases of a solve on ``core``. Yields the cost vector and
-    iteration cap of each pivot loop, receives the loop's outcome, and
-    returns the Solution."""
-    cap = _iteration_cap(core)
+    """The two phases of a solve on ``core``. Yields the cost vector of
+    each pivot loop, receives the loop's outcome, and returns the
+    Solution."""
     n_basic = core.n_struct + core.m
     # Phase 1 minimizes the sum of the artificials, if there are any.
     if core.F.shape[1] > n_basic:
         c1 = np.zeros(core.F.shape[1])
         c1[n_basic:] = 1.0
-        if (yield c1, cap) != "optimal":
+        if (yield c1) != "optimal":
             raise NumericalError("phase-1 subproblem reported unbounded")
         core.phase1_iterations = core.iterations
         if float(c1 @ core.xval) > _PHASE1_TOL:
@@ -422,21 +422,23 @@ def _phases(core: _Core):
 
     cost = np.zeros(core.F.shape[1])
     cost[:n_basic] = core.cost[:n_basic]
-    if (yield cost, cap) == "unbounded":
+    if (yield cost) == "unbounded":
         return Solution.non_optimal("unbounded", **core.counters())
 
     return _extract(core, cost)
 
 
 def _iteration_cap(core: _Core) -> int:
+    """The most pivots a loop on ``core`` takes before it gives up."""
     return 200 * (core.m + core.F.shape[1]) + 20000
 
 
-def _run(core: _Core, phases, request) -> Solution:
-    """Run the rest of ``core``'s phases alone, from the loop ``request``."""
+def _run(core: _Core) -> Solution:
+    """Run ``core``'s phases alone, each loop through ``core.optimize``."""
+    phases, outcome = _phases(core), None
     try:
         while True:
-            request = phases.send(core.optimize(*request))
+            outcome = core.optimize(phases.send(outcome))
     except StopIteration as done:
         return done.value
 
@@ -448,11 +450,11 @@ def solve_lp_batch(batches) -> list[list[Solution | NumericalError]]:
     row_hi)`` tuple per program; the result is one list per program, one
     entry per pair of vectors.
 
-    Items whose phase-1 programs have the same shape (rows and columns,
-    artificials included) pivot in lockstep when there are at least
-    ``_LOCKSTEP_MIN`` of them, whatever their program, and one at a time
-    otherwise. A solve that raises ``NumericalError`` gives that error in
-    its place.
+    Each item, ``((p, k), core)`` for pair ``k`` of program ``p``, runs
+    its phases alone (``_run``) or, when at least ``_LOCKSTEP_MIN`` items'
+    phase-1 programs have its shape (rows and columns, artificials
+    included), in lockstep with them, whatever their program. A solve that
+    raises ``NumericalError`` gives that error in its place.
     """
     results: list[list] = []
     groups: dict[tuple[int, int], list] = {}
@@ -460,24 +462,18 @@ def solve_lp_batch(batches) -> list[list[Solution | NumericalError]]:
         cores = _start(_Form(program), row_lo, row_hi)
         results.append([None] * len(cores))
         for k, core in enumerate(cores):
-            phases = _phases(core)
-            request = next(phases)
-            groups.setdefault(core.F.shape, []).append(((p, k), core, phases, request))
+            groups.setdefault(core.F.shape, []).append(((p, k), core))
     for (m, _), items in groups.items():
         # The lockstep ratio test needs two rows to compare steps.
         if m > 1 and len(items) >= _LOCKSTEP_MIN:
             _Lockstep(items, results).run()
             continue
-        for (p, k), core, phases, request in items:
-            results[p][k] = _alone(core, phases, request)
+        for (p, k), core in items:
+            try:
+                results[p][k] = _run(core)
+            except NumericalError as exc:
+                results[p][k] = exc
     return results
-
-
-def _alone(core: _Core, phases, request) -> Solution | NumericalError:
-    try:
-        return _run(core, phases, request)
-    except NumericalError as exc:
-        return exc
 
 
 class _Lockstep:
@@ -485,7 +481,8 @@ class _Lockstep:
     together on stacked arrays.
 
     Row r of each array holds the state of one item's pivot loop, the
-    locals of ``_Core.optimize`` included. A step does for every item what
+    locals of ``_Core.optimize`` included; ``items`` holds the item's
+    ``(p, k)``, core and phases. A step does for every item what
     one pass of that loop does, with the same floating-point operations:
     elementwise work on the stacked arrays, and as reductions only stacked
     ``np.matmul`` calls, which run the BLAS routine of the 2-D call once
@@ -497,30 +494,30 @@ class _Lockstep:
     update keep their per-item order and rows. What happens once per loop
     or once per ``_REFACTOR_EVERY`` pivots (the phases, refactorizations,
     certification) runs on the item's own core through the scalar code.
+    Every loop has the cap ``_iteration_cap`` gives the first core, as all
+    cores of one shape have.
     """
 
-    _ROWS = ("pattern", "binv", "basis", "status", "xval", "x_b", "lb", "ub", "span", "cost",
+    _ROWS = ("pattern", "binv", "basis", "status", "xval", "x_b", "lb", "ub", "cost",
              "iterations", "bland_switches", "bland", "degen")
 
     def __init__(self, items, results):
         shared: dict[int, int] = {}  # id of each distinct F -> its index
-        for _, core, _, _ in items:
+        for _, core in items:
             shared.setdefault(id(core.F), len(shared))
-        items = sorted(items, key=lambda item: shared[id(item[1].F)])
+        self.items = [(pk, core, _phases(core)) for pk, core in
+                      sorted(items, key=lambda item: shared[id(item[1].F)])]
         self.results = results
-        self.index = [pk for pk, *_ in items]  # (program, item) of each row
-        self.cores = [core for _, core, _, _ in items]
-        self.phases = [phases for _, _, phases, _ in items]
-        self.Fs = np.stack(list({id(core.F): core.F for core in self.cores}.values()))
-        self.pattern = np.array([shared[id(core.F)] for core in self.cores])
+        cores = [core for _, core, _ in self.items]
+        self.Fs = np.stack(list({id(core.F): core.F for core in cores}.values()))
+        self.pattern = np.array([shared[id(core.F)] for core in cores])
         for name in ("binv", "basis", "status", "xval", "lb", "ub"):
-            setattr(self, name, np.stack([getattr(core, name) for core in self.cores]))
-        self.cost = np.stack([cost for *_, (cost, _) in items])
-        self.cap = items[0][3][1]  # the same for every item of one shape
-        self.iterations, self.bland_switches, self.degen = np.zeros((3, len(items)), dtype=np.int64)
-        self.bland = np.zeros(len(items), dtype=bool)
+            setattr(self, name, np.stack([getattr(core, name) for core in cores]))
+        self.cost = np.stack([next(phases) for *_, phases in self.items])
+        self.cap = _iteration_cap(cores[0])
+        self.iterations, self.bland_switches, self.degen = np.zeros((3, len(cores)), dtype=np.int64)
+        self.bland = np.zeros(len(cores), dtype=bool)
         self.x_b = np.take_along_axis(self.xval, self.basis, 1)
-        self.span = _span(self.lb, self.ub)
         self._number_rows()
 
     def _number_rows(self) -> None:
@@ -537,7 +534,7 @@ class _Lockstep:
         # the iteration cap and the refactorization interval are checked
         # only once the steps reach them.
         self.steps = 0
-        while self.index:
+        while self.items:
             self._step()
             self.steps += 1
 
@@ -585,7 +582,7 @@ class _Lockstep:
             ties = (best >= second - _TIE_TOL) | (second < best + _TIE_TOL) | (best != best)
             for i in ties.nonzero()[0].tolist():
                 best[i], row[i] = _fold(t[i], self.basis[i])
-            flip = self.span.take(at_enter)
+            flip = self.ub.take(at_enter) - self.lb.take(at_enter)
             flips = flip < best - _TIE_TOL
         step = np.where(flips, flip, best)
         unbounded = ~done & (step == INF)
@@ -594,7 +591,7 @@ class _Lockstep:
         if stopping.any():
             exits = dict.fromkeys(done.nonzero()[0].tolist(), "optimal")
             exits.update(dict.fromkeys(unbounded.nonzero()[0].tolist(), "unbounded"))
-        if len(exits) < len(self.index):
+        if len(exits) < len(self.items):
             at_row = row0 + row
             self._pivot(~stopping, not exits, enter, at_enter, sigma, step, flips, at_row,
                         at_basis.take(at_row), rising.take(at_row), w, exits)
@@ -664,7 +661,7 @@ class _Lockstep:
         rows[at_q] = old / piv[:, None]
 
     def _refactor(self, r: int, exits) -> None:
-        core = self.cores[r]
+        core = self.items[r][1]
         core.basis, core.status, core.xval = self.basis[r], self.status[r], self.xval[r]
         try:
             core._refactor()
@@ -680,19 +677,18 @@ class _Lockstep:
         result. Finished rows go."""
         gone = []
         for r, outcome in exits.items():
-            p, k = self.index[r]
+            (p, k), core, phases = self.items[r]
             if not isinstance(outcome, str):
                 self.results[p][k] = outcome
                 gone.append(r)
                 continue
             self.xval[r, self.basis[r]] = self.x_b[r]
-            core = self.cores[r]
             for name in ("xval", "status", "basis", "binv", "lb", "ub"):
                 setattr(core, name, getattr(self, name)[r].copy())
             core.iterations = int(self.iterations[r])
             core.bland_switches = int(self.bland_switches[r])
             try:
-                cost, _ = self.phases[r].send(outcome)
+                cost = phases.send(outcome)
             except StopIteration as stop:
                 self.results[p][k] = stop.value
                 gone.append(r)
@@ -700,29 +696,18 @@ class _Lockstep:
                 self.results[p][k] = exc
                 gone.append(r)
             else:
-                # The next loop starts from the core, as optimize does.
+                # The next loop starts from the core, as optimize does; its
+                # basic values are the x_b just written back.
                 self.cost[r] = cost
                 self.lb[r], self.ub[r] = core.lb, core.ub
-                self.span[r] = _span(core.lb, core.ub)
-                self.x_b[r] = self.xval[r, self.basis[r]]
                 self.bland[r], self.degen[r] = False, 0
         if gone:
-            keep = np.ones(len(self.index), dtype=bool)
+            keep = np.ones(len(self.items), dtype=bool)
             keep[gone] = False
             for name in self._ROWS:
                 setattr(self, name, getattr(self, name)[keep])
-            kept = keep.nonzero()[0].tolist()
-            self.index = [self.index[r] for r in kept]
-            self.cores = [self.cores[r] for r in kept]
-            self.phases = [self.phases[r] for r in kept]
+            self.items = [self.items[r] for r in keep.nonzero()[0].tolist()]
             self._number_rows()
-
-
-def _span(lb: np.ndarray, ub: np.ndarray) -> np.ndarray:
-    """Each column's bound-flip distance ``ub - lb``, without the warning
-    for the NaN of two equal infinite bounds."""
-    with np.errstate(invalid="ignore"):
-        return ub - lb
 
 
 def _fold(t: np.ndarray, basic: np.ndarray) -> tuple[float, int]:

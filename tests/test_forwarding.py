@@ -1,8 +1,10 @@
 """The three forwarding methods: oracle-frozen examples, solve-count
 accounting, and the structural guarantees they are supposed to carry."""
 
+import csv
 import itertools
 import math
+from dataclasses import replace
 
 import numpy as np
 import pytest
@@ -10,6 +12,7 @@ from hypothesis import assume, given, settings
 from hypothesis import strategies as st
 
 from flexmkt.casegen import CaseRecipe, generate_case
+from flexmkt.cli import ExperimentConfig, run_experiment
 from flexmkt.clearing import (CaseClearings, _common_program, clear_common,
                               clear_dso_layer1, interface_price)
 from flexmkt.errors import ContractError, ModelError
@@ -17,7 +20,7 @@ from flexmkt.forwarding import (_dso_flow_interval, build_rsf, build_rsf_dual,
                                 clear_tso_rsf, filter_bids, run_bid_aggregation,
                                 run_bid_filtering, run_sequential,
                                 run_three_layer, suboptimality_constant)
-from flexmkt.market_model import Bid, DistributionSystem, MarketCase
+from flexmkt.market_model import UNLIMITED, Bid, DistributionSystem, MarketCase
 from flexmkt.mp_solver import solve_lp
 from flexmkt.netmodel import Line, Network
 
@@ -438,6 +441,24 @@ def test_aggregation_contract_checks(m1):
         run_bid_aggregation(m1, 1.0, 0, "tertiary")
 
 
+def test_aggregation_refuses_a_grid_too_large_to_build(m1, tmp_path):
+    # Interface bounds at the "unlimited" sentinel, sampled every MW, would
+    # take 2e9 grid points: the grid is refused before any point is made,
+    # and run_experiment writes an error row and goes on.
+    case = replace(m1, dsos=tuple(replace(d, z_min=-UNLIMITED, z_max=UNLIMITED)
+                                  for d in m1.dsos))
+    message = "span of 2000000000.0 MW at a step of 1.0 MW would have more than 10000 points"
+    with pytest.raises(ContractError, match=message):
+        run_bid_aggregation(case, 1.0)
+    path = run_experiment(ExperimentConfig(
+        cases=((case.name, 0, case),), methods=("aggregation_dual", "three_layer"),
+        pricings=("none",), deltas=(1.0,), out_dir=str(tmp_path)))
+    with open(path, newline="", encoding="utf-8") as fh:
+        rows = [(r["method"], r["status"]) for r in csv.DictReader(fh)]
+    assert rows == [("aggregation_dual", f"error: an RSF grid over a {message}"),
+                    ("three_layer", "ok")]
+
+
 def test_total_cost_decomposes_into_layer_objectives():
     # The outcome total recomputed from volumes equals the sum of the layer
     # objectives once interface-price transfers are stripped: the local
@@ -571,7 +592,7 @@ def test_aggregation_layer1_is_the_settled_step_clearings(m1):
     out = run_bid_aggregation(m1, 1.0, 1, "dual", clearings=shared)
     assert out.status == "ok" and set(out.layer1) == set(m1.dso_indices)
     for m, z in out.layer2.interface_flows.items():
-        [(pinned, _)] = shared.pinned(m, [z])
+        [(pinned, _)] = shared.pin({m: [z]})[m]
         assert out.layer1[m] is pinned
     assert list(out.details) == ["realized_deltas"]
 

@@ -404,7 +404,8 @@ def test_pinned_flows_raise_the_first_error_a_run_one_at_a_time_meets(monkeypatc
     case, flows, plain, edge = _pinned_grid()
     # Certification fails, naming the pin, from the pin before the one
     # with the fewest pivots on: a lockstep finishes that later pin first,
-    # and reading the flows must still raise the earlier pin's error.
+    # and the entries, solved or read through pin, still hold the earlier
+    # pin's error first.
     quickest = min(range(edge), key=lambda k: plain[k][0].iterations)
     assert quickest > 0
     certify = simplex._certify
@@ -422,18 +423,17 @@ def test_pinned_flows_raise_the_first_error_a_run_one_at_a_time_meets(monkeypatc
             mp.setattr(simplex, name, replacement)
             want = _one_at_a_time(case, 1, flows)
             got = clearing.clear_dso_fixed_interface(case, {1: flows})[1]
-            with pytest.raises(NumericalError) as raised:
-                shared.pinned(1, flows)
-        assert repr(got) == repr(want)
+            pinned = shared.pin({1: flows})[1]
+        assert repr(got) == repr(want) == repr(pinned)
         errors = [k for k, entry in enumerate(got) if isinstance(entry, NumericalError)]
         assert errors[0] == first
-        assert raised.value is shared._solved[("pin", 1, clearing._exact(flows[first]))]
+        assert pinned[first] is shared._solved[("pin", 1, clearing._exact(flows[first]))]
 
 
 @_MODES
 def test_an_error_past_the_edge_of_the_feasible_flows_is_raised(monkeypatch, lockstep_min):
     # Every pin past the edge ends in an error: each is that pin's entry,
-    # as its solve alone gives it, and reading the flows raises the first.
+    # as its solve alone gives it, and so is each entry read through pin.
     monkeypatch.setattr(simplex, "_LOCKSTEP_MIN", lockstep_min)
     case, flows, plain, edge = _pinned_grid()
     phases = simplex._phases
@@ -449,8 +449,43 @@ def test_an_error_past_the_edge_of_the_feasible_flows_is_raised(monkeypatch, loc
     assert repr(got) == repr(_one_at_a_time(case, 1, flows))
     assert repr(got[:edge + 1]) == repr(plain[:edge + 1])
     assert [str(e) for e in got[edge + 1:]] == [f"pin {k}" for k in range(edge + 1, len(flows))]
-    with pytest.raises(NumericalError, match=f"^pin {edge + 1}$"):
-        clearing.CaseClearings(case).pinned(1, flows)
+    assert repr(clearing.CaseClearings(case).pin({1: flows})[1]) == repr(got)
+
+
+@_MODES
+@pytest.mark.parametrize("build", ["build_rsf", "build_rsf_dual"])
+def test_an_rsf_raises_the_first_error_among_its_pins_in_flow_order(monkeypatch, lockstep_min,
+                                                                   build):
+    # A grid inside the interface bounds. Certification fails at two
+    # optimal pins, the later of which takes fewer pivots, so a lockstep
+    # finishes it first: the RSF raises the earlier pin's error. Under an
+    # iteration cap of 6 every pin fails, and the first flow's is raised.
+    monkeypatch.setattr(simplex, "_LOCKSTEP_MIN", lockstep_min)
+    case = generate_case(CaseRecipe(style="C", n_dsos=1, dso_buses=15), 0)
+    dso = case.dso(1)
+    grid = list(np.linspace(dso.z_min, dso.z_max, 20))
+    plain = _one_at_a_time(case, 1, grid)
+    iterations = {k: r.iterations for k, (r, _) in enumerate(plain) if r.status == "optimal"}
+    later = min(list(iterations)[1:], key=iterations.get)
+    earlier = max((k for k in iterations if k < later), key=iterations.get)
+    assert iterations[earlier] > iterations[later] and min(iterations.values()) > 6
+    certify = simplex._certify
+
+    def failing(core, *args):
+        if _pin(core) in (grid[earlier], grid[later]):
+            raise NumericalError(f"pin {grid.index(_pin(core))}")
+        return certify(core, *args)
+
+    for name, replacement, first in (("_iteration_cap", lambda core: 6, 0),
+                                     ("_certify", failing, earlier)):
+        shared = clearing.CaseClearings(case)
+        with monkeypatch.context() as mp:
+            mp.setattr(simplex, name, replacement)
+            with pytest.raises(NumericalError) as raised:
+                getattr(forwarding, build)(case, 1, grid, clearings=shared)
+        assert raised.value is shared._solved[("pin", 1, clearing._exact(grid[first]))]
+        if name == "_certify":
+            assert str(raised.value) == f"pin {earlier}"
 
 
 def test_run_experiment_turns_a_pinned_flow_error_into_an_error_row(monkeypatch, tmp_path):

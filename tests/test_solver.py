@@ -404,16 +404,19 @@ def _bits(a) -> bytes:
 
 # The former pivot loop, which gathered the basic variables' state by the
 # basis on every pivot, kept verbatim as the reference for _Core.optimize
-# but for two names: it calls the reference ratio test, and it reads the
-# refactorization interval through the module so that a test can patch it.
-def _reference_optimize(self, cost: np.ndarray, iteration_cap: int) -> str:
-    """Run pivots to optimality for the given cost vector.
+# but for three names: it calls the reference ratio test, and it reads the
+# refactorization interval and the iteration cap through the module so that
+# a test can patch them.
+def _reference_optimize(self, cost: np.ndarray) -> str:
+    """Run pivots to optimality for the given cost vector, up to
+    ``_iteration_cap``.
 
     Returns "optimal" or "unbounded".
     """
     m = self.m
     if not cost.size:
         return "optimal"
+    iteration_cap = simplex._iteration_cap(self)
     signs = _SIGNS[:, self.status]
     bland = False
     degen_run = 0
@@ -492,7 +495,6 @@ def _run_phases(program: LinearProgram, optimize) -> list:
     """solve_lp's two phases on a fresh _Core with the given pivot loop,
     recording the whole state after each phase."""
     core = _core_of(program)
-    cap = 200 * (core.m + core.F.shape[1]) + 20000
     record = []
 
     def snapshot(outcome):
@@ -504,13 +506,13 @@ def _run_phases(program: LinearProgram, optimize) -> list:
         if core.F.shape[1] > n_basic:
             c1 = np.zeros(core.F.shape[1])
             c1[n_basic:] = 1.0
-            snapshot(optimize(core, c1, cap))
+            snapshot(optimize(core, c1))
             if float(c1 @ core.xval) > _PHASE1_TOL:
                 return record
             core.retire_artificials()
         cost = np.zeros(core.F.shape[1])
         cost[: core.n_struct + core.m] = core.cost[: core.n_struct + core.m]
-        snapshot(optimize(core, cost, cap))
+        snapshot(optimize(core, cost))
     except NumericalError as exc:
         record.append(str(exc))
         snapshot("raised")
@@ -829,7 +831,7 @@ def test_artificials_match_the_scalar_reference_bit_for_bit(state):
     c1_ref = _reference_install_artificials(ref)
     # The phase-1 cost vector, or the phase-2 one when no row needs an
     # artificial.
-    cost, _ = next(simplex._phases(got))
+    cost = next(simplex._phases(got))
     assert _bits(cost if c1_ref.size else np.zeros(0)) == _bits(c1_ref)
     assert _core_bits(got) == _core_bits(ref)
 
