@@ -51,13 +51,9 @@ def _max_absorbable_import(net: Network, e, bids: list[Bid]) -> float:
     import at the bound is always grid-feasible."""
     lp = LinearProgram()
     z = lp.add_variable("z", -INF, INF, cost=-1.0)
-    at_bus: dict[int, list[tuple[int, float]]] = {}
-    for b in bids:
-        var = lp.add_variable(b.id, 0.0, b.quantity_max)
-        at_bus.setdefault(b.bus, []).append(
-            (var, 1.0 if b.direction == "up" else -1.0))
-    at_bus.setdefault(net.root, []).append((z, 1.0))
-    add_network_block(lp, net, [float(v) for v in e], at_bus, "feeder")
+    terms = [(b.bus, lp.add_variable(b.id, 0.0, b.quantity_max),
+              1.0 if b.direction == "up" else -1.0) for b in bids]
+    add_network_block(lp, net, [float(v) for v in e], [*terms, (net.root, z, 1.0)], "feeder")
     sol = solve_lp(lp)
     if sol.status != "optimal":
         return 0.0

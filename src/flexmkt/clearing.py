@@ -1,5 +1,7 @@
 """Market-clearing problems: DSO layer, TSO layer and its idealized and
-fragmented variants, the common benchmark, and interface-pricing rules.
+fragmented variants, Layer-3 corrections, the aggregation TSO MILP, the
+common benchmark, and interface-pricing rules. Every program is built and
+solved here, and :class:`CaseClearings` keys every shared solve.
 
 Every system contributes the same constraint block to a program, and
 :func:`add_network_block` is the only code that writes it: one balance
@@ -28,19 +30,25 @@ side.
 
 from __future__ import annotations
 
-from dataclasses import dataclass, field
+from dataclasses import dataclass, field, replace
+from typing import TYPE_CHECKING
 
 import numpy as np
 
 from .errors import ContractError, ModelError, NumericalError
 from .market_model import DIR_DOWN, DIR_UP, Bid, MarketCase
-from .mp_solver import INF, LinearProgram, Solution, solve_lp, solve_lp_batch
+from .mp_solver import (INF, LinearProgram, MixedProgram, Solution, solve_lp,
+                        solve_lp_batch, solve_milp)
 from .netmodel import Network
+
+if TYPE_CHECKING:
+    from .forwarding import Rsf
 
 __all__ = [
     "CaseClearings", "ClearingResult", "PricingRule",
     "clear_dso_layer1", "clear_dso_fixed_interface", "clear_tso_layer2",
-    "clear_idealized_layer2", "clear_fragmented_layer2", "clear_common",
+    "clear_idealized_layer2", "clear_fragmented_layer2", "clear_tso_rsf",
+    "clear_common", "dso_flow_interval", "common_pin_duals",
     "interface_price", "bid_cost", "add_network_block",
 ]
 
@@ -91,7 +99,10 @@ class ClearingResult:
 def bid_cost(case: MarketCase, upward: dict[str, float],
              downward: dict[str, float]) -> float:
     """Procurement cost of a volume assignment: upward volumes are paid,
-    downward volumes pay back. Interface-price transfers are excluded."""
+    downward volumes pay back. Interface-price transfers are excluded. A
+    volume under an id that is not a bid of its direction raises
+    ``ContractError``."""
+    check_volume_ids(case, upward, downward)
     total = 0.0
     for b in case.bids:
         if b.direction == DIR_UP:
@@ -101,30 +112,43 @@ def bid_cost(case: MarketCase, upward: dict[str, float],
     return total
 
 
+def check_volume_ids(case: MarketCase, upward: dict[str, float],
+                     downward: dict[str, float]) -> None:
+    """Raise ``ContractError`` naming the first id of ``upward`` or
+    ``downward`` that is not a bid of that direction in ``case``."""
+    for direction, volumes in ((DIR_UP, upward), (DIR_DOWN, downward)):
+        ids = {b.id for b in case.bids if b.direction == direction}
+        for bid_id in volumes:
+            if bid_id not in ids:
+                raise ContractError(f"{bid_id!r} is not a {direction}ward bid of {case.name}")
+
+
 # ---------------------------------------------------------------------------
 # Program assembly
 # ---------------------------------------------------------------------------
 
 def add_network_block(lp: LinearProgram, net: Network, rhs: list[float],
-                      at_bus: dict[int, list[tuple[int, float]]], tag: int | str,
+                      terms, tag: int | str,
                       flow_slack: int | None = None) -> dict[int, int]:
     """Write one system's DC block into ``lp`` and return its balance rows
     keyed by bus.
 
     Adds a free net-injection variable per bus, then per bus the balance
-    row ``sum(at_bus terms) - p = rhs``, the consistency row ``sum(p) = 0``,
-    and one row per line bounding the sensitivity-weighted injections by
-    the line's limits. With ``flow_slack`` each limit becomes a pair of
-    one-sided rows that the (non-negative) slack variable relaxes. ``tag``
-    names the rows and variables.
+    row ``sum(terms at the bus) - p = rhs``, the consistency row
+    ``sum(p) = 0``, and one row per line bounding the sensitivity-weighted
+    injections by the line's limits. ``terms`` holds (bus, variable,
+    coefficient) triples, summed per bus in their order. With
+    ``flow_slack`` each limit becomes a pair of one-sided rows that the
+    (non-negative) slack variable relaxes. ``tag`` names the rows and
+    variables.
     """
     p_vars = [lp.add_variable(f"p[{tag},{bus}]", -INF, INF) for bus in net.buses]
-    rows: dict[int, int] = {}
-    for k, bus in enumerate(net.buses):
-        coeffs: dict[int, float] = {p_vars[k]: -1.0}
-        for var, coeff in at_bus.get(bus, ()):
-            coeffs[var] = coeffs.get(var, 0.0) + coeff
-        rows[bus] = lp.add_equality(coeffs, rhs[k], name=f"bal[{tag},{bus}]")
+    balance: list[dict[int, float]] = [{pv: -1.0} for pv in p_vars]
+    for bus, var, coeff in terms:
+        coeffs = balance[net.bus_index[bus]]
+        coeffs[var] = coeffs.get(var, 0.0) + coeff
+    rows = {bus: lp.add_equality(coeffs, rhs[k], name=f"bal[{tag},{bus}]")
+            for k, (bus, coeffs) in enumerate(zip(net.buses, balance))}
     lp.add_equality({pv: 1.0 for pv in p_vars}, 0.0, name=f"netsum[{tag}]")
 
     entries = sensitivity(net)
@@ -214,14 +238,11 @@ class _CaseProgram:
                       for dso in case.dsos if dso.index in self.z_vars]
         elif system in self.z_vars:
             terms.append((case.dso(system).network.root, self.z_vars[system], 1.0))
-        at_bus: dict[int, list[tuple[int, float]]] = {}
-        for bus, var, coeff in (*terms, *step_terms):
-            at_bus.setdefault(bus, []).append((var, coeff))
         net = case.system_network(system)
         e = case.system_injections(system)
         rhs = [e[k] - const_net.get(bus, 0.0) for k, bus in enumerate(net.buses)]
         self.balance_rows[system] = add_network_block(
-            self.lp, net, rhs, at_bus, system, flow_slack)
+            self.lp, net, rhs, (*terms, *step_terms), system, flow_slack)
 
     def extract(self, sol: Solution) -> ClearingResult:
         if sol.status != "optimal":
@@ -314,7 +335,7 @@ def clear_dso_fixed_interface(case: MarketCase, flows: dict[int, list[float]]
 
 
 # ---------------------------------------------------------------------------
-# Layer 2 and its variants
+# Layer 2 and its variants, Layer 3, and the aggregation TSO layer
 # ---------------------------------------------------------------------------
 
 def _layer2_program(case: MarketCase, layer1: dict[int, ClearingResult],
@@ -366,6 +387,57 @@ def clear_fragmented_layer2(case: MarketCase, layer1: dict[int, ClearingResult],
     return _layer2_program(case, layer1, pricing, no_dist, "fragmented")
 
 
+def _layer3_program(case: MarketCase, m: int, prior: tuple[ClearingResult, ...],
+                    z_value: float,
+                    diagnostic: bool = False) -> tuple[_CaseProgram, int | None]:
+    """Corrective DSO problem: the volumes of the ``prior`` clearings are
+    constants, corrective volumes fill the residual boxes, the interface
+    flow is frozen.
+
+    The ``diagnostic`` variant drops the bid costs and relaxes every line
+    limit by one slack, whose optimum is the smallest possible max line
+    overload when the correction problem itself is infeasible. Returns
+    the program and that slack variable (None without ``diagnostic``).
+    """
+    prog = _CaseProgram(case)
+    prog.add_z(m, z_value, z_value)
+    worst = prog.lp.add_variable("worst", 0.0, INF, 1.0) if diagnostic else None
+    prog.add_system(m, prior=prior, cost_scale=0.0 if diagnostic else 1.0,
+                    flow_slack=worst)
+    return prog, worst
+
+
+def clear_tso_rsf(case: MarketCase,
+                  rsfs: dict[int, Rsf]) -> tuple[ClearingResult, dict[int, int]]:
+    """TSO clearing over the forwarded steps: one binary per step, one
+    one-hot group per DSO, interface flows substituted by the selected
+    step values. The aggregated balance is deliberately absent; it lives
+    inside the stored step clearings. Returns the MILP clearing, with the
+    nodes it explored, and the selected step per DSO, which is empty when
+    the MILP has no optimum."""
+    for m in case.dso_indices:
+        if m not in rsfs:
+            raise ContractError(f"missing RSF for DSO {m}")
+    prog = _CaseProgram(case)
+    y_vars: dict[int, list[int]] = {}
+    step_terms = []
+    for dso in case.dsos:
+        steps = rsfs[dso.index].steps
+        ys = [prog.lp.add_variable(f"y[{dso.index},{k}]", 0.0, 1.0, cost=step.cost)
+              for k, step in enumerate(steps)]
+        step_terms += [(dso.coupling_bus, y, step.z) for y, step in zip(ys, steps) if step.z != 0.0]
+        y_vars[dso.index] = ys
+    prog.add_system(0, step_terms=step_terms)
+    sol = solve_milp(MixedProgram(prog.lp, [y_vars[m] for m in case.dso_indices]))
+    result = prog.extract(sol)
+    if sol.status != "optimal":
+        return result, {}
+    selected = {m: max(range(len(y_vars[m])), key=lambda k: sol.x[y_vars[m][k]])
+                for m in case.dso_indices}
+    flows = {m: rsfs[m].steps[k].z for m, k in selected.items()}
+    return replace(result, interface_flows=flows), selected
+
+
 # ---------------------------------------------------------------------------
 # Common market
 # ---------------------------------------------------------------------------
@@ -392,6 +464,47 @@ def clear_common(case: MarketCase) -> ClearingResult:
     prog = _common_program(case)
     sol = solve_lp(prog.lp)
     return prog.extract(sol)
+
+
+def dso_flow_interval(case: MarketCase, m: int) -> tuple[float, float]:
+    """Smallest and largest feasible interface flow of DSO ``m``: one
+    program, solved with the flow's cost +1 and then -1."""
+    dso = case.dso(m)
+    prog = _CaseProgram(case)
+    zv = prog.add_z(m, dso.z_min, dso.z_max)
+    prog.add_system(m, cost_scale=0.0)
+    out = []
+    for sense in (+1.0, -1.0):
+        prog.lp.var_cost[zv] = sense
+        sol = solve_lp(prog.lp)
+        if sol.status != "optimal":
+            raise ModelError(f"DSO {m} has no feasible interface flow")
+        out.append(float(sol.x[zv]))
+    return out[0], out[1]
+
+
+def common_pin_duals(case: MarketCase, samples: list[dict[int, float]]) -> list[list[float]]:
+    """The pin duals, one per DSO in case order, of the common program
+    with free interface flows pinned at each sample that has an optimum.
+    The first of each repeated sample, told apart by the exact bits of its
+    flows, is solved, all in one batch through the row bounds."""
+    unique: dict[tuple[str, ...], list[float]] = {}
+    for zvec in samples:
+        pin = [zvec[m] for m in case.dso_indices]
+        unique.setdefault(tuple(_exact(z) for z in pin), pin)
+    pins = list(unique.values())
+    prog = _common_program(case, bound_interfaces=False)
+    rows = [prog.pin_z(m, z) for m, z in zip(case.dso_indices, pins[0])]
+    row_lo, row_hi = (np.tile(b, (len(pins), 1)) for b in (prog.lp.row_lo, prog.lp.row_hi))
+    row_lo[:, rows] = row_hi[:, rows] = pins
+    [solved] = solve_lp_batch([(prog.lp, row_lo, row_hi)])
+    duals = []
+    for sol in solved:
+        if not isinstance(sol, Solution):
+            raise sol
+        if sol.status == "optimal":
+            duals.append([float(sol.duals[row]) for row in rows])
+    return duals
 
 
 # ---------------------------------------------------------------------------
@@ -445,6 +558,34 @@ class CaseClearings:
         :meth:`layer1`, which must be optimal for every DSO."""
         return self._once(("layer2", self._prices(pricing)), lambda: clear_tso_layer2(
             self.case, self.layer1(pricing), pricing))
+
+    def correction(self, m: int, prior: tuple[ClearingResult, ...],
+                   z: float) -> tuple[ClearingResult, float | None]:
+        """DSO ``m``'s Layer-3 correction on top of ``prior`` with its flow
+        frozen at ``z``, and its least line overload when the correction
+        is infeasible (None otherwise), keyed by the exact flow and the
+        exact prior volume of each of the DSO's bids."""
+        def solve():
+            prog, _ = _layer3_program(self.case, m, prior, z)
+            sol = solve_lp(prog.lp)
+            if sol.status == "optimal":
+                return prog.extract(sol), None
+            diag, worst = _layer3_program(self.case, m, prior, z, diagnostic=True)
+            diag_sol = solve_lp(diag.lp)
+            return prog.extract(sol), (float(diag_sol.x[worst])
+                                       if diag_sol.status == "optimal" else float("inf"))
+
+        key = ("layer3", m, _exact(z),
+               tuple(_exact(_used_volume(b, prior)) for b in self.case.bids_of(m)))
+        return self._once(key, solve)
+
+    def tso_rsf(self, rsfs: dict[int, Rsf]) -> tuple[ClearingResult, dict[int, int]]:
+        """:func:`clear_tso_rsf` over ``rsfs``, keyed by the exact flow and
+        cost of every forwarded step, all the MILP reads of them: the steps
+        do not depend on pricing, so every pricing rule shares it."""
+        key = ("tso_rsf", tuple(tuple((_exact(s.z), _exact(s.cost)) for s in rsfs[m].steps)
+                                for m in self.case.dso_indices if m in rsfs))
+        return self._once(key, lambda: clear_tso_rsf(self.case, rsfs))
 
     def pin(self, flows: dict[int, list[float]]) -> dict[int, list]:
         """The entry of each DSO ``m``'s pinned clearing for each of its

@@ -247,8 +247,11 @@ def cmd_check(args) -> int:
     cases. A case whose common market has no optimum has no benchmark to
     check against: it is one failure, and its properties are skipped. So
     is a method's outcome that is not "ok": its status is the failure, and
-    the properties that read its cost or verdict are skipped."""
+    the properties that read its cost or verdict are skipped. The
+    step-size bound is skipped, not failed, on a case of more than 10
+    DSOs, where its constant is not sampled."""
     failures: list[str] = []
+    skips: list[str] = []
     t0 = time.perf_counter()
     styles = [args.recipe] if args.recipe else list("ABCD")
     delta = args.delta[0] if args.delta else 1.0
@@ -289,14 +292,23 @@ def cmd_check(args) -> int:
             if not agg.total_cost >= jc - scale:
                 failures.append(f"{case.name}: aggregation[{variant}] beat the benchmark")
             if variant == "primal":
-                bound = suboptimality_constant(case, clearings=clearings) * delta
+                try:
+                    bound = suboptimality_constant(case, clearings=clearings) * delta
+                except ContractError:
+                    if len(case.dsos) <= 10:
+                        raise
+                    skips.append(f"{case.name}: step-size suboptimality bound "
+                                 "needs at most 10 DSOs")
+                    continue
                 if not agg.total_cost - jc <= bound + scale:
                     failures.append(f"{case.name}: step-size suboptimality bound violated")
 
+    for line in skips:
+        print(f"SKIP {line}")
     for line in failures:
         print(f"FAIL {line}")
     print(f"checked {len(cases)} cases in {time.perf_counter() - t0:.1f} s; "
-          f"{len(failures)} failures")
+          f"{len(failures)} failures, {len(skips)} skipped")
     return 1 if failures else 0
 
 

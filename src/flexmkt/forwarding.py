@@ -13,6 +13,8 @@
   a dual-price surrogate); the TSO picks one step per DSO through a
   one-hot MILP. Cleared steps are grid-safe by construction.
 
+Every program is built and solved in :mod:`flexmkt.clearing`; this module
+composes the methods from :class:`CaseClearings` and the clearing functions.
 Total cost of an outcome is always the bid procurement cost of the final
 volumes; interface-price transfers cancel between layers and are not part
 of it.
@@ -31,18 +33,16 @@ from .clearing import (
     CaseClearings,
     ClearingResult,
     PricingRule,
-    _CaseProgram,
-    _common_program,
-    _exact,
-    _used_volume,
     bid_cost,
     clear_fragmented_layer2,
     clear_idealized_layer2,
     clear_tso_layer2,
+    clear_tso_rsf,
+    common_pin_duals,
+    dso_flow_interval,
 )
 from .errors import ContractError, ModelError
 from .market_model import DIR_DOWN, DIR_UP, MarketCase
-from .mp_solver import INF, MixedProgram, Solution, solve_lp, solve_lp_batch, solve_milp
 from .safety import _SAFE_TOL, SafetyVerdict, _dso_point, inefficiency, is_grid_safe
 
 __all__ = [
@@ -203,49 +203,6 @@ def run_sequential(case: MarketCase, pricing: PricingRule,
 # Three-layer corrective scheme
 # ---------------------------------------------------------------------------
 
-def _layer3_program(case: MarketCase, m: int, prior: tuple[ClearingResult, ...],
-                    z_value: float,
-                    diagnostic: bool = False) -> tuple[_CaseProgram, int | None]:
-    """Corrective DSO problem: the volumes of the ``prior`` clearings are
-    constants, corrective volumes fill the residual boxes, the interface
-    flow is frozen.
-
-    The ``diagnostic`` variant drops the bid costs and relaxes every line
-    limit by one slack, whose optimum is the smallest possible max line
-    overload when the correction problem itself is infeasible. Returns
-    the program and that slack variable (None without ``diagnostic``).
-    """
-    prog = _CaseProgram(case)
-    prog.add_z(m, z_value, z_value)
-    worst = prog.lp.add_variable("worst", 0.0, INF, 1.0) if diagnostic else None
-    prog.add_system(m, prior=prior, cost_scale=0.0 if diagnostic else 1.0,
-                    flow_slack=worst)
-    return prog, worst
-
-
-def _correction(clearings: CaseClearings, m: int, prior: tuple[ClearingResult, ...],
-                z_value: float) -> tuple[ClearingResult, float | None]:
-    """DSO ``m``'s correction on top of ``prior`` with its flow frozen at
-    ``z_value``, and its least line overload when it is infeasible (None
-    otherwise). Shared through ``clearings``, keyed by the exact flow and
-    prior volumes the program is built from."""
-    case = clearings.case
-
-    def solve():
-        prog, _ = _layer3_program(case, m, prior, z_value)
-        sol = solve_lp(prog.lp)
-        if sol.status == "optimal":
-            return prog.extract(sol), None
-        diag, worst = _layer3_program(case, m, prior, z_value, diagnostic=True)
-        diag_sol = solve_lp(diag.lp)
-        return prog.extract(sol), (float(diag_sol.x[worst])
-                                   if diag_sol.status == "optimal" else float("inf"))
-
-    key = ("layer3", m, _exact(z_value),
-           tuple(_exact(_used_volume(b, prior)) for b in case.bids_of(m)))
-    return clearings._once(key, solve)
-
-
 def run_three_layer(case: MarketCase, pricing: PricingRule, *,
                     clearings: CaseClearings | None = None) -> Outcome:
     """Corrective scheme: Layers 1 and 2, then one correction LP per DSO.
@@ -274,8 +231,8 @@ def run_three_layer(case: MarketCase, pricing: PricingRule, *,
     layer3: dict[int, ClearingResult] = {}
     overload: dict[int, float] = {}
     for m in case.dso_indices:
-        layer3[m], worst = _correction(clearings, m, (layer1[m], layer2),
-                                       layer2.interface_flows[m])
+        layer3[m], worst = clearings.correction(m, (layer1[m], layer2),
+                                                layer2.interface_flows[m])
         solves += 1
         if worst is not None:
             overload[m] = worst
@@ -460,43 +417,6 @@ def build_rsf_dual(case: MarketCase, m: int, grid, *,
     return replace(rsf, steps=tuple(replace(s, cost=c) for s, c in zip(rsf.steps, surrogate)))
 
 
-def clear_tso_rsf(case: MarketCase,
-                  rsfs: dict[int, Rsf]) -> tuple[ClearingResult, dict[int, int]]:
-    """TSO clearing over the forwarded steps: one binary per step, one
-    one-hot group per DSO, interface flows substituted by the selected
-    step values. The aggregated balance is deliberately absent; it lives
-    inside the stored step clearings. Returns the MILP clearing, with the
-    nodes it explored, and the selected step per DSO, which is empty when
-    the MILP has no optimum."""
-    for m in case.dso_indices:
-        if m not in rsfs:
-            raise ContractError(f"missing RSF for DSO {m}")
-    prog = _CaseProgram(case)
-    y_vars: dict[int, list[int]] = {}
-    step_terms = []
-    for dso in case.dsos:
-        m = dso.index
-        ys = []
-        for k, step in enumerate(rsfs[m].steps):
-            y = prog.lp.add_variable(f"y[{m},{k}]", 0.0, 1.0, cost=step.cost)
-            ys.append(y)
-            if step.z != 0.0:
-                step_terms.append((dso.coupling_bus, y, step.z))
-        y_vars[m] = ys
-    prog.add_system(0, step_terms=step_terms)
-    mp = MixedProgram(prog.lp, [y_vars[m] for m in case.dso_indices])
-    sol = solve_milp(mp)
-    result = prog.extract(sol)
-    if sol.status != "optimal":
-        return result, {}
-    selected = {}
-    for m in case.dso_indices:
-        chosen = max(range(len(y_vars[m])), key=lambda k: sol.x[y_vars[m][k]])
-        selected[m] = chosen
-    flows = {m: rsfs[m].steps[k].z for m, k in selected.items()}
-    return replace(result, interface_flows=flows), selected
-
-
 def _uniform_grid(lo: float, hi: float, max_gap: float,
                   must_include: tuple[float, ...] = ()) -> list[float]:
     if hi <= lo:
@@ -576,11 +496,7 @@ def run_bid_aggregation(case: MarketCase, delta_bar: float,
                 return _outcome(clearings, method, t0, layer1={}, status="rsf_infeasible",
                                 lp_solves=solves + len(grids[m]), milp_nodes=milp_nodes)
             solves += rsfs[m].attempts
-        # Aggregation ignores pricing, so every pricing rule forwards the
-        # same steps: the MILP is shared, keyed by all it reads of them.
-        key = ("tso_rsf", tuple(tuple((_exact(s.z), _exact(s.cost)) for s in rsfs[m].steps)
-                                for m in case.dso_indices))
-        result, selected = clearings._once(key, lambda: clear_tso_rsf(case, rsfs))
+        result, selected = clearings.tso_rsf(rsfs)
         milp_nodes += result.nodes
         if result.status != "optimal" or round_no == refine_rounds:
             break
@@ -640,23 +556,6 @@ def _pinv_norm(case: MarketCase) -> float:
     return float(np.max(np.abs(entries))) if entries.size else 0.0
 
 
-def _dso_flow_interval(case: MarketCase, m: int) -> tuple[float, float]:
-    """Smallest and largest feasible interface flow of DSO ``m``: one
-    program, solved with the flow's cost +1 and then -1."""
-    dso = case.dso(m)
-    prog = _CaseProgram(case)
-    zv = prog.add_z(m, dso.z_min, dso.z_max)
-    prog.add_system(m, cost_scale=0.0)
-    out = []
-    for sense in (+1.0, -1.0):
-        prog.lp.var_cost[zv] = sense
-        sol = solve_lp(prog.lp)
-        if sol.status != "optimal":
-            raise ModelError(f"DSO {m} has no feasible interface flow")
-        out.append(float(sol.x[zv]))
-    return out[0], out[1]
-
-
 def suboptimality_constant(case: MarketCase, *,
                            clearings: CaseClearings | None = None) -> float:
     """Price sensitivity (EUR/MW) of the benchmark cost to interface flows.
@@ -676,7 +575,7 @@ def suboptimality_constant(case: MarketCase, *,
     common = _shared(case, clearings).common
     if common.status != "optimal":
         raise ModelError("suboptimality constant requires a feasible benchmark")
-    intervals = {m: _dso_flow_interval(case, m) for m in case.dso_indices}
+    intervals = {m: dso_flow_interval(case, m) for m in case.dso_indices}
     z_opt = dict(common.interface_flows)
     samples: list[dict[int, float]] = [z_opt]
     # Single-coordinate deviations from the benchmark optimum, then the
@@ -686,24 +585,7 @@ def suboptimality_constant(case: MarketCase, *,
             samples.append({**z_opt, m: v})
     for corner in itertools.product(*([iv for iv in intervals[m]] for m in case.dso_indices)):
         samples.append(dict(zip(case.dso_indices, corner)))
-    # A repeated sample pins the same program and gives the same duals:
-    # keep the first of each, told apart by the exact bits of its flows.
-    unique: dict[tuple[str, ...], list[float]] = {}
-    for zvec in samples:
-        pin = [zvec[m] for m in case.dso_indices]
-        unique.setdefault(tuple(_exact(z) for z in pin), pin)
-    pins = list(unique.values())
-    # One common program with free interface flows, pinned at every sample
-    # through the row bounds of one batch.
-    prog = _common_program(case, bound_interfaces=False)
-    rows = [prog.pin_z(m, z) for m, z in zip(case.dso_indices, pins[0])]
-    row_lo, row_hi = (np.tile(b, (len(pins), 1)) for b in (prog.lp.row_lo, prog.lp.row_hi))
-    row_lo[:, rows] = row_hi[:, rows] = pins
-    worst = [0.0] * len(rows)
-    [solved] = solve_lp_batch([(prog.lp, row_lo, row_hi)])
-    for sol in solved:
-        if not isinstance(sol, Solution):
-            raise sol
-        if sol.status == "optimal":
-            worst = [max(w, abs(float(sol.duals[row]))) for w, row in zip(worst, rows)]
+    worst = [0.0] * len(case.dsos)
+    for duals in common_pin_duals(case, samples):
+        worst = [max(w, abs(d)) for w, d in zip(worst, duals)]
     return max(paper_norm, sum(worst))

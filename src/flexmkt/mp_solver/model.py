@@ -34,7 +34,6 @@ class LinearProgram:
         self.rows: list[list[tuple[int, float]]] = []
         self.row_lo: list[float] = []
         self.row_hi: list[float] = []
-        self.row_names: list[str] = []
 
     @property
     def n_vars(self) -> int:
@@ -76,7 +75,6 @@ class LinearProgram:
         self.rows.append(terms)
         self.row_lo.append(float(lo))
         self.row_hi.append(float(hi))
-        self.row_names.append(name if name is not None else f"r{len(self.rows) - 1}")
         return len(self.rows) - 1
 
     def _check_index(self, idx: int) -> None:

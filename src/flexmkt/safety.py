@@ -29,7 +29,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .clearing import sensitivity
+from .clearing import check_volume_ids, sensitivity
 from .errors import ContractError, ModelError, OracleError
 from .market_model import DIR_DOWN, DIR_UP, MarketCase
 
@@ -116,8 +116,10 @@ def is_grid_safe(case: MarketCase, upward: dict[str, float],
     feasible when its largest line overload, and for a distribution
     system also its interface-bound excess, is at most 1e-6 MW. The
     transmission grid is judged at the interface flows the distribution
-    systems force.
+    systems force. A volume under an id that is not a bid of its
+    direction raises ``ContractError``.
     """
+    check_volume_ids(case, upward, downward)
     p0 = _volume_injections(case, 0, upward, downward)
     overload: dict[int, float] = {}
     z_excess: dict[int, float] = {0: 0.0}

@@ -234,6 +234,17 @@ def test_check_reports_a_case_without_a_benchmark_and_goes_on(tmp_path, capsys):
     assert "checked 2 cases" in out and "; 1 failures" in out
 
 
+def test_check_skips_the_step_size_bound_beyond_10_dsos(capsys):
+    # The bound's constant samples flow corners of at most 10 DSOs; a larger
+    # case still has every other property checked, and the skip is no failure.
+    assert main(["check", "--recipe", "B", "--dsos", "11", "--seed", "0-1"]) == 0
+    out = capsys.readouterr().out
+    assert out.splitlines()[:2] == [
+        f"SKIP recipeB-s{seed}: step-size suboptimality bound needs at most 10 DSOs"
+        for seed in (0, 1)]
+    assert "checked 2 cases" in out and "; 0 failures, 2 skipped" in out
+
+
 def test_check_reports_an_uncleared_outcome_by_its_status(tmp_path, capsys):
     from flexmkt.market_model import serialize_case
     from test_forwarding import tso_fractional_case

@@ -14,11 +14,10 @@ from hypothesis import strategies as st
 from flexmkt.casegen import CaseRecipe, generate_case
 from flexmkt.cli import ExperimentConfig, run_experiment
 from flexmkt.clearing import (CaseClearings, _common_program, clear_common,
-                              clear_dso_layer1, interface_price)
+                              clear_dso_layer1, dso_flow_interval, interface_price)
 from flexmkt.errors import ContractError, ModelError
-from flexmkt.forwarding import (_dso_flow_interval, build_rsf, build_rsf_dual,
-                                clear_tso_rsf, filter_bids, run_bid_aggregation,
-                                run_bid_filtering, run_sequential,
+from flexmkt.forwarding import (build_rsf, build_rsf_dual, clear_tso_rsf, filter_bids,
+                                run_bid_aggregation, run_bid_filtering, run_sequential,
                                 run_three_layer, suboptimality_constant)
 from flexmkt.market_model import UNLIMITED, Bid, DistributionSystem, MarketCase
 from flexmkt.mp_solver import solve_lp
@@ -616,15 +615,24 @@ def test_aggregation_works_out_each_round_of_flows_once(monkeypatch):
     # primal one, sharing its clearings, solves no pin again.
     from flexmkt import clearing, forwarding
     case = generate_case(CaseRecipe(style="B", n_dsos=2, dso_buses=7), 3)
-    calls = {"flows": [], "keys": 0, "pinned": []}
+    calls = {"flows": [], "keys": 0, "pinned": [], "in_pin": False}
     rsf_flows, exact, pin = forwarding._rsf_flows, clearing._exact, clearing.clear_dso_fixed_interface
+    pin_method = CaseClearings.pin
 
     def counted_flows(case, m, grid):
         calls["flows"].append(m)
         return rsf_flows(case, m, grid)
 
+    def keying_pins(self, flows):
+        calls["in_pin"] = True
+        try:
+            return pin_method(self, flows)
+        finally:
+            calls["in_pin"] = False
+
     def counted_exact(z):
-        calls["keys"] += 1
+        # Only the pin keys: the shared MILP is keyed through _exact too.
+        calls["keys"] += calls["in_pin"]
         return exact(z)
 
     def counted_pin(case, flows):
@@ -632,6 +640,7 @@ def test_aggregation_works_out_each_round_of_flows_once(monkeypatch):
         return pin(case, flows)
 
     monkeypatch.setattr(forwarding, "_rsf_flows", counted_flows)
+    monkeypatch.setattr(CaseClearings, "pin", keying_pins)
     monkeypatch.setattr(clearing, "_exact", counted_exact)
     monkeypatch.setattr(clearing, "clear_dso_fixed_interface", counted_pin)
     shared = CaseClearings(case)
@@ -740,7 +749,7 @@ def interior_probe_cases():
         case = generate_case(CaseRecipe(style=style), seed)
         shared = CaseClearings(case)
         constant = suboptimality_constant(case, clearings=shared)
-        intervals = [_dso_flow_interval(case, m) for m in case.dso_indices]
+        intervals = [dso_flow_interval(case, m) for m in case.dso_indices]
         candidates = [dict(shared.common.interface_flows)]
         candidates += [dict(zip(case.dso_indices, corner))
                        for corner in itertools.product(*intervals)]

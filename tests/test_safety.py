@@ -6,10 +6,10 @@ import numpy as np
 import pytest
 
 from flexmkt.casegen import CaseRecipe, generate_case
-from flexmkt.clearing import (CaseClearings, clear_common, clear_dso_layer1,
+from flexmkt.clearing import (CaseClearings, bid_cost, clear_common, clear_dso_layer1,
                               interface_price)
 from flexmkt.errors import ContractError, OracleError
-from flexmkt.forwarding import run_three_layer
+from flexmkt.forwarding import run_bid_filtering, run_three_layer
 from flexmkt.market_model import Bid, DistributionSystem, MarketCase
 from flexmkt.netmodel import Line, Network
 from flexmkt.safety import brute_force_oracle, inefficiency, is_grid_safe
@@ -324,3 +324,18 @@ def test_three_layer_verdict_matches_is_grid_safe():
                     {m for m, r in out.layer3.items() if r.status != "optimal"}
                 verdicts.append(out.safe)
     assert any(verdicts) and not all(verdicts)
+
+
+@pytest.mark.parametrize("table,bad", [("up", "d1-d0"), ("up", "d1-u0x"), ("down", "t-u0")])
+def test_volumes_under_ids_that_are_not_bids_of_that_direction_are_refused(table, bad):
+    # A downward bid's id among the upward volumes, a typo, or an upward
+    # bid's id among the downward volumes would otherwise read as zero
+    # volume: the verdict stays safe and the cost does not move.
+    case = generate_case(CaseRecipe(style="B"), 1)
+    out = run_bid_filtering(case, interface_price(case, "none"))
+    assert out.status == "ok" and out.safe
+    up, down = dict(out.final_upward), dict(out.final_downward)
+    (up if table == "up" else down)[bad] = 1e6
+    for check in (is_grid_safe, bid_cost):
+        with pytest.raises(ContractError, match=bad):
+            check(case, up, down)

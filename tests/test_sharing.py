@@ -17,7 +17,7 @@ from flexmkt.casegen import CaseRecipe, generate_case
 from flexmkt.cli import METHODS, PRICINGS, ExperimentConfig, _run_method, main, run_experiment
 from flexmkt.clearing import CaseClearings, clear_common, interface_price
 from flexmkt.errors import ContractError
-from flexmkt.forwarding import _correction, run_three_layer
+from flexmkt.forwarding import run_three_layer
 from flexmkt.market_model import DIR_UP
 
 DELTA = 4.0
@@ -97,12 +97,12 @@ def test_layer3_correction_is_keyed_by_exact_prior_volumes(monkeypatch):
     layer1, layer2 = shared.layer1(pricing), shared.layer2(pricing)
     m = case.dso_indices[0]
     z2 = layer2.interface_flows[m]
-    solves = counted(monkeypatch, forwarding.solve_lp)
+    solves = counted(monkeypatch, clearing.solve_lp)
 
-    first = _correction(shared, m, (layer1[m], layer2), z2)
+    first = shared.correction(m, (layer1[m], layer2), z2)
     per_correction = len(solves)
     assert per_correction >= 1
-    assert _correction(shared, m, (layer1[m], layer2), z2) is first
+    assert shared.correction(m, (layer1[m], layer2), z2) is first
     assert len(solves) == per_correction
 
     bid = max(case.bids_of(m), key=layer1[m].volume)
@@ -111,7 +111,7 @@ def test_layer3_correction_is_keyed_by_exact_prior_volumes(monkeypatch):
     volumes = dict(getattr(layer1[m], table))
     volumes[bid.id] = math.nextafter(volumes[bid.id], math.inf)
     nudged = replace(layer1[m], **{table: volumes})
-    _correction(shared, m, (nudged, layer2), z2)
+    shared.correction(m, (nudged, layer2), z2)
     assert len(solves) > per_correction
 
 
@@ -155,10 +155,8 @@ def test_no_program_is_solved_twice_within_a_case(monkeypatch, tmp_path, style, 
         monkeypatch.setattr(module, name, wrapper)
 
     recording(clearing, "solve_lp", fingerprint)
-    recording(forwarding, "solve_lp", fingerprint)
-    recording(forwarding, "solve_milp", lambda mp: fingerprint(mp.lp, mp.groups))
+    recording(clearing, "solve_milp", lambda mp: fingerprint(mp.lp, mp.groups))
     recording_batch(monkeypatch, clearing, seen)
-    recording_batch(monkeypatch, forwarding, seen)
     run_experiment(ExperimentConfig(cases=((case.name, 0, case),), methods=METHODS,
                                     pricings=PRICINGS, deltas=(2.0, 4.0), refine_rounds=1,
                                     out_dir=str(tmp_path)))
@@ -172,18 +170,36 @@ def test_suboptimality_constant_solves_each_sample_once(monkeypatch, style, dsos
     shared = CaseClearings(case)
     assert shared.common.status == "optimal"
     alone, batched = Counter(), Counter()
-    original = forwarding.solve_lp
+    original = clearing.solve_lp
 
     def recording(program):
         alone[fingerprint(program)] += 1
         return original(program)
 
-    monkeypatch.setattr(forwarding, "solve_lp", recording)
-    recording_batch(monkeypatch, forwarding, batched)
+    monkeypatch.setattr(clearing, "solve_lp", recording)
+    recording_batch(monkeypatch, clearing, batched)
     forwarding.suboptimality_constant(case, clearings=shared)
     assert alone and batched
     seen = alone + batched
     assert max(seen.values()) == 1, sum(n - 1 for n in seen.values())
+
+
+def test_forwarding_builds_and_solves_no_program():
+    # Every program is built and solved in flexmkt.clearing, so a recorder
+    # on clearing alone sees every solve of a run; forwarding only composes.
+    import flexmkt.mp_solver as mp_solver
+
+    assert "INF" not in vars(forwarding)
+    bound = list(vars(forwarding).values())
+    for entry in (mp_solver.solve_lp, mp_solver.solve_lp_batch, mp_solver.solve_milp,
+                  mp_solver.LinearProgram, mp_solver.MixedProgram, mp_solver.Solution,
+                  clearing._CaseProgram):
+        assert not any(value is entry for value in bound), entry.__name__
+    private = [value for name, value in vars(clearing).items()
+               if name.startswith("_") and not name.startswith("__") and callable(value)]
+    assert private
+    for value in private:
+        assert not any(v is value for v in bound), value.__name__
 
 
 def test_check_clears_the_common_market_once_per_case(monkeypatch):

@@ -986,7 +986,6 @@ def test_milp_matches_exhaustive_enumeration():
             fixed.var_names = lp.var_names
             fixed.var_cost = lp.var_cost
             fixed.rows, fixed.row_lo, fixed.row_hi = lp.rows, lp.row_lo, lp.row_hi
-            fixed.row_names = lp.row_names
             fixed.var_lb, fixed.var_ub = list(lp.var_lb), list(lp.var_ub)
             for g, k in enumerate(choice):
                 for j, v in enumerate(groups[g]):
