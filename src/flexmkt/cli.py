@@ -11,6 +11,8 @@ from __future__ import annotations
 
 import argparse
 import csv
+import functools
+import itertools
 import math
 import sys
 import time
@@ -248,13 +250,15 @@ def cmd_check(args) -> int:
     check against: it is one failure, and its properties are skipped. So
     is a method's outcome that is not "ok": its status is the failure, and
     the properties that read its cost or verdict are skipped. The
+    aggregation properties run at every ``--delta`` (1.0 if none is
+    given), each line naming its step size when there are several. The
     step-size bound is skipped, not failed, on a case of more than 10
     DSOs, where its constant is not sampled."""
     failures: list[str] = []
     skips: list[str] = []
     t0 = time.perf_counter()
     styles = [args.recipe] if args.recipe else list("ABCD")
-    delta = args.delta[0] if args.delta else 1.0
+    deltas = args.delta or [1.0]
     cases = _case_files(args.case)
     for seed in _parse_seeds(args.seed):
         cases.append(generate_case(_recipe(args, styles[seed % len(styles)]), seed))
@@ -268,12 +272,16 @@ def cmd_check(args) -> int:
         jc = clearings.common.objective
         scale = _CHECK_TOL * (1.0 + abs(jc))
 
-        def run(method: str) -> Outcome | None:
+        def run(method: str, delta: float | None = None, at: str = "") -> Outcome | None:
             out = _run_method(case, method, "none", delta, args.refine, clearings)
             if out.status == "ok":
                 return out
-            failures.append(f"{case.name}: {method} {out.status}")
+            failures.append(f"{case.name}: {method} {out.status}{at}")
             return None
+
+        @functools.cache
+        def constant() -> float:  # once per case, whatever the step sizes
+            return suboptimality_constant(case, clearings=clearings)
 
         ideal, frag = run("idealized"), run("fragmented")
         if ideal and frag and not ideal.total_cost <= frag.total_cost + scale:
@@ -283,25 +291,26 @@ def cmd_check(args) -> int:
         if filt and not filt.safe:
             failures.append(f"{case.name}: filtering outcome not grid-safe")
 
-        for variant in ("primal", "dual"):
-            agg = run(f"aggregation_{variant}")
+        for delta, variant in itertools.product(deltas, ("primal", "dual")):
+            at = f" at delta {_fmt(delta)}" if len(deltas) > 1 else ""
+            agg = run(f"aggregation_{variant}", delta, at)
             if agg is None:
                 continue
             if not agg.safe:
-                failures.append(f"{case.name}: aggregation[{variant}] unsafe")
+                failures.append(f"{case.name}: aggregation[{variant}] unsafe{at}")
             if not agg.total_cost >= jc - scale:
-                failures.append(f"{case.name}: aggregation[{variant}] beat the benchmark")
+                failures.append(f"{case.name}: aggregation[{variant}] beat the benchmark{at}")
             if variant == "primal":
                 try:
-                    bound = suboptimality_constant(case, clearings=clearings) * delta
+                    bound = constant() * delta
                 except ContractError:
                     if len(case.dsos) <= 10:
                         raise
                     skips.append(f"{case.name}: step-size suboptimality bound "
-                                 "needs at most 10 DSOs")
+                                 f"needs at most 10 DSOs{at}")
                     continue
                 if not agg.total_cost - jc <= bound + scale:
-                    failures.append(f"{case.name}: step-size suboptimality bound violated")
+                    failures.append(f"{case.name}: step-size suboptimality bound violated{at}")
 
     for line in skips:
         print(f"SKIP {line}")

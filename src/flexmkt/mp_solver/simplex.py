@@ -37,11 +37,13 @@ arrays but keep the arithmetic order of a per-column loop. The tests keep
 that scalar formulation as the reference and hold every result to it bit
 for bit.
 
-``solve_lp_batch`` solves several programs, each under many row-bound
-vectors. It builds each program's matrix once, and ``F`` with its
-artificials once per distinct starting pattern; items of one shape,
-whatever their program, pivot in lockstep on stacked arrays
-(``_Lockstep``), each to the Solution ``solve_lp`` gives it.
+One driver, ``_solve``, runs both phases on cores of one shape.
+``solve_lp`` runs it on its one core. ``solve_lp_batch`` builds each
+program's matrix once, and ``F`` once per starting pattern, and runs it
+on the cores of each shape, whatever their program. Phase 1 runs on the
+cores that have artificials, phase 2 on those phase 1 did not end. A
+phase of at least ``_LOCKSTEP_MIN`` cores pivots in lockstep on stacked
+arrays (``_Lockstep``), each core to the Solution it reaches alone.
 """
 
 from __future__ import annotations
@@ -64,9 +66,9 @@ _DEGEN_TOL = 1e-12
 _TIE_TOL = 1e-12          # ratio-test steps this close count as tied
 _CERT_RC_TOL = 1e-11      # reduced costs at most this are zero in _certify
 _REFACTOR_EVERY = 100
-# The smallest group of same-shape items that pivots in lockstep: below it,
-# a stacked step costs more than the scalar pivots it replaces (measured on
-# the benchmark's RSF pin batches, see CHANGES.md).
+# The fewest cores of one shape whose pivot loops of one phase run in
+# lockstep: below it, a stacked step costs more than the scalar pivots it
+# replaces (measured on the benchmark's RSF pin batches, see CHANGES.md).
 _LOCKSTEP_MIN = 16
 # The fewest rows at which pricing splits F (_Split): below it, the split's
 # extra numpy calls cost more than the product over the identity block
@@ -319,10 +321,14 @@ class _Core:
 
 
 def solve_lp(program: LinearProgram) -> Solution:
-    """Solve a linear program; duals come from the optimal basis."""
+    """Solve a linear program; duals come from the optimal basis. This is
+    ``solve_lp_batch``'s driver, ``_solve``, run on one core."""
     [core] = _start(_Form(program), np.array(program.row_lo, dtype=float)[None],
                     np.array(program.row_hi, dtype=float)[None])
-    return _run(core)
+    [result] = _solve([core])
+    if isinstance(result, NumericalError):
+        raise result
+    return result
 
 
 def _start(form: _Form, row_lo, row_hi) -> list[_Core]:
@@ -404,43 +410,73 @@ def _start(form: _Form, row_lo, row_hi) -> list[_Core]:
     return cores
 
 
-def _phases(core: _Core):
-    """The two phases of a solve on ``core``. Yields the cost vector of
-    each pivot loop, receives the loop's outcome, and returns the
-    Solution."""
-    n_basic = core.n_struct + core.m
-    # Phase 1 minimizes the sum of the artificials, if there are any.
-    if core.F.shape[1] > n_basic:
-        c1 = np.zeros(core.F.shape[1])
-        c1[n_basic:] = 1.0
-        if (yield c1) != "optimal":
-            raise NumericalError("phase-1 subproblem reported unbounded")
-        core.phase1_iterations = core.iterations
-        if float(c1 @ core.xval) > _PHASE1_TOL:
-            return Solution.non_optimal("infeasible", **core.counters())
-        core.retire_artificials()
-
-    cost = np.zeros(core.F.shape[1])
-    cost[:n_basic] = core.cost[:n_basic]
-    if (yield cost) == "unbounded":
-        return Solution.non_optimal("unbounded", **core.counters())
-
-    return _extract(core, cost)
-
-
 def _iteration_cap(core: _Core) -> int:
     """The most pivots a loop on ``core`` takes before it gives up."""
     return 200 * (core.m + core.F.shape[1]) + 20000
 
 
-def _run(core: _Core) -> Solution:
-    """Run ``core``'s phases alone, each loop through ``core.optimize``."""
-    phases, outcome = _phases(core), None
-    try:
-        while True:
-            outcome = core.optimize(phases.send(outcome))
-    except StopIteration as done:
-        return done.value
+def _cost(core: _Core, phase: int) -> np.ndarray:
+    """The cost vector of ``core``'s pivot loop in ``phase``: phase 1
+    minimizes the sum of the artificials, phase 2 the program's cost."""
+    n_basic = core.n_struct + core.m
+    cost = np.zeros(core.F.shape[1])
+    if phase == 1:
+        cost[n_basic:] = 1.0
+    else:
+        cost[:n_basic] = core.cost[:n_basic]
+    return cost
+
+
+def _solve(cores: list[_Core]) -> list[Solution | NumericalError]:
+    """Both phases on each of ``cores``, which share one shape: each
+    core's Solution, or the NumericalError its solve raised. Phase 1 runs
+    on the cores that have artificials, phase 2 on those it did not end."""
+    results: list = [None] * len(cores)
+    for phase in (1, 2):
+        todo = [k for k, core in enumerate(cores) if results[k] is None
+                and (phase == 2 or core.F.shape[1] > core.n_struct + core.m)]
+        costs = [_cost(cores[k], phase) for k in todo]
+        for k, cost, outcome in zip(todo, costs, _optimize([cores[k] for k in todo], costs)):
+            if isinstance(outcome, NumericalError):
+                results[k] = outcome
+                continue
+            try:
+                results[k] = _finish(cores[k], phase, cost, outcome)
+            except NumericalError as exc:
+                results[k] = exc
+    return results
+
+
+def _finish(core: _Core, phase: int, cost: np.ndarray, outcome: str) -> Solution | None:
+    """End ``core``'s pivot loop of ``phase`` under ``cost``, which
+    returned ``outcome``: None when phase 2 follows, else the Solution."""
+    if phase == 1:
+        if outcome != "optimal":
+            raise NumericalError("phase-1 subproblem reported unbounded")
+        core.phase1_iterations = core.iterations
+        if float(cost @ core.xval) > _PHASE1_TOL:
+            return Solution.non_optimal("infeasible", **core.counters())
+        core.retire_artificials()
+        return None
+    if outcome == "unbounded":
+        return Solution.non_optimal("unbounded", **core.counters())
+    return _extract(core, cost)
+
+
+def _optimize(cores: list[_Core], costs: list[np.ndarray]) -> list[str | NumericalError]:
+    """``core.optimize(cost)`` of each core under its cost: "optimal",
+    "unbounded" or the NumericalError it raised. At least
+    ``_LOCKSTEP_MIN`` cores pivot in lockstep, if they have more than one
+    row: the lockstep ratio test needs two rows to compare steps."""
+    if len(cores) >= _LOCKSTEP_MIN and cores[0].m > 1:
+        return _Lockstep(cores, costs).run()
+    outcomes: list = []
+    for core, cost in zip(cores, costs):
+        try:
+            outcomes.append(core.optimize(cost))
+        except NumericalError as exc:
+            outcomes.append(exc)
+    return outcomes
 
 
 def solve_lp_batch(batches) -> list[list[Solution | NumericalError]]:
@@ -448,103 +484,99 @@ def solve_lp_batch(batches) -> list[list[Solution | NumericalError]]:
     row-bound vectors given for it, bit for bit, with each program's
     matrix built once. ``batches`` holds one ``(program, row_lo,
     row_hi)`` tuple per program; the result is one list per program, one
-    entry per pair of vectors.
+    entry per pair of vectors: its Solution, or the NumericalError its
+    solve raised.
 
-    Each item, ``((p, k), core)`` for pair ``k`` of program ``p``, runs
-    its phases alone (``_run``) or, when at least ``_LOCKSTEP_MIN`` items'
-    phase-1 programs have its shape (rows and columns, artificials
-    included), in lockstep with them, whatever their program. A solve that
-    raises ``NumericalError`` gives that error in its place.
+    The cores of one shape (rows and columns, artificials included),
+    whatever their program, go through ``_solve`` together.
     """
-    results: list[list] = []
-    groups: dict[tuple[int, int], list] = {}
-    for p, (program, row_lo, row_hi) in enumerate(batches):
-        cores = _start(_Form(program), row_lo, row_hi)
-        results.append([None] * len(cores))
-        for k, core in enumerate(cores):
-            groups.setdefault(core.F.shape, []).append(((p, k), core))
-    for (m, _), items in groups.items():
-        # The lockstep ratio test needs two rows to compare steps.
-        if m > 1 and len(items) >= _LOCKSTEP_MIN:
-            _Lockstep(items, results).run()
-            continue
-        for (p, k), core in items:
-            try:
-                results[p][k] = _run(core)
-            except NumericalError as exc:
-                results[p][k] = exc
-    return results
+    started = [_start(_Form(program), row_lo, row_hi) for program, row_lo, row_hi in batches]
+    # The cores of each shape, those that share an F next to each other:
+    # a lockstep multiplies by each F once per run of adjacent rows.
+    groups: dict[tuple[int, int], dict[int, list[_Core]]] = {}
+    for cores in started:
+        for core in cores:
+            groups.setdefault(core.F.shape, {}).setdefault(id(core.F), []).append(core)
+    solved = {}
+    for shape in groups.values():
+        cores = [core for same_F in shape.values() for core in same_F]
+        solved.update(zip(map(id, cores), _solve(cores)))
+    return [[solved[id(core)] for core in cores] for cores in started]
 
 
 class _Lockstep:
-    """Items of one shape, from one program or several, that pivot
-    together on stacked arrays.
+    """The stacked form of ``_Core.optimize``: cores of one shape, from one
+    program or several, that pivot together, each under its own cost.
 
-    Row r of each array holds the state of one item's pivot loop, the
-    locals of ``_Core.optimize`` included; ``items`` holds the item's
-    ``(p, k)``, core and phases. A step does for every item what
+    Row r of each array holds the state of one core's pivot loop, the
+    locals of ``optimize`` included. A step does for every live row what
     one pass of that loop does, with the same floating-point operations:
     elementwise work on the stacked arrays, and as reductions only stacked
     ``np.matmul`` calls, which run the BLAS routine of the 2-D call once
-    per item (a 2-D product over all items, ``Y @ F`` or ``einsum``, would
-    sum in another order). The items that share an ``F`` (one artificial
-    pattern of one program) sit in adjacent rows, and ``y @ F`` runs once
-    per such run of rows, ``F`` broadcast over them: one copy of each
-    ``F``, not one per item. The ratio test's tie fold and the inverse
-    update keep their per-item order and rows. What happens once per loop
-    or once per ``_REFACTOR_EVERY`` pivots (the phases, refactorizations,
-    certification) runs on the item's own core through the scalar code.
-    Every loop has the cap ``_iteration_cap`` gives the first core, as all
-    cores of one shape have.
+    per row (a 2-D product over all rows, ``Y @ F`` or ``einsum``, would
+    sum in another order). ``y @ F`` runs once per run of adjacent rows
+    that share an ``F`` (one artificial pattern of one program), ``F``
+    broadcast over them: one copy of each ``F``, not one per core. The
+    ratio test's tie fold and the inverse update keep their per-row order
+    and rows. Refactorizations run on the row's own core through the
+    scalar code. Every loop has the cap ``_iteration_cap`` gives the first
+    core, as all cores of one shape have.
+
+    A row that stops keeps its place; the tie fold, the pivots and the
+    exits mask it out. Each row's state goes back to its core once, when
+    every row has stopped.
     """
 
-    _ROWS = ("pattern", "binv", "basis", "status", "xval", "x_b", "lb", "ub", "cost",
-             "iterations", "bland_switches", "bland", "degen")
-
-    def __init__(self, items, results):
-        shared: dict[int, int] = {}  # id of each distinct F -> its index
-        for _, core in items:
-            shared.setdefault(id(core.F), len(shared))
-        self.items = [(pk, core, _phases(core)) for pk, core in
-                      sorted(items, key=lambda item: shared[id(item[1].F)])]
-        self.results = results
-        cores = [core for _, core, _ in self.items]
+    def __init__(self, cores: list[_Core], costs: list[np.ndarray]):
+        self.cores = cores
+        index: dict[int, int] = {}  # id of each distinct F -> its index in Fs
+        self.pattern = np.array([index.setdefault(id(core.F), len(index)) for core in cores])
         self.Fs = np.stack(list({id(core.F): core.F for core in cores}.values()))
-        self.pattern = np.array([shared[id(core.F)] for core in cores])
         for name in ("binv", "basis", "status", "xval", "lb", "ub"):
             setattr(self, name, np.stack([getattr(core, name) for core in cores]))
-        self.cost = np.stack([next(phases) for *_, phases in self.items])
+        self.cost = np.stack(costs)
+        self.iterations = np.array([core.iterations for core in cores], dtype=np.int64)
+        self.bland_switches = np.array([core.bland_switches for core in cores], dtype=np.int64)
         self.cap = _iteration_cap(cores[0])
-        self.iterations, self.bland_switches, self.degen = np.zeros((3, len(cores)), dtype=np.int64)
-        self.bland = np.zeros(len(cores), dtype=bool)
-        self.x_b = np.take_along_axis(self.xval, self.basis, 1)
-        self._number_rows()
-
-    def _number_rows(self) -> None:
-        """Flat offsets of each row in the (rows, m) and (rows, n) arrays,
-        and the runs of rows (F index, first row, end row) that share an F."""
         size, m, n = *self.binv.shape[:2], self.cost.shape[1]
-        self.ar = np.arange(size)
-        self.row0, self.col0 = self.ar * m, self.ar * n
+        self.degen = np.zeros(size, dtype=np.int64)
+        self.bland = np.zeros(size, dtype=bool)
+        self.live = np.ones(size, dtype=bool)
+        self.x_b = np.take_along_axis(self.xval, self.basis, 1)
+        # Flat offsets of each row in the (rows, m) and (rows, n) arrays, and
+        # the runs of rows (F index, first row, end row) that share an F.
+        self.row0, self.col0 = np.arange(size) * m, np.arange(size) * n
         bounds = [0, *(np.flatnonzero(np.diff(self.pattern)) + 1).tolist(), size]
-        self.runs = [(int(self.pattern[a]), a, b) for a, b in zip(bounds, bounds[1:]) if a < b]
+        self.runs = [(int(self.pattern[a]), a, b) for a, b in zip(bounds, bounds[1:])]
 
-    def run(self) -> None:
-        # No row has pivoted more often than the lockstep has stepped, so
-        # the iteration cap and the refactorization interval are checked
-        # only once the steps reach them.
-        self.steps = 0
-        while self.items:
-            self._step()
-            self.steps += 1
+    def run(self) -> list[str | NumericalError]:
+        """Step until every row stops; returns each core's outcome."""
+        outcomes: dict[int, str | NumericalError] = {}
+        while self.live.any():
+            exits = self._step()
+            if exits:
+                self.live[list(exits)] = False
+                outcomes.update(exits)
+        # Each row's state goes back to its core, as optimize leaves it.
+        np.put_along_axis(self.xval, self.basis, self.x_b, 1)
+        for r, core in enumerate(self.cores):
+            core.xval, core.status, core.basis, core.binv = (
+                self.xval[r], self.status[r], self.basis[r], self.binv[r])
+            core.iterations = int(self.iterations[r])
+            core.bland_switches = int(self.bland_switches[r])
+        return [outcomes[r] for r in range(len(self.cores))]
 
-    def _step(self) -> None:
-        if self.steps > self.cap:
-            over = self.iterations > self.cap
-            if over.any():
-                self._settle({r: NumericalError("simplex iteration cap exceeded")
-                              for r in over.nonzero()[0].tolist()})
-                return
+    def _step(self) -> dict:
+        """One pass of ``optimize``'s loop on each live row; returns the
+        rows that stop, each with its outcome."""
+        live, exits = self.live, {}
+        # Few rows reach the cap, or the refactorization interval in
+        # _pivot: one reduction over all rows finds whether any did.
+        if self.iterations.max() > self.cap:
+            over = live & (self.iterations > self.cap)
+            exits = {r: NumericalError("simplex iteration cap exceeded")
+                     for r in over.nonzero()[0].tolist()}
+            live = live & ~over
         row0, col0 = self.row0, self.col0
         at_basis = self.basis + col0[:, None]
         y = np.matmul(self.cost.take(at_basis)[:, None, :], self.binv)
@@ -577,31 +609,29 @@ class _Lockstep:
             best = t.take(row0 + row)
             # The fold takes the lone smallest step when the next smallest
             # clears it by the tie tolerance both ways. Else, and for a NaN
-            # step, it runs here.
+            # step, it runs here, on live rows only.
             second = np.partition(t, 1, axis=1)[:, 1]
             ties = (best >= second - _TIE_TOL) | (second < best + _TIE_TOL) | (best != best)
+            ties &= live
             for i in ties.nonzero()[0].tolist():
                 best[i], row[i] = _fold(t[i], self.basis[i])
             flip = self.ub.take(at_enter) - self.lb.take(at_enter)
             flips = flip < best - _TIE_TOL
         step = np.where(flips, flip, best)
-        unbounded = ~done & (step == INF)
-        stopping = done | unbounded
-        exits = {}
-        if stopping.any():
-            exits = dict.fromkeys(done.nonzero()[0].tolist(), "optimal")
-            exits.update(dict.fromkeys(unbounded.nonzero()[0].tolist(), "unbounded"))
-        if len(exits) < len(self.items):
+        stopping = live & (done | (step == INF))
+        for r in stopping.nonzero()[0].tolist():
+            exits[r] = "optimal" if done[r] else "unbounded"
+        moving = live & ~stopping
+        if moving.any():
             at_row = row0 + row
-            self._pivot(~stopping, not exits, enter, at_enter, sigma, step, flips, at_row,
+            self._pivot(moving, enter, at_enter, sigma, step, flips, at_row,
                         at_basis.take(at_row), rising.take(at_row), w, exits)
-        if exits:
-            self._settle(exits)
+        return exits
 
-    def _pivot(self, moving, every, enter, at_enter, sigma, step, flips, at_row, at_leaving,
+    def _pivot(self, moving, enter, at_enter, sigma, step, flips, at_row, at_leaving,
                to_upper, w, exits) -> None:
-        """One pivot or bound flip on each ``moving`` row (``every`` row
-        when that is true), as ``optimize`` does it."""
+        """One pivot or bound flip on each ``moving`` row, as ``optimize``
+        does it."""
         m = w.shape[1]
         self.iterations += moving
         degenerate = moving & (step <= _DEGEN_TOL)
@@ -614,7 +644,7 @@ class _Lockstep:
         else:
             self.degen[moving] = 0
             self.bland[moving] = False
-        p = slice(None) if every else moving
+        p = slice(None) if moving.all() else moving
         self.x_b[p] -= (sigma[p] * step[p])[:, None] * w[p]
 
         # The column that goes to a bound: the entering one on a flip, else
@@ -632,7 +662,7 @@ class _Lockstep:
             np.put(self.status, at_in, _BASIC)
             self._update_binv(q, at_q, w, exits)
 
-        if self.steps + 1 >= _REFACTOR_EVERY:
+        if self.iterations.max() >= _REFACTOR_EVERY:
             due = moving & (self.iterations % _REFACTOR_EVERY == 0)
             for r in due.nonzero()[0].tolist():
                 if r not in exits:
@@ -640,14 +670,17 @@ class _Lockstep:
 
     def _update_binv(self, q, at_q, w, exits) -> None:
         """``_Core._update_binv`` of each row in ``q``, on the rows of its
-        inverse where its w is nonzero."""
+        inverse where its w is nonzero. A row whose pivot is too small
+        stops, its inverse left as it was."""
         m = w.shape[1]
         piv = w.take(at_q)
-        if np.abs(piv).min() < _PIVOT_TOL:
-            for i in (np.abs(piv) < _PIVOT_TOL).nonzero()[0].tolist():
+        small = np.abs(piv) < _PIVOT_TOL
+        if small.any():
+            for i in small.nonzero()[0].tolist():
                 exits[int(q[i])] = NumericalError(
                     f"numerically singular basis: pivot {piv[i]:.3e} in row {at_q[i] % m} "
                     f"for entering column {self.basis.take(at_q[i])}")
+            q, at_q, piv = q[~small], at_q[~small], piv[~small]
         wq = w[q]
         rows = self.binv.reshape(-1, m)
         old = rows[at_q]
@@ -661,7 +694,7 @@ class _Lockstep:
         rows[at_q] = old / piv[:, None]
 
     def _refactor(self, r: int, exits) -> None:
-        core = self.items[r][1]
+        core = self.cores[r]
         core.basis, core.status, core.xval = self.basis[r], self.status[r], self.xval[r]
         try:
             core._refactor()
@@ -670,44 +703,6 @@ class _Lockstep:
             return
         self.binv[r] = core.binv
         self.x_b[r] = self.xval[r, self.basis[r]]  # recomputed from the new inverse
-
-    def _settle(self, exits: dict) -> None:
-        """End the pivot loop of each row in ``exits`` with its outcome: hand
-        it to the item's phases, then start their next loop or keep their
-        result. Finished rows go."""
-        gone = []
-        for r, outcome in exits.items():
-            (p, k), core, phases = self.items[r]
-            if not isinstance(outcome, str):
-                self.results[p][k] = outcome
-                gone.append(r)
-                continue
-            self.xval[r, self.basis[r]] = self.x_b[r]
-            for name in ("xval", "status", "basis", "binv", "lb", "ub"):
-                setattr(core, name, getattr(self, name)[r].copy())
-            core.iterations = int(self.iterations[r])
-            core.bland_switches = int(self.bland_switches[r])
-            try:
-                cost = phases.send(outcome)
-            except StopIteration as stop:
-                self.results[p][k] = stop.value
-                gone.append(r)
-            except NumericalError as exc:
-                self.results[p][k] = exc
-                gone.append(r)
-            else:
-                # The next loop starts from the core, as optimize does; its
-                # basic values are the x_b just written back.
-                self.cost[r] = cost
-                self.lb[r], self.ub[r] = core.lb, core.ub
-                self.bland[r], self.degen[r] = False, 0
-        if gone:
-            keep = np.ones(len(self.items), dtype=bool)
-            keep[gone] = False
-            for name in self._ROWS:
-                setattr(self, name, getattr(self, name)[keep])
-            self.items = [self.items[r] for r in keep.nonzero()[0].tolist()]
-            self._number_rows()
 
 
 def _fold(t: np.ndarray, basic: np.ndarray) -> tuple[float, int]:

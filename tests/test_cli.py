@@ -131,6 +131,7 @@ def test_run_aggregation_requires_delta(tmp_path, capsys):
     ["sweep-delta", "--recipe", "A", "--out", "OUT"],    # no step size
     ["sweep-delta", "--recipe", "A", "--delta", "nan", "--out", "OUT"],
     ["check", "--recipe", "A", "--delta", "nan"],
+    ["check", "--recipe", "A", "--delta", "1", "--delta", "-1"],  # not only the first
     ["check", "--seed", ","],                           # no cases
 ])
 def test_bad_command_input_exits_two_with_an_error_message(tmp_path, capsys, command):
@@ -263,6 +264,26 @@ def test_check_reports_an_uncleared_outcome_by_its_status(tmp_path, capsys):
         "FAIL tso-fractional: aggregation_dual layer2_infeasible",
     ]
     assert "checked 2 cases" in out and "; 4 failures" in out
+
+
+def test_check_runs_aggregation_at_every_delta(tmp_path, capsys):
+    from flexmkt.market_model import serialize_case
+    from test_forwarding import tso_fractional_case
+
+    # Aggregation clears this TSO at a step size of 1 MW but not at 2 or
+    # 4 MW; with several step sizes, each aggregation line names its own.
+    path = tmp_path / "tso-fractional.json"
+    path.write_text(serialize_case(tso_fractional_case()), encoding="utf-8")
+    assert main(["check", "--case", str(path), "--seed", "0",
+                 "--delta", "4.0", "--delta", "1.0", "--delta", "2.0"]) == 1
+    out = capsys.readouterr().out
+    assert [line for line in out.splitlines() if line.startswith("FAIL")] == [
+        "FAIL tso-fractional: fragmented layer2_infeasible",
+        "FAIL tso-fractional: filtering layer2_infeasible",
+        *(f"FAIL tso-fractional: aggregation_{variant} layer2_infeasible at delta {delta}"
+          for delta in ("4.0", "2.0") for variant in ("primal", "dual")),
+    ]
+    assert "checked 2 cases" in out and "; 6 failures" in out
 
 
 def test_reference_rows_unchanged():

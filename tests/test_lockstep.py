@@ -34,10 +34,10 @@ def test_stacked_matmul_equals_the_per_item_calls_byte_for_byte(seed):
     # The lockstep's only reductions: y = c_B @ B^-1 (vector-matrix), y @ F
     # with each item's own F (vector-matrix), and B^-1 @ F[:, j], where the
     # scalar loop reads a strided column and the lockstep a gathered one
-    # (matrix-vector). Items leave the stack as they finish, so compacted
-    # sub-stacks must hold it too; items of several programs share one
-    # stack. A numpy or BLAS build that sums a stacked product in another
-    # order fails here first.
+    # (matrix-vector). Sub-stacks must hold it too, as a phase-2 lockstep
+    # stacks only the items phase 1 left running; items of several
+    # programs share one stack. A numpy or BLAS build that sums a stacked
+    # product in another order fails here first.
     rng = np.random.default_rng(seed)
     for _ in range(60):
         size, m = int(rng.integers(1, 30)), int(rng.integers(2, 60))
@@ -81,12 +81,20 @@ def _bits(result):
             np.float64(result.cert_residual).tobytes(), np.float64(result.cert_gap).tobytes())
 
 
+def _scalar_solve_lp(program: LinearProgram) -> Solution:
+    """solve_lp with each pivot loop in _Core.optimize, whatever
+    _LOCKSTEP_MIN a test set: the reference a lockstep is held to."""
+    with pytest.MonkeyPatch.context() as mp:
+        mp.setattr(simplex, "_LOCKSTEP_MIN", math.inf)
+        return solve_lp(program)
+
+
 def _alone(program, lo, hi):
     """solve_lp of ``program`` with the given row bounds, or its error."""
     saved = program.row_lo, program.row_hi
     program.row_lo, program.row_hi = [float(v) for v in lo], [float(v) for v in hi]
     try:
-        return solve_lp(program)
+        return _scalar_solve_lp(program)
     except NumericalError as exc:
         return exc
     finally:
@@ -264,32 +272,44 @@ def _shaped_batch(rng, n, m, size):
 
 @pytest.fixture
 def locksteps(monkeypatch):
-    """Each lockstep built, as the (program, item) pairs and shape of its
-    rows; every batch of one shape pivots in lockstep."""
+    """The cores of each lockstep built, in the order built; each phase of
+    the cores of one shape pivots in lockstep."""
     built = []
 
     class Recording(simplex._Lockstep):
-        def __init__(self, items, *args):
-            built.append(([pk for pk, *_ in items], {core.F.shape for _, core, *_ in items}))
-            super().__init__(items, *args)
+        def __init__(self, cores, costs):
+            built.append(list(cores))
+            super().__init__(cores, costs)
 
     monkeypatch.setattr(simplex, "_LOCKSTEP_MIN", 1)
     monkeypatch.setattr(simplex, "_Lockstep", Recording)
     return built
 
 
+def _item_of(batches):
+    """The (program, item) pair of a core of shaped batches, told by its
+    program's costs and its pin."""
+    items = {(np.array(program.var_cost).tobytes(), float(lo[k, 0])): (p, k)
+             for p, (program, lo, _) in enumerate(batches) for k in range(len(lo))}
+    return lambda core: items[core.cost[:core.n_struct].tobytes(), float(core.lb[core.n_struct])]
+
+
 def test_programs_of_one_shape_pivot_in_one_lockstep(locksteps):
     # Five programs with different matrices and one shape, each re-pinned:
-    # one lockstep runs all their items, and each item is solve_lp's
-    # Solution byte for byte.
+    # one lockstep runs phase 1 of all their items, a second one phase 2
+    # of exactly the items phase 1 left running, and each item is
+    # solve_lp's Solution byte for byte.
     rng = np.random.default_rng(8)
     batches = [_shaped_batch(rng, 9, 6, 7) for _ in range(5)]
     got = _check_batches(batches)
-    assert len(locksteps) == 1
-    pairs, shapes = locksteps[0]
-    assert sorted(pairs) == [(p, k) for p in range(5) for k in range(7)]
-    assert shapes == {(6, 9 + 12)}
+    pairs = [(p, k) for p in range(5) for k in range(7)]
     assert {r.status for r in got} >= {"optimal", "infeasible"}
+    item = _item_of(batches)
+    phase1, phase2 = locksteps
+    assert sorted(map(item, phase1)) == pairs
+    assert sorted(map(item, phase2)) == [pk for pk, r in zip(pairs, got)
+                                         if r.status != "infeasible"]
+    assert {core.F.shape for core in phase1 + phase2} == {(6, 9 + 12)}
 
 
 def test_programs_with_other_row_counts_are_never_stacked(locksteps):
@@ -297,9 +317,80 @@ def test_programs_with_other_row_counts_are_never_stacked(locksteps):
     rng = np.random.default_rng(9)
     batches = [_shaped_batch(rng, n, m, 5) for n, m in ((10, 6), (8, 7), (10, 6))]
     _check_batches(batches)
-    assert sorted(shapes.pop() for _, shapes in locksteps) == [(6, 22), (7, 22)]
-    for pairs, _ in locksteps:
-        assert {p for p, _ in pairs} in ({0, 2}, {1})
+    item = _item_of(batches)
+    shapes = []
+    for cores in locksteps:
+        [shape] = {core.F.shape for core in cores}
+        shapes.append(shape)
+        assert {item(core)[0] for core in cores} in ({0, 2}, {1})
+    # Phase 1, then phase 2, of each shape.
+    assert sorted(shapes) == [(6, 22), (6, 22), (7, 22), (7, 22)]
+
+
+def _phase_program(rng, n, violated) -> LinearProgram:
+    """``n`` variables in [0, 5], which start at 0, and 6 rows ``a x``
+    with positive ``a``: the first ``violated`` rows at least a positive
+    bound, so out of bounds at the start, the others at most one."""
+    lp = LinearProgram()
+    for j in range(n):
+        lp.add_variable(f"x{j}", 0.0, 5.0, cost=float(rng.normal()))
+    for i in range(6):
+        a = rng.uniform(0.1, 2.0, size=n)
+        bound = float(rng.uniform(2.0, 6.0))
+        lp.add_range({j: float(a[j]) for j in range(n)},
+                     *((bound, INF) if i < violated else (-INF, bound)))
+    return lp
+
+
+def _first_row_at(program, lo_0, hi_0):
+    """One item per pair of bounds of the program's first row."""
+    lo, hi = np.tile(program.row_lo, (len(lo_0), 1)), np.tile(program.row_hi, (len(lo_0), 1))
+    lo[:, 0], hi[:, 0] = lo_0, hi_0
+    return program, lo, hi
+
+
+@pytest.mark.parametrize("lockstep_min", [1, None], ids=["lockstep", "default"])
+def test_a_shape_group_mixes_items_with_and_without_phase_1(monkeypatch, lockstep_min):
+    # 10 variables and 2 artificials beside 12 variables and none: the items of
+    # both programs have 6 rows and 18 columns, one shape group, whose phase
+    # 1 runs on the first program's items alone and whose phase 2 runs on
+    # both. A 0-row and a 1-row program, which never pivot in lockstep, ride
+    # along in the same call.
+    if lockstep_min is not None:
+        monkeypatch.setattr(simplex, "_LOCKSTEP_MIN", lockstep_min)
+    built = []
+
+    class Recording(simplex._Lockstep):
+        def __init__(self, cores, costs):
+            built.append([(core.n_struct, core.m) for core in cores])
+            super().__init__(cores, costs)
+
+    monkeypatch.setattr(simplex, "_Lockstep", Recording)
+    rng = np.random.default_rng(12)
+    two, none = _phase_program(rng, 10, 2), _phase_program(rng, 12, 0)
+    no_rows = LinearProgram()
+    one_row = LinearProgram()
+    for lp in (no_rows, one_row):
+        for j in range(3):
+            lp.add_variable(f"x{j}", 0.0, 5.0, cost=float(rng.normal()))
+    one_row.add_range({0: 1.0, 1: 2.0, 2: 1.0}, 2.0, INF)
+    pins = np.linspace(0.5, 8.0, 10)
+    batches = [_first_row_at(two, pins, pins),
+               _first_row_at(none, np.full(12, -INF), np.linspace(0.5, 6.0, 12)),
+               (no_rows, np.zeros((3, 0)), np.zeros((3, 0))),
+               _first_row_at(one_row, [1.0, 3.0, 30.0], [1.0, 3.0, 30.0])]
+    for (program, lo, hi), n_art in zip(batches[:2], (2, 0)):
+        for core in simplex._start(simplex._Form(program), lo, hi):
+            assert core.F.shape == (6, 18) and core.F.shape[1] - core.n_struct - core.m == n_art
+    got = _check_batches(batches)
+    statuses = [r.status for r in got]
+    assert {"optimal", "infeasible"} <= set(statuses[:10]) and set(statuses[10:22]) == {"optimal"}
+    # Phase 2 stacks the first program's feasible items and all of the
+    # second's; at the default cut-off phase 1 has too few items to stack.
+    phase2 = [(10, 6)] * (10 - statuses[:10].count("infeasible")) + [(12, 6)] * 12
+    assert len(phase2) >= simplex._LOCKSTEP_MIN
+    assert [sorted(cores) for cores in built] == (
+        [[(10, 6)] * 10, phase2] if lockstep_min == 1 else [phase2])
 
 
 # ---------------------------------------------------------------------------
@@ -328,7 +419,7 @@ def _one_at_a_time(case, m, flows):
         prog.add_system(m)
         row = prog.pin_z(m, z)
         try:
-            sol = solve_lp(prog.lp)
+            sol = _scalar_solve_lp(prog.lp)
         except NumericalError as exc:
             out.append(exc)
             continue
@@ -436,15 +527,15 @@ def test_an_error_past_the_edge_of_the_feasible_flows_is_raised(monkeypatch, loc
     # as its solve alone gives it, and so is each entry read through pin.
     monkeypatch.setattr(simplex, "_LOCKSTEP_MIN", lockstep_min)
     case, flows, plain, edge = _pinned_grid()
-    phases = simplex._phases
+    finish = simplex._finish
 
-    def failing(core):
-        solution = yield from phases(core)
-        if _pin(core) > flows[edge]:
+    def failing(core, *args):
+        solution = finish(core, *args)  # None: phase 2 follows
+        if solution is not None and _pin(core) > flows[edge]:
             raise NumericalError(f"pin {flows.index(_pin(core))}")
         return solution
 
-    monkeypatch.setattr(simplex, "_phases", failing)
+    monkeypatch.setattr(simplex, "_finish", failing)
     got = clearing.clear_dso_fixed_interface(case, {1: flows})[1]
     assert repr(got) == repr(_one_at_a_time(case, 1, flows))
     assert repr(got[:edge + 1]) == repr(plain[:edge + 1])
@@ -529,10 +620,12 @@ def test_a_merged_round_keeps_the_dso_by_dso_order(monkeypatch, tmp_path, lockst
         owner[np.array(prog.lp.var_cost).tobytes()] = m
     assert len(owner) == 2
     fails: dict[int, str] = {}
-    phases = simplex._phases
+    finish = simplex._finish
 
-    def failing(core):
-        solution = yield from phases(core)
+    def failing(core, *args):
+        solution = finish(core, *args)
+        if solution is None:  # phase 2 follows
+            return None
         m = owner.get(core.cost[:core.n_struct].tobytes())  # None: not a pinned program
         if fails.get(m) == "error":
             raise NumericalError(f"DSO {m}")
@@ -540,7 +633,7 @@ def test_a_merged_round_keeps_the_dso_by_dso_order(monkeypatch, tmp_path, lockst
             return Solution.non_optimal("infeasible", **core.counters())
         return solution
 
-    monkeypatch.setattr(simplex, "_phases", failing)
+    monkeypatch.setattr(simplex, "_finish", failing)
     calls = []
     pinned = clearing.clear_dso_fixed_interface
 
