@@ -560,24 +560,33 @@ class CaseClearings:
             self.case, self.layer1(pricing), pricing))
 
     def correction(self, m: int, prior: tuple[ClearingResult, ...],
-                   z: float) -> tuple[ClearingResult, float | None]:
+                   z: float) -> ClearingResult:
         """DSO ``m``'s Layer-3 correction on top of ``prior`` with its flow
-        frozen at ``z``, and its least line overload when the correction
-        is infeasible (None otherwise), keyed by the exact flow and the
-        exact prior volume of each of the DSO's bids."""
+        frozen at ``z``, keyed by the exact flow and the exact prior volume
+        of each of the DSO's bids. Only the correction is solved; its least
+        line overload, when it is infeasible, is :meth:`overload`."""
         def solve():
             prog, _ = _layer3_program(self.case, m, prior, z)
-            sol = solve_lp(prog.lp)
-            if sol.status == "optimal":
-                return prog.extract(sol), None
-            diag, worst = _layer3_program(self.case, m, prior, z, diagnostic=True)
-            diag_sol = solve_lp(diag.lp)
-            return prog.extract(sol), (float(diag_sol.x[worst])
-                                       if diag_sol.status == "optimal" else float("inf"))
+            return prog.extract(solve_lp(prog.lp))
 
-        key = ("layer3", m, _exact(z),
-               tuple(_exact(_used_volume(b, prior)) for b in self.case.bids_of(m)))
-        return self._once(key, solve)
+        return self._once(("layer3", *self._layer3_key(m, prior, z)), solve)
+
+    def overload(self, m: int, prior: tuple[ClearingResult, ...], z: float) -> float:
+        """The least max line overload (MW) of DSO ``m``'s Layer-3
+        correction on top of ``prior`` with its flow frozen at ``z``: the
+        diagnostic program, solved on first use under the correction's
+        key, and ``inf`` when that program has no optimum."""
+        def solve():
+            prog, worst = _layer3_program(self.case, m, prior, z, diagnostic=True)
+            sol = solve_lp(prog.lp)
+            return float(sol.x[worst]) if sol.status == "optimal" else float("inf")
+
+        return self._once(("overload", *self._layer3_key(m, prior, z)), solve)
+
+    def _layer3_key(self, m: int, prior: tuple[ClearingResult, ...], z: float) -> tuple:
+        """All a Layer-3 program is built from: the DSO, the exact flow and
+        the exact prior volume of each of the DSO's bids."""
+        return (m, _exact(z), tuple(_exact(_used_volume(b, prior)) for b in self.case.bids_of(m)))
 
     def tso_rsf(self, rsfs: dict[int, Rsf]) -> tuple[ClearingResult, dict[int, int]]:
         """:func:`clear_tso_rsf` over ``rsfs``, keyed by the exact flow and

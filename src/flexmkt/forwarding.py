@@ -24,6 +24,7 @@ from __future__ import annotations
 
 import itertools
 import math
+import numbers
 import time
 from dataclasses import dataclass, field, replace
 
@@ -47,7 +48,8 @@ from .safety import _SAFE_TOL, SafetyVerdict, _dso_point, inefficiency, is_grid_
 
 __all__ = [
     "Outcome", "Rsf", "RsfStep", "FilterResult",
-    "run_sequential", "run_three_layer", "filter_bids", "run_bid_filtering",
+    "run_sequential", "run_three_layer", "layer3_overload", "filter_bids",
+    "run_bid_filtering",
     "build_rsf", "build_rsf_dual", "clear_tso_rsf", "run_bid_aggregation",
     "suboptimality_constant",
 ]
@@ -209,12 +211,12 @@ def run_three_layer(case: MarketCase, pricing: PricingRule, *,
 
     The final volumes add every feasible correction to the first two
     layers, and the verdict is ``is_grid_safe`` on them, as for every other
-    method: safe exactly when every correction problem is feasible. For a
-    DSO whose correction is infeasible, the least achievable line overload
-    (MW) is in ``details["layer3_overload_mw"]``. Infeasibility here is a
-    verdict, not an exception. Layers 1 and 2, and each correction whose
-    flow and prior volumes an earlier run already met, come from the
-    shared ``clearings``.
+    method: safe exactly when every correction problem is feasible.
+    Infeasibility here is a verdict, not an exception. The run solves only
+    the programs ``lp_solves`` counts; the least line overload of each
+    infeasible correction is :func:`layer3_overload` of the outcome.
+    Layers 1 and 2, and each correction whose flow and prior volumes an
+    earlier run already met, come from the shared ``clearings``.
     """
     t0 = time.perf_counter()
     clearings = _shared(case, clearings)
@@ -228,18 +230,27 @@ def run_three_layer(case: MarketCase, pricing: PricingRule, *,
         return _outcome(clearings, "three_layer", t0, layer1=layer1, layer2=layer2,
                         lp_solves=solves)
 
-    layer3: dict[int, ClearingResult] = {}
-    overload: dict[int, float] = {}
-    for m in case.dso_indices:
-        layer3[m], worst = clearings.correction(m, (layer1[m], layer2),
-                                                layer2.interface_flows[m])
-        solves += 1
-        if worst is not None:
-            overload[m] = worst
-
+    layer3 = {m: clearings.correction(m, (layer1[m], layer2), layer2.interface_flows[m])
+              for m in case.dso_indices}
     return _outcome(clearings, "three_layer", t0, layer1=layer1,
-                    layer2=layer2, layer3=layer3, lp_solves=solves,
-                    details={"layer3_overload_mw": overload})
+                    layer2=layer2, layer3=layer3, lp_solves=solves + len(layer3))
+
+
+def layer3_overload(case: MarketCase, outcome: Outcome, *,
+                    clearings: CaseClearings | None = None) -> dict[int, float]:
+    """The least achievable max line overload (MW) of each DSO whose
+    Layer-3 correction in ``outcome``, an "ok" three_layer run on ``case``,
+    is infeasible: ``inf`` when even relaxed limits admit no point. Each
+    is one diagnostic program over the correction's inputs, Layers 1 and
+    2 of the outcome and its Layer-2 flow, solved once per input in the
+    shared ``clearings``. Any other outcome raises ``ContractError``."""
+    if outcome.method != "three_layer" or outcome.status != "ok":
+        raise ContractError(f"layer3_overload needs an ok three_layer outcome, "
+                            f"got {outcome.method} with status {outcome.status}")
+    clearings = _shared(case, clearings)
+    layer2 = outcome.layer2
+    return {m: clearings.overload(m, (outcome.layer1[m], layer2), layer2.interface_flows[m])
+            for m, correction in outcome.layer3.items() if correction.status != "optimal"}
 
 
 # ---------------------------------------------------------------------------
@@ -462,12 +473,12 @@ def run_bid_aggregation(case: MarketCase, delta_bar: float,
     the TSO; ``milp_nodes`` then includes the nodes of the MILP that
     failed.
     """
-    if not delta_bar > 0.0:
-        raise ContractError("delta_bar must be positive")
+    if not isinstance(delta_bar, numbers.Real) or not delta_bar > 0.0:
+        raise ContractError(f"delta_bar must be a positive number, got {delta_bar!r}")
     if variant not in ("primal", "dual"):
         raise ContractError(f"unknown RSF variant {variant!r}")
-    if refine_rounds < 0:
-        raise ContractError("refine_rounds must be non-negative")
+    if not isinstance(refine_rounds, numbers.Integral) or refine_rounds < 0:
+        raise ContractError(f"refine_rounds must be a non-negative integer, got {refine_rounds!r}")
     build = build_rsf if variant == "primal" else build_rsf_dual
 
     t0 = time.perf_counter()
@@ -564,9 +575,13 @@ def suboptimality_constant(case: MarketCase, *,
     prices of pinned interface flows: per DSO, the pins are sampled at the
     corners of the feasible flow intervals and at the benchmark optimum,
     and the largest magnitudes are summed. Scales linearly with prices and
-    vanishes when all bids are free. Used as the Lipschitz constant that
-    converts an interface-flow grid gap into a cost gap. The benchmark
-    optimum comes from the shared ``clearings``.
+    vanishes when all bids are free. It converts an interface-flow grid
+    gap into a cost gap, and it is a sampled estimate of that sensitivity,
+    not a proven bound: on the battery of 50 cases (seed 400, styles B, C,
+    A and D) at five step sizes, the pseudo-inverse norm alone times the
+    step size is below the realized cost gap in 121 of 250 aggregation
+    runs, and the sampled shadow prices set the constant in all 50 cases.
+    The benchmark optimum comes from the shared ``clearings``.
     """
     if len(case.dsos) > 10:
         raise ContractError("corner sampling is limited to 10 DSOs")

@@ -299,6 +299,34 @@ def test_reference_rows_unchanged():
     assert "reference rows match" in proc.stdout
 
 
+@pytest.mark.parametrize("given,expected", [(None, "1"), ("2", "2")])
+def test_importing_flexmkt_limits_blas_threads_unless_set(given, expected):
+    # The limit must be in place when numpy first loads, and a value the
+    # caller set wins.
+    probe = """if True:
+        import os, sys
+        seen = []
+
+        class Watch:
+            def find_spec(self, name, path=None, target=None):
+                if name == "numpy" and not seen:
+                    seen.append(os.environ.get("OPENBLAS_NUM_THREADS"))
+
+        sys.meta_path.insert(0, Watch())
+        import flexmkt
+        print(seen, os.environ["OPENBLAS_NUM_THREADS"])
+    """
+    root = Path(__file__).resolve().parents[1]
+    env = {k: v for k, v in os.environ.items() if k != "OPENBLAS_NUM_THREADS"}
+    env["PYTHONPATH"] = str(root / "src")
+    if given is not None:
+        env["OPENBLAS_NUM_THREADS"] = given
+    proc = subprocess.run([sys.executable, "-c", probe], env=env, capture_output=True,
+                          text=True, timeout=60)
+    assert proc.returncode == 0, proc.stderr
+    assert proc.stdout.split() == [f"['{expected}']", expected]
+
+
 def _perfbench_tracer(monkeypatch):
     """perfbench/tracer.py, loaded as the benchmark loads it."""
     import importlib.util

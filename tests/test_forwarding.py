@@ -17,8 +17,8 @@ from flexmkt.clearing import (CaseClearings, _common_program, clear_common,
                               clear_dso_layer1, dso_flow_interval, interface_price)
 from flexmkt.errors import ContractError, ModelError
 from flexmkt.forwarding import (build_rsf, build_rsf_dual, clear_tso_rsf, filter_bids,
-                                run_bid_aggregation, run_bid_filtering, run_sequential,
-                                run_three_layer, suboptimality_constant)
+                                layer3_overload, run_bid_aggregation, run_bid_filtering,
+                                run_sequential, run_three_layer, suboptimality_constant)
 from flexmkt.market_model import UNLIMITED, Bid, DistributionSystem, MarketCase
 from flexmkt.mp_solver import solve_lp
 from flexmkt.netmodel import Line, Network
@@ -94,7 +94,20 @@ def test_three_layer_unresolvable_congestion_reported():
     assert out.safe is False
     assert any(not ok for m, ok in out.safety.system_feasible.items() if m != 0)
     assert out.safety.max_flow_violation > 1e-3
-    assert out.details["layer3_overload_mw"]
+    assert layer3_overload(case, out)
+
+
+def test_layer3_overload_needs_an_ok_three_layer_outcome():
+    case = generate_case(CaseRecipe(style="B"), 0)
+    raw = run_sequential(case, none_pricing(case))
+    assert raw.status == "ok"
+    with pytest.raises(ContractError, match="sequential_raw"):
+        layer3_overload(case, raw)
+    stopped = layer1_infeasible_case()
+    out = run_three_layer(stopped, none_pricing(stopped))
+    assert out.status == "layer1_infeasible"
+    with pytest.raises(ContractError, match="layer1_infeasible"):
+        layer3_overload(stopped, out)
 
 
 def test_three_layer_resolves_when_reserves_exist():
@@ -110,6 +123,7 @@ def test_three_layer_resolves_when_reserves_exist():
     assert raw.safe is False
     assert out.safe is True
     assert out.eta_pct is not None and out.eta_pct > 1.0
+    assert layer3_overload(case, out, clearings=shared) == {}
     correction = out.layer3[1]
     assert correction.upward["d-u"] == pytest.approx(3.0, abs=1e-6)
     assert correction.downward["d-dr"] == pytest.approx(3.0, abs=1e-6)
@@ -438,6 +452,23 @@ def test_aggregation_contract_checks(m1):
         run_bid_aggregation(m1, 1.0, -1)
     with pytest.raises(ContractError):
         run_bid_aggregation(m1, 1.0, 0, "tertiary")
+
+
+@pytest.mark.parametrize("delta,rounds,name", [(1.0, 1.5, "refine_rounds"),
+                                               (1.0, "1", "refine_rounds"),
+                                               ("1", 0, "delta_bar"),
+                                               (None, 0, "delta_bar")])
+def test_aggregation_refuses_arguments_of_the_wrong_type(m1, tmp_path, delta, rounds, name):
+    # A TypeError from comparing or iterating over them would escape
+    # run_experiment, which turns only FlexmktError into error rows.
+    with pytest.raises(ContractError, match=name):
+        run_bid_aggregation(m1, delta, rounds)
+    path = run_experiment(ExperimentConfig(
+        cases=((m1.name, 0, m1),), methods=("aggregation_primal", "three_layer"),
+        pricings=("none",), deltas=(delta,), refine_rounds=rounds, out_dir=str(tmp_path)))
+    with open(path, newline="", encoding="utf-8") as fh:
+        rows = [(r["method"], r["status"].partition(" must")[0]) for r in csv.DictReader(fh)]
+    assert rows == [("aggregation_primal", f"error: {name}"), ("three_layer", "ok")]
 
 
 def test_aggregation_refuses_a_grid_too_large_to_build(m1, tmp_path):

@@ -9,7 +9,7 @@ from flexmkt.casegen import CaseRecipe, generate_case
 from flexmkt.clearing import (CaseClearings, bid_cost, clear_common, clear_dso_layer1,
                               interface_price)
 from flexmkt.errors import ContractError, OracleError
-from flexmkt.forwarding import run_bid_filtering, run_three_layer
+from flexmkt.forwarding import layer3_overload, run_bid_filtering, run_three_layer
 from flexmkt.market_model import Bid, DistributionSystem, MarketCase
 from flexmkt.netmodel import Line, Network
 from flexmkt.safety import brute_force_oracle, inefficiency, is_grid_safe
@@ -320,7 +320,7 @@ def test_three_layer_verdict_matches_is_grid_safe():
                 # The paper's statement: safe exactly when every correction
                 # problem is feasible; the infeasible ones carry an overload.
                 assert out.safe == all(r.status == "optimal" for r in out.layer3.values())
-                assert set(out.details["layer3_overload_mw"]) == \
+                assert set(layer3_overload(case, out, clearings=shared)) == \
                     {m for m, r in out.layer3.items() if r.status != "optimal"}
                 verdicts.append(out.safe)
     assert any(verdicts) and not all(verdicts)

@@ -114,6 +114,53 @@ def test_layer3_correction_is_keyed_by_exact_prior_volumes(monkeypatch):
     shared.correction(m, (nudged, layer2), z2)
     assert len(solves) > per_correction
 
+    # The overload diagnostic has a key of its own kind: asking for it
+    # solves one more program, once, and leaves the correction's alone.
+    before = len(solves)
+    worst = shared.overload(m, (layer1[m], layer2), z2)
+    assert len(solves) == before + 1
+    assert shared.overload(m, (layer1[m], layer2), z2) == worst
+    assert shared.correction(m, (layer1[m], layer2), z2) is first
+    assert len(solves) == before + 1
+
+
+@pytest.mark.parametrize("style,seed", [("B", 0), ("B", 1), ("C", 2), ("A", 3)])
+@pytest.mark.parametrize("method", ["three_layer", "sequential_raw", "idealized", "fragmented"])
+def test_a_run_alone_solves_exactly_the_programs_it_counts(monkeypatch, style, seed, method):
+    # lp_solves is the count of programs a run alone solves; three_layer
+    # solves no uncounted overload diagnostic (layer3_overload does).
+    case = generate_case(CaseRecipe(style=style), seed)
+    common = clear_common(case)
+    solves = counted(monkeypatch, clearing.solve_lp)
+    for pricing in PRICINGS:
+        before = len(solves)
+        out = _run_method(case, method, pricing, None, 0, CaseClearings(case, common))
+        assert len(solves) - before == out.lp_solves, pricing
+        assert out.details == {}
+
+
+def test_layer3_overload_is_the_diagnostic_program_solved_once(monkeypatch):
+    case = generate_case(CaseRecipe(style="B"), 0)
+    shared = CaseClearings(case, clear_common(case))
+    out = run_three_layer(case, interface_price(case, "none"), clearings=shared)
+    assert out.status == "ok" and not out.safe
+    solves = counted(monkeypatch, clearing.solve_lp)
+    overload = forwarding.layer3_overload(case, out, clearings=shared)
+    infeasible = [m for m, r in out.layer3.items() if r.status != "optimal"]
+    assert list(overload) == infeasible and len(solves) == len(infeasible)
+    for m, worst in overload.items():
+        prior, z = (out.layer1[m], out.layer2), out.layer2.interface_flows[m]
+        prog, slack = clearing._layer3_program(case, m, prior, z, diagnostic=True)
+        sol = clearing.solve_lp(prog.lp)
+        assert sol.status == "optimal"
+        assert worst == float(sol.x[slack])
+        # No correction at all is a point of the relaxed program, so the
+        # least overload is at most the overload the verdict saw.
+        assert 0.0 < worst <= out.safety.max_flow_violation + 1e-9
+    before = len(solves)
+    assert forwarding.layer3_overload(case, out, clearings=shared) == overload
+    assert len(solves) == before
+
 
 def fingerprint(lp, groups=()) -> str:
     """Hash of everything a solve reads of a program: bounds, costs, rows,
