@@ -117,8 +117,9 @@ def generate_case(recipe: CaseRecipe, seed: int) -> MarketCase:
                               "number of coupling points")
     if seed < 0:
         raise GenerationError(f"seed must be a non-negative integer, got {seed}")
-    if not math.isfinite(recipe.congestion):
-        raise GenerationError(f"congestion must be finite, got {recipe.congestion}")
+    if not (math.isfinite(recipe.congestion) and recipe.congestion > 0):
+        raise GenerationError(f"congestion must be finite and positive, "
+                              f"got {recipe.congestion}")
 
     benign = style in ("A", "D")
     rng = np.random.default_rng(int(seed))

@@ -81,13 +81,14 @@ def _case_files(paths) -> list[MarketCase]:
             for path in paths]
 
 
-def _load_cases(args) -> list[tuple[str, int, MarketCase]]:
+def _load_cases(args, styles: str = "") -> list[tuple[str, int, MarketCase]]:
+    """The case files, then one generated case per seed if a recipe style
+    applies: ``--recipe``, else ``styles`` in rotation by seed."""
     cases = [(case.name, -1, case) for case in _case_files(args.case)]
-    if getattr(args, "recipe", None):
-        recipe = _recipe(args, args.recipe)
-        for seed in _parse_seeds(args.seed):
-            case = generate_case(recipe, seed)
-            cases.append((case.name, seed, case))
+    styles = getattr(args, "recipe", None) or styles
+    for seed in _parse_seeds(args.seed) if styles else ():
+        case = generate_case(_recipe(args, styles[seed % len(styles)]), seed)
+        cases.append((case.name, seed, case))
     if not cases:
         raise ContractError("no cases: pass --case files and/or --recipe with --seed")
     return cases
@@ -178,32 +179,31 @@ def cmd_validate(args) -> int:
 
 
 def run_experiment(config: ExperimentConfig) -> Path:
-    """Run every (case, method, pricing / step size) combination and append
-    the outcome rows to ``results.csv`` in a deterministic order. Component
+    """Run every (case, method, pricing / step size) combination and write
+    the outcome rows to ``results.csv`` in a deterministic order, each as
+    it is made; the file is opened before the first case runs. Component
     errors become rows with a status message; the run continues. The
     methods of one case share its clearings (:class:`CaseClearings`)."""
-    rows = []
-    for case_id, seed, case in config.cases:
-        clearings = CaseClearings(case, clear_common(case))
-        for method in config.methods:
-            for pricing in config.pricings:
-                dlist = config.deltas if method.startswith("aggregation") else (None,)
-                for delta in dlist:
-                    try:
-                        out = _run_method(case, method, pricing, delta,
-                                          config.refine_rounds, clearings)
-                        rows.append(_result_row(case_id, seed, method, pricing, delta, out))
-                    except FlexmktError as exc:
-                        rows.append(_result_row(case_id, seed, method, pricing, delta,
-                                                None, error=f"error: {exc}"))
-
     out_dir = Path(config.out_dir)
     out_dir.mkdir(parents=True, exist_ok=True)
     path = out_dir / "results.csv"
     with open(path, "w", newline="", encoding="utf-8") as fh:
         writer = csv.DictWriter(fh, fieldnames=RESULT_COLUMNS)
         writer.writeheader()
-        writer.writerows(rows)
+        for case_id, seed, case in config.cases:
+            clearings = CaseClearings(case, clear_common(case))
+            for method in config.methods:
+                for pricing in config.pricings:
+                    dlist = config.deltas if method.startswith("aggregation") else (None,)
+                    for delta in dlist:
+                        try:
+                            out = _run_method(case, method, pricing, delta,
+                                              config.refine_rounds, clearings)
+                            row = _result_row(case_id, seed, method, pricing, delta, out)
+                        except FlexmktError as exc:
+                            row = _result_row(case_id, seed, method, pricing, delta,
+                                              None, error=f"error: {exc}")
+                        writer.writerow(row)
     return path
 
 
@@ -218,10 +218,9 @@ def cmd_run(args) -> int:
     )
     path = run_experiment(config)
     with open(path, newline="", encoding="utf-8") as fh:
-        rows = list(csv.DictReader(fh))
-    print(f"wrote {path} ({len(rows)} rows)")
-    bad = [r for r in rows if str(r["status"]).startswith("error")]
-    return 1 if bad else 0
+        statuses = [row["status"] for row in csv.DictReader(fh)]
+    print(f"wrote {path} ({len(statuses)} rows)")
+    return 1 if any(s.startswith("error") for s in statuses) else 0
 
 
 def cmd_sweep_delta(args) -> int:
@@ -257,14 +256,9 @@ def cmd_check(args) -> int:
     failures: list[str] = []
     skips: list[str] = []
     t0 = time.perf_counter()
-    styles = [args.recipe] if args.recipe else list("ABCD")
     deltas = args.delta or [1.0]
-    cases = _case_files(args.case)
-    for seed in _parse_seeds(args.seed):
-        cases.append(generate_case(_recipe(args, styles[seed % len(styles)]), seed))
-    if not cases:
-        raise ContractError("no cases: pass --case files and/or --recipe with --seed")
-    for case in cases:
+    cases = _load_cases(args, "ABCD")
+    for _, _, case in cases:
         clearings = CaseClearings(case, clear_common(case))
         if clearings.common.status != "optimal":
             failures.append(f"{case.name}: common market {clearings.common.status}")

@@ -49,19 +49,13 @@ def solve_milp(mp: MixedProgram) -> Solution:
     if root.status != "optimal":
         return Solution.non_optimal(root.status, root.iterations)
 
-    incumbent: Solution | None = None
-    nodes = 0
+    nodes = counter = 0
     iterations = root.iterations
     gi = _fractional_group(mp, root.x)
-    if gi is None:
-        return Solution(status="optimal", objective=root.objective, x=root.x,
-                        duals=root.duals, reduced_costs=root.reduced_costs,
-                        iterations=iterations, nodes=0)
-
-    counter = 0
-    heap: list[tuple[float, int, dict[int, float], int]] = [
-        (root.objective, counter, {}, gi)
-    ]
+    # An integral root is the incumbent, and nothing is left to branch on.
+    incumbent: Solution | None = root if gi is None else None
+    heap: list[tuple[float, int, dict[int, float], int]] = (
+        [] if gi is None else [(root.objective, counter, {}, gi)])
     while heap:
         bound, _, fixes, group_index = heapq.heappop(heap)
         if incumbent is not None and bound >= incumbent.objective - _PRUNE_TOL:

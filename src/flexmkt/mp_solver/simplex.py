@@ -323,8 +323,7 @@ class _Core:
 def solve_lp(program: LinearProgram) -> Solution:
     """Solve a linear program; duals come from the optimal basis. This is
     ``solve_lp_batch``'s driver, ``_solve``, run on one core."""
-    [core] = _start(_Form(program), np.array(program.row_lo, dtype=float)[None],
-                    np.array(program.row_hi, dtype=float)[None])
+    [core] = _start(_Form(program), [program.row_lo], [program.row_hi])
     [result] = _solve([core])
     if isinstance(result, NumericalError):
         raise result
@@ -340,7 +339,8 @@ def _start(form: _Form, row_lo, row_hi) -> list[_Core]:
     side, set its pattern; those rows get artificial columns, and their
     slacks start at the bound they leave. Each pattern's ``F``, costs,
     statuses, basis and inverse are built once; per core remain its bounds
-    and values.
+    and values. A core with artificials gets its basic values from
+    ``_Core._set_basic_values``, as a refactorization does.
     """
     n, m = form.n, form.m
     row_lo, row_hi = (np.asarray(b, dtype=float) for b in (row_lo, row_hi))
@@ -390,23 +390,13 @@ def _start(form: _Form, row_lo, row_hi) -> list[_Core]:
             lb = np.concatenate([form.var_lb, row_lo[k], zeros])
             ub = np.concatenate([form.var_ub, row_hi[k], infs])
             xval = np.concatenate([form.xval, zeros])
+            # The first core takes the pattern's arrays, each other one a copy.
+            cores[k] = core = _Core(n, F, cost, lb, ub, xval,
+                                    *((status, basis, binv) if not j else
+                                      (status.copy(), basis.copy(), binv.copy())), split)
             if n_art:  # the artificial rows' slacks start at the bound they leave
                 xval[cols] = np.where(up, ub[cols], lb[cols])
-            # The first core takes the pattern's arrays, each other one a copy.
-            cores[k] = _Core(n, F, cost, lb, ub, xval,
-                             *((status, basis, binv) if not j else
-                               (status.copy(), basis.copy(), binv.copy())), split)
-        if n_art:
-            # Each core's _set_basic_values, with the nonbasic columns and
-            # -B^-1 built once and not held at once: for a large program each
-            # is as large as B^-1.
-            nonbasic = status != _BASIC
-            F_nonbasic = F[:, nonbasic]
-            rhs = [F_nonbasic @ cores[k].xval[nonbasic] for k in items]
-            del F_nonbasic
-            minus_binv = -binv
-            for k, r in zip(items, rhs):
-                cores[k].xval[basis] = minus_binv @ r
+                core._set_basic_values()
     return cores
 
 

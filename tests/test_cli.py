@@ -106,6 +106,22 @@ def test_bad_seed_is_an_error_message_not_a_traceback(tmp_path, capsys, seed):
         assert "Traceback" not in err
 
 
+def test_run_fails_on_a_bad_out_before_any_case_runs(tmp_path, capsys, monkeypatch):
+    # results.csv is opened before the first case: an --out that cannot be
+    # a directory is an error at once, not after every method has run.
+    from flexmkt import cli
+
+    cleared = []
+    real = cli.clear_common
+    monkeypatch.setattr(cli, "clear_common", lambda case: cleared.append(case) or real(case))
+    out = tmp_path / "taken"
+    out.write_text("", encoding="utf-8")
+    assert main(["run", "--recipe", "A", "--seed", "0", "--method", "fragmented",
+                 "--out", str(out)]) == 2
+    assert capsys.readouterr().err.startswith("error: ")
+    assert cleared == []
+
+
 def test_run_with_four_dsos(tmp_path):
     assert main(["run", "--recipe", "B", "--dsos", "4", "--seed", "0",
                  "--method", "fragmented", "--out", str(tmp_path)]) == 0

@@ -358,7 +358,7 @@ def test_generation_errors():
         generate_case(CaseRecipe(style="A", n_dsos=5, tn_buses=4), 0)
     with pytest.raises(GenerationError, match="seed"):
         generate_case(CaseRecipe(style="A"), -1)
-    for congestion in (float("nan"), float("inf"), -float("inf")):
+    for congestion in (float("nan"), float("inf"), -float("inf"), 0.0, -1.0):
         with pytest.raises(GenerationError, match="congestion"):
             generate_case(CaseRecipe(style="A", congestion=congestion), 0)
 
