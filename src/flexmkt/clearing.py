@@ -30,6 +30,7 @@ side.
 
 from __future__ import annotations
 
+import copy
 from dataclasses import dataclass, field, replace
 from typing import TYPE_CHECKING
 
@@ -37,7 +38,7 @@ import numpy as np
 
 from .errors import ContractError, ModelError, NumericalError
 from .market_model import DIR_DOWN, DIR_UP, Bid, MarketCase
-from .mp_solver import (INF, LinearProgram, MixedProgram, Solution, solve_lp,
+from .mp_solver import (INF, LinearProgram, MixedProgram, Solution, phase_one, solve_lp,
                         solve_lp_batch, solve_milp)
 from .netmodel import Network
 
@@ -179,6 +180,7 @@ class _CaseProgram:
         self.up_vars: dict[str, int] = {}
         self.down_vars: dict[str, int] = {}
         self.z_vars: dict[int, int] = {}
+        self.mixed: MixedProgram | None = None  # lp with one-hot groups, for a MILP
         self.balance_rows: dict[int, dict[int, int]] = {}
 
     def add_z(self, m: int, lo: float, hi: float, cost: float = 0.0) -> int:
@@ -265,6 +267,33 @@ class _CaseProgram:
                               nodes=sol.nodes)
 
 
+def _recost(lp: LinearProgram, costs: dict[int, float]) -> LinearProgram:
+    """``lp`` with the cost of each variable in ``costs`` replaced: a copy
+    that shares every other input, its rows and its Start included."""
+    recosted = copy.copy(lp)
+    recosted.var_cost = list(lp.var_cost)
+    for var, cost in costs.items():
+        recosted.var_cost[var] = float(cost)
+    return recosted
+
+
+def _kept(clearings: CaseClearings | None, key: tuple, build) -> _CaseProgram:
+    """``build()``'s program, which solves re-cost. Through the shared
+    ``clearings`` it is made once per case, its LP given the phase-1
+    Start that every re-costed copy resumes from, and kept there under
+    ``key``, which holds the exact bits of every input but the costs.
+    Without them it is made afresh, and its one solve runs phase 1."""
+    if clearings is None:
+        return build()
+
+    def made():
+        prog = build()
+        prog.lp.start = phase_one(prog.lp)
+        return prog
+
+    return clearings._once(("program", *key), made)
+
+
 def _used_volume(bid: Bid, prior: tuple[ClearingResult, ...]) -> float:
     """The volume of ``bid`` the ``prior`` clearings cleared, summed in
     prior order: all a program reads of them."""
@@ -282,19 +311,27 @@ def _clamp(v: float, lo: float, hi: float) -> float:
 # Layer 1
 # ---------------------------------------------------------------------------
 
-def clear_dso_layer1(case: MarketCase, m: int, pricing: PricingRule) -> ClearingResult:
+def _layer1_program(case: MarketCase, m: int) -> _CaseProgram:
+    """DSO ``m``'s Layer-1 program with its interface flow's price at zero:
+    each pricing rule re-costs it."""
+    dso = case.dso(m)
+    prog = _CaseProgram(case)
+    prog.add_z(m, dso.z_min, dso.z_max)
+    prog.add_system(m)
+    return prog
+
+
+def clear_dso_layer1(case: MarketCase, m: int, pricing: PricingRule, *,
+                     clearings: CaseClearings | None = None) -> ClearingResult:
     """Local flexibility procurement of one DSO.
 
     Minimizes bid cost plus the interface-flow price times the import,
     subject to nodal balances, line limits, bid boxes, and interface
-    bounds.
+    bounds. Through the shared ``clearings`` of ``case`` the program is
+    built once, and every pricing rule resumes from its phase-1 Start.
     """
-    dso = case.dso(m)
-    prog = _CaseProgram(case)
-    prog.add_z(m, dso.z_min, dso.z_max, pricing.price(m))
-    prog.add_system(m)
-    sol = solve_lp(prog.lp)
-    return prog.extract(sol)
+    prog = _kept(clearings, ("layer1", m), lambda: _layer1_program(case, m))
+    return prog.extract(solve_lp(_recost(prog.lp, {prog.z_vars[m]: pricing.price(m)})))
 
 
 def clear_dso_fixed_interface(case: MarketCase, flows: dict[int, list[float]]
@@ -407,28 +444,46 @@ def _layer3_program(case: MarketCase, m: int, prior: tuple[ClearingResult, ...],
     return prog, worst
 
 
-def clear_tso_rsf(case: MarketCase,
-                  rsfs: dict[int, Rsf]) -> tuple[ClearingResult, dict[int, int]]:
-    """TSO clearing over the forwarded steps: one binary per step, one
-    one-hot group per DSO, interface flows substituted by the selected
-    step values. The aggregated balance is deliberately absent; it lives
-    inside the stored step clearings. Returns the MILP clearing, with the
-    nodes it explored, and the selected step per DSO, which is empty when
-    the MILP has no optimum."""
-    for m in case.dso_indices:
-        if m not in rsfs:
-            raise ContractError(f"missing RSF for DSO {m}")
+def _tso_rsf_program(case: MarketCase, rsfs: dict[int, Rsf]) -> _CaseProgram:
+    """The TSO MILP over the forwarded steps' flows, in ``mixed``, each
+    step's cost at zero: each set of step costs re-costs it."""
     prog = _CaseProgram(case)
     y_vars: dict[int, list[int]] = {}
     step_terms = []
     for dso in case.dsos:
         steps = rsfs[dso.index].steps
-        ys = [prog.lp.add_variable(f"y[{dso.index},{k}]", 0.0, 1.0, cost=step.cost)
-              for k, step in enumerate(steps)]
+        ys = [prog.lp.add_variable(f"y[{dso.index},{k}]", 0.0, 1.0) for k in range(len(steps))]
         step_terms += [(dso.coupling_bus, y, step.z) for y, step in zip(ys, steps) if step.z != 0.0]
         y_vars[dso.index] = ys
     prog.add_system(0, step_terms=step_terms)
-    sol = solve_milp(MixedProgram(prog.lp, [y_vars[m] for m in case.dso_indices]))
+    prog.mixed = MixedProgram(prog.lp, [y_vars[m] for m in case.dso_indices])
+    return prog
+
+
+def clear_tso_rsf(case: MarketCase, rsfs: dict[int, Rsf], *,
+                  clearings: CaseClearings | None = None
+                  ) -> tuple[ClearingResult, dict[int, int]]:
+    """TSO clearing over the forwarded steps: one binary per step, one
+    one-hot group per DSO, interface flows substituted by the selected
+    step values. The aggregated balance is deliberately absent; it lives
+    inside the stored step clearings. Returns the MILP clearing, with the
+    nodes it explored, and the selected step per DSO, which is empty when
+    the MILP has no optimum.
+
+    Through the shared ``clearings`` of ``case`` the program is built once
+    per set of forwarded flows, keyed by their exact bits, and the root
+    relaxation of every set of step costs, such as the other RSF
+    variant's, resumes from its phase-1 Start."""
+    for m in case.dso_indices:
+        if m not in rsfs:
+            raise ContractError(f"missing RSF for DSO {m}")
+    key = ("tso_rsf", tuple(tuple(_exact(s.z) for s in rsfs[m].steps) for m in case.dso_indices))
+    prog = _kept(clearings, key, lambda: _tso_rsf_program(case, rsfs))
+    mp = copy.copy(prog.mixed)
+    y_vars = dict(zip(case.dso_indices, mp.groups))
+    mp.lp = _recost(mp.lp, {y: step.cost for m in case.dso_indices
+                            for y, step in zip(y_vars[m], rsfs[m].steps)})
+    sol = solve_milp(mp)
     result = prog.extract(sol)
     if sol.status != "optimal":
         return result, {}
@@ -468,15 +523,16 @@ def clear_common(case: MarketCase) -> ClearingResult:
 
 def dso_flow_interval(case: MarketCase, m: int) -> tuple[float, float]:
     """Smallest and largest feasible interface flow of DSO ``m``: one
-    program, solved with the flow's cost +1 and then -1."""
+    program, solved with the flow's cost +1 and then -1, both from one
+    phase-1 Start."""
     dso = case.dso(m)
     prog = _CaseProgram(case)
     zv = prog.add_z(m, dso.z_min, dso.z_max)
     prog.add_system(m, cost_scale=0.0)
+    prog.lp.start = phase_one(prog.lp)
     out = []
     for sense in (+1.0, -1.0):
-        prog.lp.var_cost[zv] = sense
-        sol = solve_lp(prog.lp)
+        sol = solve_lp(_recost(prog.lp, {zv: sense}))
         if sol.status != "optimal":
             raise ModelError(f"DSO {m} has no feasible interface flow")
         out.append(float(sol.x[zv]))
@@ -523,6 +579,12 @@ class CaseClearings:
     The solver is deterministic, so a shared clearing is the one a method
     running alone would compute. Pass one object to every method run on
     ``case``; a fresh object gives exactly the solves of a run alone.
+
+    It also keeps the programs that solves under other costs share, each
+    with its phase-1 Start: every DSO's Layer-1 program, which each
+    pricing rule re-costs, and aggregation's MILP per set of forwarded
+    flows, which each RSF variant re-costs. They live as long as it does,
+    or until :meth:`release_programs`.
     """
 
     def __init__(self, case: MarketCase, common: ClearingResult | None = None):
@@ -540,7 +602,8 @@ class CaseClearings:
     def _once(self, key: tuple, solve):
         """``solve()`` on the first use of ``key``, its stored value after.
         The key holds the exact bits of every input the solved program is
-        built from, and names the kind of clearing first."""
+        built from, and names the kind of clearing first; a kept program's
+        key starts with "program" and its kind, and leaves out its costs."""
         if key not in self._solved:
             self._solved[key] = solve()
         return self._solved[key]
@@ -551,7 +614,8 @@ class CaseClearings:
     def layer1(self, pricing: PricingRule) -> dict[int, ClearingResult]:
         """Every DSO's Layer-1 clearing under ``pricing``, keyed by DSO."""
         return dict(self._once(("layer1", self._prices(pricing)), lambda: {
-            m: clear_dso_layer1(self.case, m, pricing) for m in self.case.dso_indices}))
+            m: clear_dso_layer1(self.case, m, pricing, clearings=self)
+            for m in self.case.dso_indices}))
 
     def layer2(self, pricing: PricingRule) -> ClearingResult:
         """The practical TSO layer without bid caps, on top of
@@ -594,7 +658,16 @@ class CaseClearings:
         do not depend on pricing, so every pricing rule shares it."""
         key = ("tso_rsf", tuple(tuple((_exact(s.z), _exact(s.cost)) for s in rsfs[m].steps)
                                 for m in self.case.dso_indices if m in rsfs))
-        return self._once(key, lambda: clear_tso_rsf(self.case, rsfs))
+        return self._once(key, lambda: clear_tso_rsf(self.case, rsfs, clearings=self))
+
+    def release_programs(self) -> None:
+        """Drop the kept programs and their Starts; every clearing stays. A
+        caller may hold on to the clearings after the last method ran on
+        the case (perfbench's recorder keeps each call's arguments to the
+        end of a pass), when nothing re-costs the programs any more. A
+        later re-costed solve builds its program again."""
+        self._solved = {key: value for key, value in self._solved.items()
+                        if key[0] != "program"}
 
     def pin(self, flows: dict[int, list[float]]) -> dict[int, list]:
         """The entry of each DSO ``m``'s pinned clearing for each of its

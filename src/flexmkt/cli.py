@@ -204,6 +204,7 @@ def run_experiment(config: ExperimentConfig) -> Path:
                             row = _result_row(case_id, seed, method, pricing, delta,
                                               None, error=f"error: {exc}")
                         writer.writerow(row)
+            clearings.release_programs()
     return path
 
 

@@ -25,8 +25,10 @@ _PRUNE_TOL = 1e-9
 
 
 def _clone_with_fixes(lp: LinearProgram, fixes: dict[int, float]) -> LinearProgram:
-    """Share the row structure, copy only the bound arrays."""
+    """Share the row structure, copy only the bound arrays. A node's
+    bounds are not the root's, so it has no Start."""
     clone = copy.copy(lp)
+    clone.start = None
     clone.var_lb = list(lp.var_lb)
     clone.var_ub = list(lp.var_ub)
     for idx, val in fixes.items():
@@ -44,7 +46,9 @@ def _fractional_group(mp: MixedProgram, x: np.ndarray) -> int | None:
 
 
 def solve_milp(mp: MixedProgram) -> Solution:
-    """Solve a one-hot mixed program to within absolute gap 1e-6."""
+    """Solve a one-hot mixed program to within absolute gap 1e-6. The root
+    relaxation ``mp.lp`` resumes from its ``start``, if it has one; every
+    node starts afresh."""
     root = solve_lp(mp.lp)
     if root.status != "optimal":
         return Solution.non_optimal(root.status, root.iterations)

@@ -24,9 +24,15 @@ INF = math.inf
 
 class LinearProgram:
     """min c'x subject to per-row bounds on linear expressions and box
-    bounds on variables. Objective sense is always minimize."""
+    bounds on variables. Objective sense is always minimize.
+
+    ``start`` is None, or a ``Start`` that ``phase_one`` made of a program
+    that differs from this one at most in its costs: ``solve_lp`` then
+    resumes from it and runs phase 2 alone.
+    """
 
     def __init__(self):
+        self.start = None
         self.var_names: list[str] = []
         self.var_lb: list[float] = []
         self.var_ub: list[float] = []
@@ -130,7 +136,10 @@ class Solution:
     ``solve_lp`` also reports how many of them phase 1 took
     (``phase1_iterations``), how often the basis inverse was recomputed
     from scratch (``refactorizations``) and how often pricing switched to
-    Bland's rule (``bland_switches``); ``solve_milp`` leaves them at 0. An
+    Bland's rule (``bland_switches``); ``solve_milp`` leaves them at 0. A
+    solve resumed from a program's ``start`` ran no phase 1 of its own: it
+    reports the phase-1 counters of that Start, as the solve that made the
+    Start would have, and counts as one solve like any other. An
     optimal ``solve_lp`` carries its certificate: the largest bound
     violation (``cert_residual``) and the relative duality gap
     (``cert_gap``); they are 0.0 on every other solution.

@@ -44,6 +44,15 @@ on the cores of each shape, whatever their program. Phase 1 runs on the
 cores that have artificials, phase 2 on those phase 1 did not end. A
 phase of at least ``_LOCKSTEP_MIN`` cores pivots in lockstep on stacked
 arrays (``_Lockstep``), each core to the Solution it reaches alone.
+
+A single solve is two calls. ``phase_one(program)`` runs phase 1 alone
+and returns a ``Start``: the state phase 2 begins from, or the
+non-optimal Solution or NumericalError phase 1 ended with. Phase 1 never
+reads the costs, so programs that differ only in their costs share it:
+set a copy's ``start`` to it, and ``solve_lp`` runs phase 2 alone under
+that copy's costs, on a copy of the Start, to the Solution a solve from
+scratch gives, bit for bit. Without a ``start``, ``solve_lp`` runs
+``phase_one`` itself and phase 2 on its state uncopied.
 """
 
 from __future__ import annotations
@@ -56,7 +65,7 @@ import numpy as np
 from ..errors import ContractError, NumericalError
 from .model import INF, LinearProgram, Solution
 
-__all__ = ["solve_lp", "solve_lp_batch"]
+__all__ = ["Start", "phase_one", "solve_lp", "solve_lp_batch"]
 
 _RC_TOL = 1e-9
 _PIVOT_TOL = 1e-10
@@ -311,20 +320,98 @@ class _Core:
         except np.linalg.LinAlgError:
             raise NumericalError("singular basis encountered on refactorization") from None
         self.refactorizations += 1
-        self._set_basic_values()
+        _set_basic_values([self], self.status != _BASIC)
 
-    def _set_basic_values(self) -> None:
-        """Solve ``F x = 0`` for the basic values, given the nonbasic ones."""
-        nonbasic = self.status != _BASIC
-        rhs = self.F[:, nonbasic] @ self.xval[nonbasic]
-        self.xval[self.basis] = -self.binv @ rhs
+
+def _set_basic_values(cores: list[_Core], nonbasic: np.ndarray) -> None:
+    """Solve ``F x = 0`` for the basic values of each of ``cores``, given
+    the nonbasic ones, which ``nonbasic`` masks. The cores share ``F``,
+    the basis and its inverse, as a starting pattern's do: ``F[:, nonbasic]``
+    is gathered once, and freed before ``-B^-1`` is made once, so a large
+    program never holds both."""
+    F_nonbasic = cores[0].F[:, nonbasic]
+    rhs = [F_nonbasic @ core.xval[nonbasic] for core in cores]
+    del F_nonbasic
+    neg_binv = -cores[0].binv
+    for core, r in zip(cores, rhs):
+        core.xval[core.basis] = neg_binv @ r
+
+
+class Start:
+    """Where phase 1 leaves a program's solve; ``phase_one`` makes it.
+    Either phase 1 ended the solve, and ``ended`` holds the non-optimal
+    Solution or the NumericalError it ended with, or the Start holds the
+    state phase 2 begins from, artificials retired: basis, statuses,
+    values, bounds, inverse and pivot counters.
+
+    As a program's ``start``, it makes ``solve_lp(program)`` run phase 2
+    alone, on a copy of that state and under the program's costs, or
+    return or raise ``ended``; the Start itself never changes. It refuses
+    with ``ContractError`` a program that does not share the ``rows``
+    object of the one it was made from, or differs from it in its numbers
+    of variables or rows or in the bits of one variable or row bound. A
+    coefficient changed in place within those rows goes unseen.
+    """
+
+    def __init__(self, program: LinearProgram, core: _Core,
+                 ended: Solution | NumericalError | None):
+        self._rows, self._core, self.ended = program.rows, core, ended
+
+    def _check(self, program: LinearProgram) -> None:
+        """Refuse ``program`` unless this Start may resume it."""
+        core = self._core
+        n, m = core.n_struct, core.m
+        bounds = (np.array(program.var_lb + program.row_lo, dtype=float),
+                  np.array(program.var_ub + program.row_hi, dtype=float))
+        if (program.rows is not self._rows or (program.n_vars, program.n_rows) != (n, m)
+                or any(new.tobytes() != old[:n + m].tobytes()
+                       for new, old in zip(bounds, (core.lb, core.ub)))):
+            raise ContractError("a Start resumes only a program with the rows and "
+                                "the exact bounds of the one it was made from")
+
+    def _copy(self, program: LinearProgram) -> _Core:
+        """A copy of the state phase 2 begins from, costed by ``program``."""
+        core = self._core
+        cost = np.concatenate([np.array(program.var_cost, dtype=float),
+                               np.zeros(core.F.shape[1] - core.n_struct)])
+        copy = _Core(core.n_struct, core.F, cost, core.lb.copy(), core.ub.copy(),
+                     core.xval.copy(), core.status.copy(), core.basis.copy(),
+                     core.binv.copy(), core.split)
+        for name, value in core.counters().items():
+            setattr(copy, name, value)
+        return copy
+
+
+def phase_one(program: LinearProgram) -> Start:
+    """Phase 1 of ``solve_lp(program)``, run afresh whatever
+    ``program.start`` holds: the Start it leaves. It does not read the
+    program's costs."""
+    [core] = _start(_Form(program), [program.row_lo], [program.row_hi])
+    [ended] = _solve([core], phases=(1,))
+    return Start(program, core, ended)
 
 
 def solve_lp(program: LinearProgram) -> Solution:
-    """Solve a linear program; duals come from the optimal basis. This is
-    ``solve_lp_batch``'s driver, ``_solve``, run on one core."""
-    [core] = _start(_Form(program), [program.row_lo], [program.row_hi])
-    [result] = _solve([core])
+    """Solve a linear program; duals come from the optimal basis.
+
+    Without a ``program.start`` the solve runs ``phase_one`` itself, then
+    phase 2 on the state it leaves, uncopied. With one, it runs phase 2
+    alone, on a copy of the Start (see ``Start``). Both phases are
+    ``solve_lp_batch``'s driver, ``_solve``, run on one core.
+    """
+    start = program.start
+    resumed = start is not None
+    if not resumed:
+        start = phase_one(program)
+    elif not isinstance(start, Start):
+        raise ContractError(f"a program's start is a Start, not {type(start).__name__}")
+    else:
+        start._check(program)
+    if isinstance(start.ended, NumericalError):
+        raise start.ended.with_traceback(None)
+    if start.ended is not None:
+        return start.ended
+    [result] = _solve([start._copy(program) if resumed else start._core], phases=(2,))
     if isinstance(result, NumericalError):
         raise result
     return result
@@ -339,8 +426,8 @@ def _start(form: _Form, row_lo, row_hi) -> list[_Core]:
     side, set its pattern; those rows get artificial columns, and their
     slacks start at the bound they leave. Each pattern's ``F``, costs,
     statuses, basis and inverse are built once; per core remain its bounds
-    and values. A core with artificials gets its basic values from
-    ``_Core._set_basic_values``, as a refactorization does.
+    and values. The cores of a pattern with artificials get their basic
+    values from one ``_set_basic_values`` call, as a refactorization does.
     """
     n, m = form.n, form.m
     row_lo, row_hi = (np.asarray(b, dtype=float) for b in (row_lo, row_hi))
@@ -391,12 +478,13 @@ def _start(form: _Form, row_lo, row_hi) -> list[_Core]:
             ub = np.concatenate([form.var_ub, row_hi[k], infs])
             xval = np.concatenate([form.xval, zeros])
             # The first core takes the pattern's arrays, each other one a copy.
-            cores[k] = core = _Core(n, F, cost, lb, ub, xval,
-                                    *((status, basis, binv) if not j else
-                                      (status.copy(), basis.copy(), binv.copy())), split)
+            cores[k] = _Core(n, F, cost, lb, ub, xval,
+                             *((status, basis, binv) if not j else
+                               (status.copy(), basis.copy(), binv.copy())), split)
             if n_art:  # the artificial rows' slacks start at the bound they leave
                 xval[cols] = np.where(up, ub[cols], lb[cols])
-                core._set_basic_values()
+        if n_art:
+            _set_basic_values([cores[k] for k in items], status != _BASIC)
     return cores
 
 
@@ -417,12 +505,13 @@ def _cost(core: _Core, phase: int) -> np.ndarray:
     return cost
 
 
-def _solve(cores: list[_Core]) -> list[Solution | NumericalError]:
-    """Both phases on each of ``cores``, which share one shape: each
-    core's Solution, or the NumericalError its solve raised. Phase 1 runs
-    on the cores that have artificials, phase 2 on those it did not end."""
+def _solve(cores: list[_Core], phases=(1, 2)) -> list[Solution | NumericalError | None]:
+    """The ``phases`` on each of ``cores``, which share one shape: each
+    core's Solution, the NumericalError its solve raised, or None when
+    the last phase run leaves it to phase 2. Phase 1 runs on the cores
+    that have artificials, phase 2 on those phase 1 did not end."""
     results: list = [None] * len(cores)
-    for phase in (1, 2):
+    for phase in phases:
         todo = [k for k, core in enumerate(cores) if results[k] is None
                 and (phase == 2 or core.F.shape[1] > core.n_struct + core.m)]
         costs = [_cost(cores[k], phase) for k in todo]

@@ -11,6 +11,7 @@ from dataclasses import replace
 
 import pytest
 
+import flexmkt.cli as cli
 import flexmkt.clearing as clearing
 import flexmkt.forwarding as forwarding
 from flexmkt.casegen import CaseRecipe, generate_case
@@ -19,6 +20,7 @@ from flexmkt.clearing import CaseClearings, clear_common, interface_price
 from flexmkt.errors import ContractError
 from flexmkt.forwarding import run_three_layer
 from flexmkt.market_model import DIR_UP
+from flexmkt.mp_solver import simplex
 
 DELTA = 4.0
 
@@ -88,6 +90,140 @@ def test_run_experiment_solves_each_shared_program_once(monkeypatch, tmp_path):
     # One TSO MILP per variant, step size and round, whatever the pricing
     # rule: 2 variants x 1 step size x 2 rounds, not 3 rows x 2 rounds each.
     assert len(tso) == 2 * 1 * 2
+
+
+def built(monkeypatch, name):
+    """Rebind the program builder ``clearing.<name>`` to a wrapper; returns
+    the list of programs it builds."""
+    programs = []
+    original = getattr(clearing, name)
+
+    def wrapper(*args):
+        programs.append(original(*args))
+        return programs[-1]
+
+    monkeypatch.setattr(clearing, name, wrapper)
+    return programs
+
+
+def phase_ones_of(prog, runs) -> int:
+    """How many of the recorded ``phase_one`` calls ran on ``prog``'s LP:
+    its rows, and bounds that no branch-and-bound node has."""
+    bounds = (prog.lp.var_lb, prog.lp.var_ub)
+    return sum(lp.rows is prog.lp.rows and (lp.var_lb, lp.var_ub) == bounds for lp, in runs)
+
+
+def test_re_costed_programs_are_built_and_run_phase_one_once(monkeypatch, tmp_path):
+    # Each DSO's Layer-1 program serves every pricing rule, and each MILP
+    # program every RSF variant that forwards its flows: each is built
+    # once and runs phase 1 once; every other solve resumes from there.
+    case = generate_case(CaseRecipe(style="B", n_dsos=2), 3)
+    layer1 = counted(monkeypatch, clearing.clear_dso_layer1)
+    milps = counted(monkeypatch, clearing.solve_milp)
+    layer1_programs = built(monkeypatch, "_layer1_program")
+    milp_programs = built(monkeypatch, "_tso_rsf_program")
+    runs = counted(monkeypatch, simplex.phase_one)
+    run_experiment(ExperimentConfig(cases=((case.name, 3, case),), methods=METHODS,
+                                    pricings=PRICINGS, deltas=(2.0,), refine_rounds=1,
+                                    out_dir=str(tmp_path)))
+    assert len(layer1) == 2 * len(PRICINGS)
+    assert [list(prog.z_vars) for prog in layer1_programs] == [[m] for m in case.dso_indices]
+    # Both variants forward the same flows in the first round.
+    assert len(milps) == 4 and 1 <= len(milp_programs) < len(milps)
+    assert all(mp.lp.start is not None for mp, in milps)
+    assert [phase_ones_of(prog, runs) for prog in (*layer1_programs, *milp_programs)] == [
+        1] * (len(layer1_programs) + len(milp_programs))
+
+
+def test_aggregation_dual_resumes_the_primal_milp_root(monkeypatch):
+    case = generate_case(CaseRecipe(style="B", n_dsos=2), 3)
+    common = clear_common(case)
+    shared = CaseClearings(case, common)
+    milp_programs = built(monkeypatch, "_tso_rsf_program")
+    assert _run_method(case, "aggregation_primal", "none", DELTA, 0, shared).status == "ok"
+    [prog] = milp_programs
+    milps = counted(monkeypatch, clearing.solve_milp)
+    runs = counted(monkeypatch, simplex.phase_one)
+    dual = _run_method(case, "aggregation_dual", "none", DELTA, 0, shared)
+    assert dual.status == "ok"
+    [(mp,)] = milps
+    assert mp.lp.rows is prog.lp.rows and mp.lp.start is prog.lp.start is not None
+    assert len(milp_programs) == 1 and phase_ones_of(prog, runs) == 0
+    alone = _run_method(case, "aggregation_dual", "none", DELTA, 0, CaseClearings(case, common))
+    assert plain(dual) == plain(alone)
+
+
+def test_run_experiment_releases_each_case_s_programs(monkeypatch, tmp_path):
+    # Every clearing stays; a released program is built again, to the
+    # clearing its first build gave.
+    case = generate_case(CaseRecipe(style="B", n_dsos=2), 3)
+    made = []
+    monkeypatch.setattr(cli, "CaseClearings",
+                        lambda *args: made.append(CaseClearings(*args)) or made[-1])
+    run_experiment(ExperimentConfig(cases=((case.name, 3, case),), methods=METHODS,
+                                    pricings=PRICINGS, deltas=(2.0,), refine_rounds=1,
+                                    out_dir=str(tmp_path)))
+    [shared] = made
+    assert shared._solved and not any(key[0] == "program" for key in shared._solved)
+    rule = interface_price(case, "none")
+    programs = built(monkeypatch, "_layer1_program")
+    again = {m: clearing.clear_dso_layer1(case, m, rule, clearings=shared)
+             for m in case.dso_indices}
+    assert len(programs) == len(case.dso_indices)
+    assert repr(again) == repr(shared.layer1(rule))
+
+
+def test_milp_programs_are_shared_by_the_exact_bits_of_their_flows(monkeypatch):
+    case = generate_case(CaseRecipe(style="B", n_dsos=2), 3)
+    shared = CaseClearings(case)
+    grids = {dso.index: [dso.z_min, 0.0, 2.0, dso.z_max] for dso in case.dsos}
+    primal = {m: forwarding.build_rsf(case, m, grid, clearings=shared) for m, grid in grids.items()}
+    dual = {m: forwarding.build_rsf_dual(case, m, grid, clearings=shared)
+            for m, grid in grids.items()}
+    m = case.dso_indices[0]
+    zero = next(k for k, step in enumerate(primal[m].steps) if step.z == 0.0)
+
+    def moved(z):
+        steps = list(primal[m].steps)
+        steps[zero] = replace(steps[zero], z=z)
+        return {**primal, m: replace(primal[m], steps=tuple(steps))}
+
+    programs = built(monkeypatch, "_tso_rsf_program")
+    kept = []
+    for rsfs in (primal, dual, moved(-0.0), moved(math.nextafter(0.0, 1.0))):
+        before = len(programs)
+        got = shared.tso_rsf(rsfs)
+        kept.append(programs[before:])
+        assert repr(got) == repr(clearing.clear_tso_rsf(case, rsfs))
+    # The dual surrogate re-costs the primal's program; a flow that differs
+    # only in the sign of zero, or by one ulp, builds its own, which the
+    # primal program's Start does not resume.
+    assert [len(new) for new in kept] == [1, 0, 1, 1]
+    [[first], _, [signed], [ulp]] = kept
+    for prog in (signed, ulp):
+        assert prog.lp.start is not first.lp.start
+        other = copy.copy(prog.lp)
+        other.start = first.lp.start
+        with pytest.raises(ContractError, match="resumes only"):
+            clearing.solve_lp(other)
+
+
+@pytest.mark.parametrize("style", "ABCD")
+def test_dso_flow_interval_equals_two_solves_from_scratch(style):
+    # The parent's computation, written out: the program built for each
+    # sense and solved afresh. The interval's two solves share one phase 1.
+    for seed in range(3):
+        case = generate_case(CaseRecipe(style=style, n_dsos=3, tn_buses=4), 60 + seed)
+        for m in case.dso_indices:
+            dso = case.dso(m)
+            reference = []
+            for sense in (1.0, -1.0):
+                prog = clearing._CaseProgram(case)
+                zv = prog.add_z(m, dso.z_min, dso.z_max)
+                prog.add_system(m, cost_scale=0.0)
+                prog.lp.var_cost[zv] = sense
+                reference.append(float(clearing.solve_lp(prog.lp).x[zv]).hex())
+            assert [z.hex() for z in clearing.dso_flow_interval(case, m)] == reference
 
 
 def test_layer3_correction_is_keyed_by_exact_prior_volumes(monkeypatch):

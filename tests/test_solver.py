@@ -3,6 +3,7 @@
 import copy
 import itertools
 import math
+import warnings
 from types import SimpleNamespace
 
 import numpy as np
@@ -12,7 +13,7 @@ from hypothesis import strategies as st
 from scipy.optimize import linprog
 
 from flexmkt.errors import ContractError, NumericalError
-from flexmkt.mp_solver import (INF, LinearProgram, MixedProgram, Solution, simplex,
+from flexmkt.mp_solver import (INF, LinearProgram, MixedProgram, Solution, phase_one, simplex,
                                solve_lp, solve_lp_batch, solve_milp)
 from flexmkt.mp_solver.simplex import (_AT_LOWER, _AT_UPPER, _BASIC, _CERT_RC_TOL, _CERT_TOL,
                                        _DEGEN_TOL, _FREE, _PHASE1_TOL, _PIVOT_TOL, _RC_TOL,
@@ -684,7 +685,8 @@ def _reference_init(self, program: LinearProgram):
 
 
 def _reference_install_artificials(self) -> np.ndarray:
-    # The former scalar _Core.install_artificials, kept verbatim.
+    # The former scalar _Core.install_artificials, kept verbatim but for
+    # its basic-value solve, written out as simplex._set_basic_values does it.
     n, m = self.n_struct, self.m
     art_cols, art_rows = [], []
     for i in range(m):
@@ -712,7 +714,9 @@ def _reference_install_artificials(self) -> np.ndarray:
     self.status = np.concatenate([self.status, np.full(k, _BASIC, dtype=np.int8)])
     self.xval = np.concatenate([self.xval, np.zeros(k)])
     self.binv = np.diag(1.0 / self.F[np.arange(m), self.basis])
-    self._set_basic_values()
+    nonbasic = self.status != _BASIC
+    rhs = self.F[:, nonbasic] @ self.xval[nonbasic]
+    self.xval[self.basis] = -self.binv @ rhs
     c1 = np.zeros(self.F.shape[1])
     c1[self.n_struct + self.m:] = 1.0
     return c1
@@ -941,6 +945,175 @@ def test_certify_matches_the_scalar_reference_bit_for_bit(state):
 
     assert (outcome(simplex._certify, core, x, objective, rc)
             == outcome(_reference_certify, program, core, x, objective, rc))
+
+# ---------------------------------------------------------------------------
+# Resuming from phase 1: a re-costed program against its solve from scratch
+# ---------------------------------------------------------------------------
+
+def _recosted(program: LinearProgram, costs, start=None) -> LinearProgram:
+    """``program`` under other costs, resuming from ``start``: a copy that
+    shares its rows and bounds."""
+    out = copy.copy(program)
+    out.var_cost = [float(c) for c in costs]
+    out.start = start
+    return out
+
+
+def _resumed(program: LinearProgram, start) -> LinearProgram:
+    return _recosted(program, program.var_cost, start)
+
+
+def _solution_bits(sol: Solution) -> tuple:
+    """Every field of a Solution, floats by their exact bits."""
+    return (sol.status, sol.objective.hex(), _bits(sol.x), _bits(sol.duals),
+            _bits(sol.reduced_costs), sol.iterations, sol.nodes, sol.phase1_iterations,
+            sol.refactorizations, sol.bland_switches, sol.cert_residual.hex(),
+            sol.cert_gap.hex())
+
+
+def _solve_outcome(program: LinearProgram) -> tuple:
+    try:
+        return _solution_bits(solve_lp(program))
+    except NumericalError as exc:
+        return ("raised", str(exc))
+
+
+def _start_bits(start) -> tuple:
+    ended = start.ended
+    if isinstance(ended, Solution):
+        ended = _solution_bits(ended)
+    elif ended is not None:
+        ended = str(ended)
+    return _core_bits(start._core), start._core.counters(), ended
+
+
+def _infeasible_program() -> LinearProgram:
+    lp = LinearProgram()
+    lp.add_variable("x", 0.0, 1.0, cost=1.0)
+    lp.add_range({0: 1.0}, 2.0, INF)
+    return lp
+
+
+def _program_without_artificials() -> LinearProgram:
+    lp = LinearProgram()
+    lp.add_variable("x", 0.0, 2.0, cost=-1.0)
+    lp.add_variable("y", -1.0, 1.0, cost=0.5)
+    lp.add_range({0: 1.0, 1: 1.0}, -1.0, 2.5)
+    return lp
+
+
+def _bland_in_phase_one_program() -> LinearProgram:
+    """80 rows ``a x <= 0`` through the origin around a feasible point and
+    ``sum x >= 1``, which needs an artificial: phase 1 runs 188 pivots from
+    a degenerate vertex, switches to Bland and refactorizes once."""
+    rng = np.random.default_rng(1)
+    n, k = 40, 80
+    x0 = rng.uniform(0.2, 1.0, size=n)
+    lp = LinearProgram()
+    for j in range(n):
+        lp.add_variable(f"x{j}", 0.0, 1.0, cost=float(rng.normal()))
+    a = np.round(rng.normal(size=(k, n)), 1)
+    for i in range(k):
+        over = a[i] @ x0
+        if over > 0:
+            a[i, int(np.argmax(x0))] -= np.ceil(10 * (over + 0.1) / x0.max()) / 10
+        lp.add_range({j: float(a[i, j]) for j in range(n)}, -INF, 0.0)
+    lp.add_range({j: 1.0 for j in range(n)}, 1.0, INF)
+    return lp
+
+
+def test_resume_examples_reach_what_they_are_named_for():
+    assert phase_one(_infeasible_program()).ended.status == "infeasible"
+    start = phase_one(_program_without_artificials())
+    core = start._core
+    assert start.ended is None and core.F.shape[1] == core.n_struct + core.m
+    start = phase_one(_bland_in_phase_one_program())
+    assert start.ended is None
+    assert start._core.bland_switches > 0 and start._core.refactorizations > 0
+
+
+@st.composite
+def _resume_states(draw):
+    """A program, a second cost vector for it, and the refactorization
+    interval (None keeps the default)."""
+    program = draw(_bounded_programs())
+    costs = [draw(_BOUND) for _ in range(program.n_vars)]
+    return program, costs, draw(st.sampled_from([None, 1, 3]))
+
+
+@settings(max_examples=300, deadline=None)
+@given(_resume_states())
+@example((_infeasible_program(), [-2.0], None))
+@example((_program_without_artificials(), [1.0, -0.0], None))
+@example((_bland_in_phase_one_program(), [0.5 - 0.025 * j for j in range(40)], None))
+@example((_bland_in_phase_one_program(), [(-1.0) ** j for j in range(40)], 3))
+def test_resume_from_phase_one_matches_a_solve_from_scratch_bit_for_bit(state):
+    program, costs, refactor_every = state
+    # A drawn variable fixed at an infinite bound makes the ratio test
+    # subtract infinities, which the tests otherwise turn into an error:
+    # both solves here must reach the same bits through the NaNs.
+    with pytest.MonkeyPatch.context() as patch, warnings.catch_warnings():
+        warnings.simplefilter("ignore", RuntimeWarning)
+        if refactor_every is not None:
+            patch.setattr(simplex, "_REFACTOR_EVERY", refactor_every)
+        start = phase_one(program)
+        before = _start_bits(start)
+        other = _recosted(program, costs)
+        for recosted in (other, _recosted(program, program.var_cost)):
+            assert _solve_outcome(_resumed(recosted, start)) == _solve_outcome(recosted)
+        assert _start_bits(start) == before
+
+
+def test_a_start_that_ended_in_phase_one_ends_the_resumed_solve(monkeypatch):
+    program = _bland_in_phase_one_program()
+    monkeypatch.setattr(simplex, "_iteration_cap", lambda core: 50)
+    start = phase_one(program)
+    assert isinstance(start.ended, NumericalError)
+    other = _recosted(program, [1.0] * program.n_vars)
+    for _ in range(2):
+        with pytest.raises(NumericalError, match="iteration cap") as raised:
+            solve_lp(_resumed(other, start))
+        assert raised.value is start.ended
+    assert _solve_outcome(_resumed(other, start)) == _solve_outcome(other)
+
+
+def test_a_start_resumes_only_the_program_it_was_made_from():
+    def program(coeff=2.0):
+        lp = LinearProgram()
+        lp.add_variable("x", 0.0, 1.0, cost=1.0)
+        lp.add_variable("y", -INF, 0.0, cost=-1.0)
+        lp.add_range({0: 1.0, 1: coeff}, 0.5, INF)
+        lp.add_range({0: -1.0}, -INF, 0.0)
+        return lp
+
+    lp = program()
+    start = phase_one(lp)
+    assert start.ended is None
+    assert _solve_outcome(_resumed(lp, start)) == _solve_outcome(lp)
+    refused = []
+    for field, index in (("var_lb", 0), ("var_ub", 1), ("row_hi", 1)):
+        flipped = copy.copy(lp)
+        bounds = list(getattr(lp, field))
+        assert bounds[index] == 0.0 and math.copysign(1.0, bounds[index]) == 1.0
+        bounds[index] = -0.0  # the sign of zero alone
+        setattr(flipped, field, bounds)
+        refused.append((flipped, start))
+    refused.append((program(coeff=2.5), start))  # one coefficient
+    refused.append((program(), start))  # the same numbers, other rows
+    longer = program()
+    longer_start = phase_one(longer)
+    longer.add_range({0: 1.0}, -INF, 1.0)  # one more row, in the same rows object
+    refused.append((longer, longer_start))
+    wider = program()
+    wider_start = phase_one(wider)
+    wider.add_variable("z", 0.0, 1.0)  # one more variable
+    refused.append((wider, wider_start))
+    for other, other_start in refused:
+        with pytest.raises(ContractError, match="resumes only"):
+            solve_lp(_resumed(other, other_start))
+    with pytest.raises(ContractError, match="is a Start"):
+        solve_lp(_resumed(lp, "phase 1"))
+
 
 # ---------------------------------------------------------------------------
 # Branch and bound
