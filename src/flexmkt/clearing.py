@@ -578,7 +578,9 @@ class CaseClearings:
 
     The solver is deterministic, so a shared clearing is the one a method
     running alone would compute. Pass one object to every method run on
-    ``case``; a fresh object gives exactly the solves of a run alone.
+    ``case``; a fresh object gives exactly the solves of a run alone. It
+    stores whole aggregation Outcomes too (:meth:`aggregation`), which
+    every pricing rule shares.
 
     It also keeps the programs that solves under other costs share, each
     with its phase-1 Start: every DSO's Layer-1 program, which each
@@ -659,6 +661,16 @@ class CaseClearings:
         key = ("tso_rsf", tuple(tuple((_exact(s.z), _exact(s.cost)) for s in rsfs[m].steps)
                                 for m in self.case.dso_indices if m in rsfs))
         return self._once(key, lambda: clear_tso_rsf(self.case, rsfs, clearings=self))
+
+    def aggregation(self, variant: str, delta_bar: float, refine_rounds: int, run):
+        """``run()``, the aggregation method's Outcome for ``variant``,
+        ``delta_bar`` and ``refine_rounds``, made on the first use of the
+        three and stored after. No interface price enters the method, so
+        every pricing row of a case shares it. The key holds the exact bits
+        and the type of ``delta_bar``, from which the grids are built."""
+        key = ("aggregation", variant, type(delta_bar).__name__, _exact(delta_bar),
+               int(refine_rounds))
+        return self._once(key, run)
 
     def release_programs(self) -> None:
         """Drop the kept programs and their Starts; every clearing stays. A

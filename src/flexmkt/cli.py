@@ -122,7 +122,10 @@ def _run_method(case: MarketCase, method: str, pricing_kind: str,
                 delta: float | None, refine: int,
                 clearings: CaseClearings) -> Outcome:
     """The one map from a method name to its run. Aggregation ignores the
-    pricing rule, so it runs before the rule is resolved."""
+    pricing rule, so it runs before the rule is resolved. Every row calls
+    its method's entry point once, aggregation rows too: a repeated
+    aggregation run returns the Outcome stored in ``clearings``, timed as
+    that call's own work."""
     if method in ("aggregation_primal", "aggregation_dual"):
         variant = method.removeprefix("aggregation_")
         return run_bid_aggregation(case, delta, refine, variant, clearings=clearings)

@@ -463,15 +463,20 @@ def run_bid_aggregation(case: MarketCase, delta_bar: float,
     grid, so refinement never worsens the outcome. ``extra_grid`` lets
     tests inject specific flow values (for example common-market optima).
 
-    The pinned steps come from the shared ``clearings``, so both variants
-    and every refinement round solve each (DSO, flow) pin once, the new
-    pins of every DSO in a round together; so is the
-    MILP over each set of forwarded steps, which every pricing row of a
-    variant repeats. A case the method cannot clear ends with status
-    "rsf_infeasible" when some DSO has no feasible step on its grid, or
-    "layer2_infeasible" when no combination of forwarded steps balances
-    the TSO; ``milp_nodes`` then includes the nodes of the MILP that
-    failed.
+    No interface price enters the method, so with shared ``clearings``
+    and no ``extra_grid`` its Outcome is made once per variant, step size
+    and refinement count (:meth:`CaseClearings.aggregation`) and every
+    later call, such as each further pricing row of a case, returns it
+    with ``wall_ms`` set to that call's own time; ``lp_solves`` and
+    ``milp_nodes`` still count a run alone. Within that one run the pinned
+    steps come from the shared ``clearings``, so both variants and every
+    refinement round solve each (DSO, flow) pin once, the new pins of
+    every DSO in a round together, and both variants share the MILP
+    program over each set of forwarded flows. A case the method cannot
+    clear ends with status "rsf_infeasible" when some DSO has no feasible
+    step on its grid, or "layer2_infeasible" when no combination of
+    forwarded steps balances the TSO; ``milp_nodes`` then includes the
+    nodes of the MILP that failed.
     """
     if not isinstance(delta_bar, numbers.Real) or not delta_bar > 0.0:
         raise ContractError(f"delta_bar must be a positive number, got {delta_bar!r}")
@@ -479,12 +484,22 @@ def run_bid_aggregation(case: MarketCase, delta_bar: float,
         raise ContractError(f"unknown RSF variant {variant!r}")
     if not isinstance(refine_rounds, numbers.Integral) or refine_rounds < 0:
         raise ContractError(f"refine_rounds must be a non-negative integer, got {refine_rounds!r}")
-    build = build_rsf if variant == "primal" else build_rsf_dual
-
+    shared = _shared(case, clearings)
+    if clearings is None or extra_grid is not None:
+        return _aggregate(shared, delta_bar, refine_rounds, variant, extra_grid or {})
     t0 = time.perf_counter()
+    out = shared.aggregation(variant, delta_bar, refine_rounds,
+                             lambda: _aggregate(shared, delta_bar, refine_rounds, variant, {}))
+    return replace(out, wall_ms=1e3 * (time.perf_counter() - t0))
+
+
+def _aggregate(clearings: CaseClearings, delta_bar: float, refine_rounds: int, variant: str,
+               extra: dict[int, tuple[float, ...]]) -> Outcome:
+    """One run of :func:`run_bid_aggregation` on checked arguments."""
+    t0 = time.perf_counter()
+    case = clearings.case
+    build = build_rsf if variant == "primal" else build_rsf_dual
     method = f"aggregation_{variant}"
-    clearings = _shared(case, clearings)
-    extra = extra_grid or {}
     grids = {
         dso.index: _uniform_grid(dso.z_min, dso.z_max, delta_bar,
                                  must_include=tuple(extra.get(dso.index, ())))

@@ -55,6 +55,8 @@ class LinearProgram:
             raise ContractError(f"variable {name}: bad bounds or cost")
         if lb > ub:
             raise ContractError(f"variable {name}: lower bound {lb} exceeds upper {ub}")
+        if lb == ub and math.isinf(lb):
+            raise ContractError(f"variable {name}: fixed at an infinite bound {lb}")
         self.var_names.append(name)
         self.var_lb.append(float(lb))
         self.var_ub.append(float(ub))

@@ -415,3 +415,32 @@ def test_the_benchmark_recorder_sees_one_call_per_row(tmp_path, monkeypatch):
             assert call.family == row["method"]
         else:
             assert call.args[1].kind == row["pricing"]
+
+
+def test_run_experiment_calls_run_bid_aggregation_once_per_aggregation_row(tmp_path,
+                                                                            monkeypatch):
+    # A repeated aggregation run is served from the case's clearings, but
+    # only inside run_bid_aggregation: the benchmark's recorder wraps
+    # cli.run_bid_aggregation and needs one call per results.csv row.
+    import flexmkt.cli as cli
+    from flexmkt.casegen import CaseRecipe, generate_case
+    from flexmkt.cli import PRICINGS, run_experiment
+
+    calls = []
+    real = cli.run_bid_aggregation
+
+    def counting(case, delta, refine, variant, **kwargs):
+        calls.append((case.name, delta, variant))
+        return real(case, delta, refine, variant, **kwargs)
+
+    monkeypatch.setattr(cli, "run_bid_aggregation", counting)
+    cases = [generate_case(CaseRecipe(style="B"), 1),
+             generate_case(CaseRecipe(style="D", n_dsos=1), 2)]
+    path = run_experiment(ExperimentConfig(
+        cases=tuple((c.name, k, c) for k, c in enumerate(cases)),
+        methods=("aggregation_primal", "three_layer", "aggregation_dual"),
+        pricings=PRICINGS, deltas=(4.0, 2.0), refine_rounds=1, out_dir=str(tmp_path)))
+    rows = [row for row in read_csv(path) if row["method"].startswith("aggregation_")]
+    assert len(rows) == len(cases) * 2 * len(PRICINGS) * 2
+    assert calls == [(row["case_id"], float(row["delta_bar"]),
+                      row["method"].removeprefix("aggregation_")) for row in rows]

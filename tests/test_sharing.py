@@ -3,11 +3,13 @@ CaseClearings object gives the outcome of a run alone, while each shared
 program is solved once."""
 
 import copy
+import csv
 import hashlib
 import math
 import sys
 from collections import Counter
 from dataclasses import replace
+from types import SimpleNamespace
 
 import pytest
 
@@ -90,6 +92,98 @@ def test_run_experiment_solves_each_shared_program_once(monkeypatch, tmp_path):
     # One TSO MILP per variant, step size and round, whatever the pricing
     # rule: 2 variants x 1 step size x 2 rounds, not 3 rows x 2 rounds each.
     assert len(tso) == 2 * 1 * 2
+
+
+AGGREGATIONS = ("aggregation_primal", "aggregation_dual")
+
+
+def test_run_experiment_runs_aggregation_once_per_variant_step_and_refine(monkeypatch,
+                                                                          tmp_path):
+    # No interface price enters aggregation: under all three pricing rules
+    # a case builds the RSFs and makes the Outcomes of one rule alone.
+    cases = [generate_case(CaseRecipe(style="B", n_dsos=2), 3),
+             generate_case(CaseRecipe(style="C", n_dsos=1), 4)]
+    rsfs_dual = counted(monkeypatch, forwarding.build_rsf_dual)
+    rsfs = counted(monkeypatch, forwarding.build_rsf)
+    made = counted(monkeypatch, forwarding._outcome)
+
+    def work(pricings):
+        """Per case: RSFs built per variant and Outcomes made per method."""
+        built_before, made_before = (len(rsfs), len(rsfs_dual)), len(made)
+        path = run_experiment(ExperimentConfig(
+            cases=tuple((c.name, k, c) for k, c in enumerate(cases)), methods=METHODS,
+            pricings=pricings, deltas=(2.0, 4.0), refine_rounds=1,
+            out_dir=str(tmp_path / "-".join(pricings))))
+        with open(path, newline="", encoding="utf-8") as fh:
+            rows = [r for r in csv.DictReader(fh) if r["method"] in AGGREGATIONS]
+        assert len(rows) == len(cases) * 2 * len(pricings) * 2
+        builds = Counter((args[0].name, "primal") for args in rsfs[built_before[0]:])
+        builds += Counter((args[0].name, "dual") for args in rsfs_dual[built_before[1]:])
+        outcomes = Counter((args[0].case.name, args[1]) for args in made[made_before:]
+                           if args[1] in AGGREGATIONS)
+        return builds, outcomes
+
+    alone = work(("none",))
+    together = work(PRICINGS)
+    assert together == alone
+    assert together[1] == {(c.name, method): 2 for c in cases for method in AGGREGATIONS}
+
+
+def test_aggregation_is_served_only_for_its_exact_variant_step_and_refine(monkeypatch):
+    case = generate_case(CaseRecipe(style="B", n_dsos=2), 3)
+    common = clear_common(case)
+    shared = CaseClearings(case, common)
+    made = counted(monkeypatch, forwarding._outcome)
+    runs = [(DELTA, 0, "primal"), (math.nextafter(DELTA, math.inf), 0, "primal"),
+            (DELTA, 1, "primal"), (DELTA, 0, "dual")]
+    first = {}
+    for args in runs:
+        before = len(made)
+        first[args] = forwarding.run_bid_aggregation(case, *args, clearings=shared)
+        assert len(made) == before + 1, args
+    for args in runs:
+        before = len(made)
+        again = forwarding.run_bid_aggregation(case, *args, clearings=shared)
+        assert len(made) == before, args
+        alone = forwarding.run_bid_aggregation(case, *args, clearings=CaseClearings(case, common))
+        assert plain(again) == plain(first[args]) == plain(alone), args
+    # A fresh run alone is never stored: each call without shared
+    # clearings makes its Outcome.
+    before = len(made)
+    forwarding.run_bid_aggregation(case, DELTA, 0, "primal")
+    forwarding.run_bid_aggregation(case, DELTA, 0, "primal")
+    assert len(made) == before + 2
+
+
+def test_an_extra_grid_run_is_never_served_from_the_store(monkeypatch):
+    case = generate_case(CaseRecipe(style="B", n_dsos=2), 3)
+    shared = CaseClearings(case, clear_common(case))
+    made = counted(monkeypatch, forwarding._outcome)
+    extra = {m: (0.5,) for m in case.dso_indices}
+    # Only the first call without a grid makes an Outcome that a later
+    # call is served.
+    grids = (extra, extra, {}, None, None, extra, {})
+    made_by_call = []
+    for grid in grids:
+        before = len(made)
+        forwarding.run_bid_aggregation(case, DELTA, 0, "primal", clearings=shared,
+                                       extra_grid=grid)
+        made_by_call.append(len(made) - before)
+    assert made_by_call == [1, 1, 1, 1, 0, 1, 1]
+
+
+def test_a_served_aggregation_row_s_wall_ms_is_its_own_call_s_time(monkeypatch):
+    case = generate_case(CaseRecipe(style="B", n_dsos=2), 3)
+    shared = CaseClearings(case, clear_common(case))
+    first = forwarding.run_bid_aggregation(case, DELTA, 0, "dual", clearings=shared)
+    made = counted(monkeypatch, forwarding._outcome)
+    clock = iter([10.0, 10.25])
+    monkeypatch.setattr(forwarding, "time", SimpleNamespace(perf_counter=clock.__next__))
+    served = forwarding.run_bid_aggregation(case, DELTA, 0, "dual", clearings=shared)
+    assert not made and next(clock, None) is None
+    assert served.wall_ms == 250.0 != first.wall_ms
+    assert plain(served) == plain(first)
+    assert (served.lp_solves, served.milp_nodes) == (first.lp_solves, first.milp_nodes)
 
 
 def built(monkeypatch, name):
