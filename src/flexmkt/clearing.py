@@ -31,6 +31,7 @@ side.
 from __future__ import annotations
 
 import copy
+from array import array
 from dataclasses import dataclass, field, replace
 from typing import TYPE_CHECKING
 
@@ -171,7 +172,8 @@ class _CaseProgram:
     system with :meth:`add_system`, the only way bids, earlier clearings
     and interface flows enter the program. A declared flow attaches
     itself: a DSO's flow to its feeder root, and every declared flow to
-    its coupling bus in the transmission system (0).
+    its coupling bus in the transmission system (0). :meth:`rebuilt`
+    gives the program other inputs on the same rows.
     """
 
     def __init__(self, case: MarketCase):
@@ -182,6 +184,9 @@ class _CaseProgram:
         self.z_vars: dict[int, int] = {}
         self.mixed: MixedProgram | None = None  # lp with one-hot groups, for a MILP
         self.balance_rows: dict[int, dict[int, int]] = {}
+        # Per system: its bid variables and balance rows, in the order of
+        # _system_inputs' caps and right-hand sides.
+        self.slots: dict[int, tuple[list[int], list[int]]] = {}
 
     def add_z(self, m: int, lo: float, hi: float, cost: float = 0.0) -> int:
         zv = self.lp.add_variable(f"z[{m}]", lo, hi, cost)
@@ -199,52 +204,63 @@ class _CaseProgram:
                    aggregate: bool = False,
                    step_terms: list[tuple[int, int, float]] = (),
                    cost_scale: float = 1.0,
-                   flow_slack: int | None = None) -> None:
+                   flow_slack: int | None = None,
+                   inputs: tuple[list, list[float]] | None = None) -> None:
         """Add one variable per bid of ``system``, then its network block.
 
-        The volumes the ``prior`` clearings already cleared are constants:
-        they shift the balance right-hand sides, and each bid may clear at
-        most its residual ``max(0, quantity_max - used)``, unless
-        ``bid_caps`` names that bid's cap. With ``aggregate`` a DSO's
+        The ``prior`` clearings and ``bid_caps`` set the bid caps and the
+        balance right-hand sides: ``inputs``, what :func:`_system_inputs`
+        gives for them, if the caller has it. With ``aggregate`` a DSO's
         network block is replaced by one balance row over all its buses;
         ``step_terms`` are extra (bus, variable, coefficient) balance
         terms; ``flow_slack`` relaxes every line limit by one variable.
         """
         case = self.case
-        bid_caps = bid_caps or {}
+        bids, rhs = inputs or _system_inputs(case, system, prior, bid_caps, aggregate, cost_scale)
         terms: list[tuple[int, int, float]] = []
-        const_net: dict[int, float] = {}
-        used_up, used_down = [], []
-        for b in case.bids_of(system):
-            used = _used_volume(b, prior)
-            cap = bid_caps.get(b.id, max(0.0, b.quantity_max - used))
+        bid_vars = []
+        for b, cap, cost in bids:
             up = b.direction == DIR_UP
-            var = self.lp.add_variable(f"{b.direction}[{b.id}]", 0.0, cap,
-                                       cost_scale * (b.price if up else -b.price))
+            var = self.lp.add_variable(f"{b.direction}[{b.id}]", 0.0, cap, cost)
             (self.up_vars if up else self.down_vars)[b.id] = var
             terms.append((b.bus, var, 1.0 if up else -1.0))
-            const_net[b.bus] = const_net.get(b.bus, 0.0) + (used if up else -used)
-            (used_up if up else used_down).append(used)
+            bid_vars.append(var)
 
         if aggregate:
-            # Residual volumes plus the interface flow cover the total base
-            # imbalance net of what the prior clearings already cleared.
             coeffs = {self.z_vars[system]: 1.0}
             coeffs.update((var, coeff) for _, var, coeff in terms)
-            rhs = sum(case.dso(system).base_injections) - sum(used_up) + sum(used_down)
-            self.lp.add_equality(coeffs, rhs, name=f"agg[{system}]")
-            return
+            rows = [self.lp.add_equality(coeffs, rhs[0], name=f"agg[{system}]")]
+        else:
+            if system == 0:
+                terms += [(dso.coupling_bus, self.z_vars[dso.index], 1.0)
+                          for dso in case.dsos if dso.index in self.z_vars]
+            elif system in self.z_vars:
+                terms.append((case.dso(system).network.root, self.z_vars[system], 1.0))
+            self.balance_rows[system] = add_network_block(
+                self.lp, case.system_network(system), rhs, (*terms, *step_terms), system,
+                flow_slack)
+            rows = list(self.balance_rows[system].values())
+        self.slots[system] = (bid_vars, rows)
 
-        if system == 0:
-            terms += [(dso.coupling_bus, self.z_vars[dso.index], 1.0)
-                      for dso in case.dsos if dso.index in self.z_vars]
-        elif system in self.z_vars:
-            terms.append((case.dso(system).network.root, self.z_vars[system], 1.0))
-        net = case.system_network(system)
-        e = case.system_injections(system)
-        rhs = [e[k] - const_net.get(bus, 0.0) for k, bus in enumerate(net.buses)]
-        self.balance_rows[system] = add_network_block(
-            self.lp, net, rhs, (*terms, *step_terms), system, flow_slack)
+    def rebuilt(self, z_bounds: dict[int, tuple[float, float]],
+                inputs: dict[int, tuple[list, list[float]]]) -> _CaseProgram:
+        """This program with other inputs on the same rows: a copy whose LP
+        shares the ``rows`` object and kept matrix, with the bounds of each
+        flow in ``z_bounds`` replaced, and of each system in ``inputs`` its
+        bid caps and costs and its balance right-hand sides, as
+        :func:`_system_inputs` gives them."""
+        prog = copy.copy(self)
+        prog.lp = lp = self.lp.rebounded()
+        for m, (lo, hi) in z_bounds.items():
+            zv = self.z_vars[m]
+            lp.set_variable(zv, lo, hi, lp.var_cost[zv])
+        for system, (bids, rhs) in inputs.items():
+            bid_vars, rows = self.slots[system]
+            for var, (_, cap, cost) in zip(bid_vars, bids):
+                lp.set_variable(var, 0.0, cap, cost)
+            for row, value in zip(rows, rhs):
+                lp.set_row(row, value, value)
+        return prog
 
     def extract(self, sol: Solution) -> ClearingResult:
         if sol.status != "optimal":
@@ -267,6 +283,36 @@ class _CaseProgram:
                               nodes=sol.nodes)
 
 
+def _system_inputs(case: MarketCase, system: int, prior: tuple[ClearingResult, ...],
+                   bid_caps: dict[str, float] | None, aggregate: bool,
+                   cost_scale: float = 1.0) -> tuple[list[tuple[Bid, float, float]], list[float]]:
+    """What :meth:`_CaseProgram.add_system` enters of ``system`` besides
+    its rows: each bid with its cap and cost, in bid order, and the
+    right-hand side of each balance row, the aggregated one or one per bus
+    in bus order. The volumes the ``prior`` clearings cleared are
+    constants: each bid may clear at most its residual ``max(0,
+    quantity_max - used)``, unless ``bid_caps`` names its cap, and the
+    right-hand sides are the base injections net of the cleared volumes."""
+    bid_caps = bid_caps or {}
+    bids = []
+    const_net: dict[int, float] = {}
+    used_up, used_down = [], []
+    for b in case.bids_of(system):
+        used = _used_volume(b, prior)
+        cap = bid_caps.get(b.id, max(0.0, b.quantity_max - used))
+        up = b.direction == DIR_UP
+        bids.append((b, cap, cost_scale * (b.price if up else -b.price)))
+        const_net[b.bus] = const_net.get(b.bus, 0.0) + (used if up else -used)
+        (used_up if up else used_down).append(used)
+    if aggregate:
+        # Residual volumes plus the interface flow cover the total base
+        # imbalance net of what the prior clearings already cleared.
+        return bids, [sum(case.dso(system).base_injections) - sum(used_up) + sum(used_down)]
+    e = case.system_injections(system)
+    return bids, [e[k] - const_net.get(bus, 0.0)
+                  for k, bus in enumerate(case.system_network(system).buses)]
+
+
 def _recost(lp: LinearProgram, costs: dict[int, float]) -> LinearProgram:
     """``lp`` with the cost of each variable in ``costs`` replaced: a copy
     that shares every other input, its rows and its Start included."""
@@ -281,8 +327,10 @@ def _kept(clearings: CaseClearings | None, key: tuple, build) -> _CaseProgram:
     """``build()``'s program, which solves re-cost. Through the shared
     ``clearings`` it is made once per case, its LP given the phase-1
     Start that every re-costed copy resumes from, and kept there under
-    ``key``, which holds the exact bits of every input but the costs.
-    Without them it is made afresh, and its one solve runs phase 1."""
+    ``key``, which holds the exact bits of every input but the costs: a
+    DSO's Layer-1 program by its DSO, a Layer-2 program by its row set
+    and bounds, the MILP by its flows. Without them it is made afresh,
+    and its one solve runs phase 1."""
     if clearings is None:
         return build()
 
@@ -376,52 +424,103 @@ def clear_dso_fixed_interface(case: MarketCase, flows: dict[int, list[float]]
 # ---------------------------------------------------------------------------
 
 def _layer2_program(case: MarketCase, layer1: dict[int, ClearingResult],
-                    pricing: PricingRule, dist_bid_caps: dict[str, float] | None,
-                    mode: str) -> ClearingResult:
+                    dist_bid_caps: dict[str, float] | None, mode: str,
+                    clearings: CaseClearings | None) -> _CaseProgram:
+    """The TSO layer's program in ``mode`` with the interface flows' prices
+    at zero: each pricing rule re-costs it.
+
+    Through the shared ``clearings`` the programs of one row set, the
+    aggregated DSO balances (practical and fragmented) or the full DSO
+    networks (idealized), share the rows and dense matrix of one build per
+    case. Each bound set is kept, with its phase-1 Start, under the exact
+    bits of its flow bounds, bid caps and balance right-hand sides, all it
+    reads of the mode, the frozen flows, the prior volumes and the caps.
+    """
     if mode not in ("practical", "idealized", "fragmented"):
         raise ContractError(f"unknown layer-2 mode {mode}")
     for m in case.dso_indices:
         if m not in layer1 or layer1[m].status != "optimal":
             raise ContractError(f"missing Layer-1 result for DSO {m}")
-
-    prog = _CaseProgram(case)
+    aggregate = mode != "idealized"
+    z_bounds = {}
     for dso in case.dsos:
         m = dso.index
         lo, hi = dso.z_min, dso.z_max
         if mode == "fragmented":
             lo = hi = layer1[m].interface_flows[m]
-        # Interface-flow revenue enters the TSO objective with a minus sign.
-        prog.add_z(m, lo, hi, -pricing.price(m))
-    prog.add_system(0)
-    for m in case.dso_indices:
-        prog.add_system(m, prior=(layer1[m],), bid_caps=dist_bid_caps,
-                        aggregate=mode != "idealized")
-    return prog.extract(solve_lp(prog.lp))
+        z_bounds[m] = (lo, hi)
+    inputs = {m: _system_inputs(case, m, (layer1[m],), dist_bid_caps, aggregate)
+              for m in case.dso_indices}
+
+    def build() -> _CaseProgram:
+        prog = _CaseProgram(case)
+        for m, (lo, hi) in z_bounds.items():
+            prog.add_z(m, lo, hi)
+        prog.add_system(0)
+        for m in case.dso_indices:
+            prog.add_system(m, aggregate=aggregate, inputs=inputs[m])
+        return prog
+
+    if clearings is None:
+        return build()
+
+    def made() -> _CaseProgram:
+        # The first program of a row set is its build; later ones copy it.
+        rows_key = ("program", "layer2 rows", aggregate)
+        if rows_key in clearings._solved:
+            return clearings._solved[rows_key].rebuilt(z_bounds, inputs)
+        prog = clearings._solved[rows_key] = build()
+        prog.lp.keep_matrix()
+        return prog
+
+    # The exact bits of every bound, in an order the row set fixes; the bid
+    # costs are the case's prices, the same in every bound set.
+    bits = array("d", [v for bounds in z_bounds.values() for v in bounds]
+                 + [cap for bids, _ in inputs.values() for _, cap, _ in bids]
+                 + [value for _, rhs in inputs.values() for value in rhs]).tobytes()
+    return _kept(clearings, ("layer2", aggregate, bits), made)
+
+
+def _clear_layer2(case: MarketCase, layer1: dict[int, ClearingResult],
+                  pricing: PricingRule, dist_bid_caps: dict[str, float] | None, mode: str,
+                  clearings: CaseClearings | None) -> ClearingResult:
+    prog = _layer2_program(case, layer1, dist_bid_caps, mode, clearings)
+    # Interface-flow revenue enters the TSO objective with a minus sign.
+    return prog.extract(solve_lp(_recost(prog.lp, {
+        prog.z_vars[m]: -pricing.price(m) for m in case.dso_indices})))
 
 
 def clear_tso_layer2(case: MarketCase, layer1: dict[int, ClearingResult],
                      pricing: PricingRule,
-                     dist_bid_caps: dict[str, float] | None = None) -> ClearingResult:
+                     dist_bid_caps: dict[str, float] | None = None, *,
+                     clearings: CaseClearings | None = None) -> ClearingResult:
     """Practical TSO clearing: full transmission model, aggregated
     distribution balances, residual distribution bids. ``dist_bid_caps``
-    replaces the residual cap of every bid it names."""
-    return _layer2_program(case, layer1, pricing, dist_bid_caps, "practical")
+    replaces the residual cap of every bid it names. Through the shared
+    ``clearings`` of ``case`` each bound set's program is built once on
+    the case's aggregated row set, and every pricing rule resumes from its
+    phase-1 Start."""
+    return _clear_layer2(case, layer1, pricing, dist_bid_caps, "practical", clearings)
 
 
 def clear_idealized_layer2(case: MarketCase, layer1: dict[int, ClearingResult],
                            pricing: PricingRule,
-                           dist_bid_caps: dict[str, float] | None = None) -> ClearingResult:
+                           dist_bid_caps: dict[str, float] | None = None, *,
+                           clearings: CaseClearings | None = None) -> ClearingResult:
     """TSO clearing with full per-DSO network constraints in place of the
-    aggregated balances."""
-    return _layer2_program(case, layer1, pricing, dist_bid_caps, "idealized")
+    aggregated balances; ``clearings`` as for :func:`clear_tso_layer2`,
+    on the case's row set of full networks."""
+    return _clear_layer2(case, layer1, pricing, dist_bid_caps, "idealized", clearings)
 
 
 def clear_fragmented_layer2(case: MarketCase, layer1: dict[int, ClearingResult],
-                            pricing: PricingRule) -> ClearingResult:
+                            pricing: PricingRule, *,
+                            clearings: CaseClearings | None = None) -> ClearingResult:
     """TSO clearing with distribution volumes pinned to zero and interface
-    flows frozen at their Layer-1 values."""
+    flows frozen at their Layer-1 values; ``clearings`` as for
+    :func:`clear_tso_layer2`."""
     no_dist = {b.id: 0.0 for b in case.bids if b.system != 0}
-    return _layer2_program(case, layer1, pricing, no_dist, "fragmented")
+    return _clear_layer2(case, layer1, pricing, no_dist, "fragmented", clearings)
 
 
 def _layer3_program(case: MarketCase, m: int, prior: tuple[ClearingResult, ...],
@@ -584,9 +683,14 @@ class CaseClearings:
 
     It also keeps the programs that solves under other costs share, each
     with its phase-1 Start: every DSO's Layer-1 program, which each
-    pricing rule re-costs, and aggregation's MILP per set of forwarded
+    pricing rule re-costs; every Layer-2 program, keyed by its row set and
+    the exact bits of its flow bounds, bid caps and balance right-hand
+    sides, which each pricing rule re-costs, and the two row sets these
+    programs share (aggregated DSO balances, full DSO networks), each
+    built and densified once; and aggregation's MILP per set of forwarded
     flows, which each RSF variant re-costs. They live as long as it does,
-    or until :meth:`release_programs`.
+    or until :meth:`release_programs`. A resumed solve reports its
+    Start's phase-1 counters and counts as one solve.
     """
 
     def __init__(self, case: MarketCase, common: ClearingResult | None = None):
@@ -623,7 +727,7 @@ class CaseClearings:
         """The practical TSO layer without bid caps, on top of
         :meth:`layer1`, which must be optimal for every DSO."""
         return self._once(("layer2", self._prices(pricing)), lambda: clear_tso_layer2(
-            self.case, self.layer1(pricing), pricing))
+            self.case, self.layer1(pricing), pricing, clearings=self))
 
     def correction(self, m: int, prior: tuple[ClearingResult, ...],
                    z: float) -> ClearingResult:

@@ -179,7 +179,8 @@ def run_sequential(case: MarketCase, pricing: PricingRule,
     ``variant`` selects the TSO layer: practical (aggregated balances),
     idealized (full distribution constraints), or fragmented (no
     forwarding, interface flows frozen). Layer 1, and the practical
-    Layer 2, come from the shared ``clearings``.
+    Layer 2, come from the shared ``clearings``; the idealized and
+    fragmented Layer 2 re-cost the programs they keep.
     """
     t0 = time.perf_counter()
     methods = {"practical": "sequential_raw", "idealized": "idealized",
@@ -194,9 +195,9 @@ def run_sequential(case: MarketCase, pricing: PricingRule,
     if variant == "practical":
         layer2 = clearings.layer2(pricing)
     elif variant == "idealized":
-        layer2 = clear_idealized_layer2(case, layer1, pricing)
+        layer2 = clear_idealized_layer2(case, layer1, pricing, clearings=clearings)
     else:
-        layer2 = clear_fragmented_layer2(case, layer1, pricing)
+        layer2 = clear_fragmented_layer2(case, layer1, pricing, clearings=clearings)
     return _outcome(clearings, method, t0, layer1=layer1, layer2=layer2,
                     lp_solves=len(layer1) + 1)
 
@@ -326,8 +327,9 @@ def filter_bids(case: MarketCase, m: int, layer1: ClearingResult) -> FilterResul
 def run_bid_filtering(case: MarketCase, pricing: PricingRule, *,
                       clearings: CaseClearings | None = None) -> Outcome:
     """Layer 1 from the shared ``clearings``, per-DSO filtering, then the
-    TSO layer restricted to the forwarded bids. Safe under price-ordering
-    and radiality assumptions."""
+    TSO layer restricted to the forwarded bids, re-costing the program the
+    ``clearings`` keep for its bounds. Safe under price-ordering and
+    radiality assumptions."""
     t0 = time.perf_counter()
     clearings = _shared(case, clearings)
     layer1 = clearings.layer1(pricing)
@@ -337,7 +339,7 @@ def run_bid_filtering(case: MarketCase, pricing: PricingRule, *,
     filters = {m: filter_bids(case, m, layer1[m]) for m in case.dso_indices}
     dropped = {b.id: 0.0 for m, f in filters.items() for b in case.bids_of(m)
                if b.id not in f.forward_up + f.forward_down}
-    layer2 = clear_tso_layer2(case, layer1, pricing, dist_bid_caps=dropped)
+    layer2 = clear_tso_layer2(case, layer1, pricing, dist_bid_caps=dropped, clearings=clearings)
     probes = sum(f.feasibility_solves for f in filters.values())
     return _outcome(clearings, "filtering", t0, layer1=layer1, layer2=layer2,
                     lp_solves=len(layer1) + probes + 1, details={"filters": filters})

@@ -10,6 +10,7 @@ of the program.
 
 from __future__ import annotations
 
+import copy
 import math
 from dataclasses import dataclass
 
@@ -29,10 +30,16 @@ class LinearProgram:
     ``start`` is None, or a ``Start`` that ``phase_one`` made of a program
     that differs from this one at most in its costs: ``solve_lp`` then
     resumes from it and runs phase 2 alone.
+
+    Programs that differ only in their bounds and costs share one ``rows``
+    object: :meth:`rebounded` copies a program for :meth:`set_variable`
+    and :meth:`set_row` to give it new inputs, and :meth:`keep_matrix`
+    densifies the shared rows once for all of them.
     """
 
     def __init__(self):
         self.start = None
+        self._kept_matrix = None
         self.var_names: list[str] = []
         self.var_lb: list[float] = []
         self.var_ub: list[float] = []
@@ -51,12 +58,7 @@ class LinearProgram:
 
     def add_variable(self, name: str, lb: float = 0.0, ub: float = INF,
                      cost: float = 0.0) -> int:
-        if math.isnan(lb) or math.isnan(ub) or not math.isfinite(cost):
-            raise ContractError(f"variable {name}: bad bounds or cost")
-        if lb > ub:
-            raise ContractError(f"variable {name}: lower bound {lb} exceeds upper {ub}")
-        if lb == ub and math.isinf(lb):
-            raise ContractError(f"variable {name}: fixed at an infinite bound {lb}")
+        _check_variable(name, lb, ub, cost)
         self.var_names.append(name)
         self.var_lb.append(float(lb))
         self.var_ub.append(float(ub))
@@ -69,10 +71,7 @@ class LinearProgram:
 
     def add_range(self, coeffs: dict[int, float], lo: float, hi: float,
                   name: str | None = None) -> int:
-        if math.isnan(lo) or math.isnan(hi):
-            raise ContractError(f"row {name or len(self.rows)}: NaN bound")
-        if lo > hi:
-            raise ContractError(f"row {name or len(self.rows)}: lo {lo} exceeds hi {hi}")
+        _check_row(name or len(self.rows), lo, hi)
         terms = []
         for idx, val in coeffs.items():
             self._check_index(idx)
@@ -89,7 +88,49 @@ class LinearProgram:
         if not 0 <= idx < len(self.var_names):
             raise ContractError(f"constraint references undeclared variable {idx}")
 
+    def rebounded(self) -> LinearProgram:
+        """A copy without a ``start`` that shares this program's ``rows`` and
+        kept matrix and owns its bound and cost lists, for
+        :meth:`set_variable` and :meth:`set_row`. It adds no variable or
+        row: those lists are shared."""
+        clone = copy.copy(self)
+        clone.start = None
+        clone.var_lb, clone.var_ub, clone.var_cost = (list(self.var_lb), list(self.var_ub),
+                                                      list(self.var_cost))
+        clone.row_lo, clone.row_hi = list(self.row_lo), list(self.row_hi)
+        return clone
+
+    def set_variable(self, idx: int, lb: float, ub: float, cost: float) -> None:
+        """Replace variable ``idx``'s bounds and cost, checked as
+        :meth:`add_variable` checks them."""
+        self._check_index(idx)
+        _check_variable(self.var_names[idx], lb, ub, cost)
+        self.var_lb[idx], self.var_ub[idx], self.var_cost[idx] = float(lb), float(ub), float(cost)
+
+    def set_row(self, idx: int, lo: float, hi: float) -> None:
+        """Replace row ``idx``'s bounds, checked as :meth:`add_range` checks
+        them."""
+        if not 0 <= idx < len(self.rows):
+            raise ContractError(f"no row {idx}")
+        _check_row(idx, lo, hi)
+        self.row_lo[idx], self.row_hi[idx] = float(lo), float(hi)
+
+    def keep_matrix(self) -> None:
+        """Densify the rows now and keep the read-only matrix: this program
+        and every copy that shares its ``rows`` object read it in
+        :meth:`dense_matrix` instead of walking the rows again, while its
+        shape matches theirs. A coefficient changed in place within those
+        rows goes unseen."""
+        self._kept_matrix = None
+        a = self.dense_matrix()
+        a.flags.writeable = False
+        self._kept_matrix = (self.rows, a)
+
     def dense_matrix(self) -> np.ndarray:
+        kept = self._kept_matrix
+        if (kept is not None and kept[0] is self.rows
+                and kept[1].shape == (self.n_rows, self.n_vars)):
+            return kept[1]
         a = np.zeros((self.n_rows, self.n_vars))
         terms = [t for row in self.rows for t in row]
         if terms:
@@ -97,6 +138,22 @@ class LinearProgram:
             cols, vals = zip(*terms)
             a[np.repeat(np.arange(self.n_rows), [len(row) for row in self.rows]), cols] = vals
         return a
+
+
+def _check_variable(name: str, lb: float, ub: float, cost: float) -> None:
+    if math.isnan(lb) or math.isnan(ub) or not math.isfinite(cost):
+        raise ContractError(f"variable {name}: bad bounds or cost")
+    if lb > ub:
+        raise ContractError(f"variable {name}: lower bound {lb} exceeds upper {ub}")
+    if lb == ub and math.isinf(lb):
+        raise ContractError(f"variable {name}: fixed at an infinite bound {lb}")
+
+
+def _check_row(name: str | int, lo: float, hi: float) -> None:
+    if math.isnan(lo) or math.isnan(hi):
+        raise ContractError(f"row {name}: NaN bound")
+    if lo > hi:
+        raise ContractError(f"row {name}: lo {lo} exceeds hi {hi}")
 
 
 class MixedProgram:

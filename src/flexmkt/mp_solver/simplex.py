@@ -95,7 +95,8 @@ class _Form:
     """What every solve of one program starts from, whatever its row
     bounds: the dense matrix ``A``, the variables' bounds and costs, and
     the starting statuses and values of the columns of ``[A | -I]``.
-    Re-bounded copies of a program share it.
+    Re-bounded copies of a program share it. ``A`` is the program's kept
+    matrix when it has one (``LinearProgram.keep_matrix``), read as it is.
     """
 
     def __init__(self, program: LinearProgram):

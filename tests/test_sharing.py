@@ -202,20 +202,29 @@ def built(monkeypatch, name):
 
 def phase_ones_of(prog, runs) -> int:
     """How many of the recorded ``phase_one`` calls ran on ``prog``'s LP:
-    its rows, and bounds that no branch-and-bound node has."""
-    bounds = (prog.lp.var_lb, prog.lp.var_ub)
-    return sum(lp.rows is prog.lp.rows and (lp.var_lb, lp.var_ub) == bounds for lp, in runs)
+    its rows, and bounds that no branch-and-bound node and no other bound
+    set on those rows has."""
+    bounds = (prog.lp.var_lb, prog.lp.var_ub, prog.lp.row_lo, prog.lp.row_hi)
+    return sum(lp.rows is prog.lp.rows and (lp.var_lb, lp.var_ub, lp.row_lo, lp.row_hi) == bounds
+               for lp, in runs)
 
 
 def test_re_costed_programs_are_built_and_run_phase_one_once(monkeypatch, tmp_path):
     # Each DSO's Layer-1 program serves every pricing rule, and each MILP
     # program every RSF variant that forwards its flows: each is built
     # once and runs phase 1 once; every other solve resumes from there.
-    case = generate_case(CaseRecipe(style="B", n_dsos=2), 3)
+    # Each Layer-2 row set is built once per case, and each bound set on
+    # it runs phase 1 once, whichever pricing rule and method clears it.
+    case = generate_case(CaseRecipe(style="B", n_dsos=2), 1)
     layer1 = counted(monkeypatch, clearing.clear_dso_layer1)
     milps = counted(monkeypatch, clearing.solve_milp)
+    solves = counted(monkeypatch, clearing.solve_lp)
     layer1_programs = built(monkeypatch, "_layer1_program")
     milp_programs = built(monkeypatch, "_tso_rsf_program")
+    layer2_programs = built(monkeypatch, "_layer2_program")
+    row_sets, keep = [], clearing.LinearProgram.keep_matrix
+    monkeypatch.setattr(clearing.LinearProgram, "keep_matrix",
+                        lambda lp: row_sets.append(lp) or keep(lp))
     runs = counted(monkeypatch, simplex.phase_one)
     run_experiment(ExperimentConfig(cases=((case.name, 3, case),), methods=METHODS,
                                     pricings=PRICINGS, deltas=(2.0,), refine_rounds=1,
@@ -227,6 +236,19 @@ def test_re_costed_programs_are_built_and_run_phase_one_once(monkeypatch, tmp_pa
     assert all(mp.lp.start is not None for mp, in milps)
     assert [phase_ones_of(prog, runs) for prog in (*layer1_programs, *milp_programs)] == [
         1] * (len(layer1_programs) + len(milp_programs))
+
+    # Four Layer-2 clearings per pricing rule: the practical one that
+    # three_layer and sequential_raw share, filtering's, idealized and
+    # fragmented. Two row sets: aggregated DSO balances and full networks.
+    assert len(layer2_programs) == 4 * len(PRICINGS)
+    bound_sets = list({id(prog): prog for prog in layer2_programs}.values())
+    assert len(bound_sets) < len(layer2_programs)
+    assert len(row_sets) == len({id(prog.lp.rows) for prog in bound_sets}) == 2
+    assert [phase_ones_of(prog, runs) for prog in bound_sets] == [1] * len(bound_sets)
+    layer2_solves = [lp for lp, in solves if any(lp.rows is prog.lp.rows for prog in bound_sets)]
+    assert len(layer2_solves) == len(layer2_programs)
+    assert all(lp.start is prog.lp.start is not None
+               for lp, prog in zip(layer2_solves, layer2_programs))
 
 
 def test_aggregation_dual_resumes_the_primal_milp_root(monkeypatch):
@@ -300,6 +322,73 @@ def test_milp_programs_are_shared_by_the_exact_bits_of_their_flows(monkeypatch):
         other.start = first.lp.start
         with pytest.raises(ContractError, match="resumes only"):
             clearing.solve_lp(other)
+
+
+LAYER2 = {"practical": clearing.clear_tso_layer2, "idealized": clearing.clear_idealized_layer2,
+          "fragmented": clearing.clear_fragmented_layer2}
+
+
+@pytest.mark.parametrize("style", "ABCD")
+def test_kept_layer2_clearings_equal_fresh_ones(style):
+    # Every mode under every pricing rule, filtering's capped program
+    # included, through one case's clearings and each built afresh.
+    case = generate_case(CaseRecipe(style=style, n_dsos=2), 3)
+    shared = CaseClearings(case)
+    capped = {b.id: 0.0 for b in case.bids if b.system != 0 and b.direction == DIR_UP}
+    for kind in PRICINGS:
+        rule = interface_price(case, kind, shared.common)
+        layer1 = shared.layer1(rule)
+        runs = [(name, clear, ()) for name, clear in LAYER2.items()]
+        runs.append(("filtering", clearing.clear_tso_layer2, (capped,)))
+        for name, clear, caps in runs:
+            kept = clear(case, layer1, rule, *caps, clearings=shared)
+            assert kept.status == "optimal", (kind, name)
+            assert repr(kept) == repr(clear(case, layer1, rule, *caps)), (kind, name)
+
+
+def test_layer2_programs_are_kept_by_the_exact_bits_of_their_bounds():
+    case = generate_case(CaseRecipe(style="B", n_dsos=2), 3)
+    shared = CaseClearings(case)
+    rule = interface_price(case, "none")
+    layer1 = shared.layer1(rule)
+    m = case.dso_indices[0]
+    bids = {b.id: b for b in case.bids_of(m)}
+    # A bid cleared to at least half its volume, whose cap
+    # quantity_max - used is then exact, and one not cleared at all.
+    used = next(b for b in bids.values() if layer1[m].volume(b) >= b.quantity_max / 2 > 0.0)
+    unused = next(b for b in bids.values() if layer1[m].volume(b).hex() == "0x0.0p+0")
+
+    def moved(bid, volume):
+        table = "upward" if bid.direction == DIR_UP else "downward"
+        volumes = {**getattr(layer1[m], table), bid.id: volume}
+        return {**layer1, m: replace(layer1[m], **{table: volumes})}
+
+    def kept(prior, caps=None):
+        prog = clearing._layer2_program(case, prior, caps, "practical", shared)
+        got = clearing.clear_tso_layer2(case, prior, rule, caps, clearings=shared)
+        assert repr(got) == repr(clearing.clear_tso_layer2(case, prior, rule, caps))
+        return prog
+
+    first = kept(layer1)
+    assert kept(dict(layer1)) is first
+    # A prior volume one ulp apart, or a cap override of -0.0 where the
+    # first program's cap is 0.0, gives its own bounds on the same rows:
+    # its own program, which the first program's Start refuses.
+    ulp = kept(moved(used, math.nextafter(layer1[m].volume(used), 0.0)))
+    signed_cap = kept(layer1, {unused.id: -0.0})
+    for prog in (ulp, signed_cap):
+        assert prog is not first and prog.lp.rows is first.lp.rows
+        assert prog.lp.start is not first.lp.start
+        other = copy.copy(prog.lp)
+        other.start = first.lp.start
+        with pytest.raises(ContractError, match="resumes only"):
+            clearing.solve_lp(other)
+    # A prior volume enters as the volume used, summed from +0.0, so one
+    # flipped from 0.0 to -0.0 gives the first program's bounds bit for
+    # bit, and is served that program.
+    signed = moved(unused, -0.0)
+    assert signed[m].volume(unused).hex() == "-0x0.0p+0"
+    assert kept(signed) is first
 
 
 @pytest.mark.parametrize("style", "ABCD")

@@ -137,6 +137,40 @@ def test_a_variable_fixed_at_an_infinite_bound_is_rejected(bound):
     assert lp.n_vars == 0
 
 
+def test_a_rebounded_copy_shares_the_rows_and_kept_matrix_and_solves_as_a_fresh_build():
+    def built(x_hi, row_lo):
+        lp = LinearProgram()
+        x = lp.add_variable("x", 0.0, x_hi, -1.0)
+        y = lp.add_variable("y", -1.0, 1.0, 0.5)
+        lp.add_range({x: 1.0, y: 2.0}, row_lo, 3.0)
+        lp.add_equality({x: 1.0, y: -1.0}, 0.25)
+        return lp
+
+    lp = built(2.0, -1.0)
+    lp.keep_matrix()
+    matrix = lp.dense_matrix()
+    assert not matrix.flags.writeable and lp.dense_matrix() is matrix
+    other = lp.rebounded()
+    other.set_variable(0, 0.0, 1.5, -1.0)
+    other.set_row(0, 0.5, 3.0)
+    assert other.rows is lp.rows and other.dense_matrix() is matrix
+    assert (lp.var_ub[0], lp.row_lo[0], other.start) == (2.0, -1.0, None)
+    fresh = built(1.5, 0.5)
+    assert np.array_equal(fresh.dense_matrix(), matrix)
+    assert repr(solve_lp(other)) == repr(solve_lp(fresh))
+    # The setters check as add_variable and add_range do.
+    for args in ((0, math.nan, 1.0, 0.0), (0, 2.0, 1.0, 0.0), (0, INF, INF, 0.0),
+                 (0, 0.0, 1.0, INF), (2, 0.0, 1.0, 0.0)):
+        with pytest.raises(ContractError):
+            other.set_variable(*args)
+    for args in ((0, math.nan, 1.0), (0, 2.0, 1.0), (2, 0.0, 0.0)):
+        with pytest.raises(ContractError):
+            other.set_row(*args)
+    # Rows appended after keep_matrix: the kept matrix no longer matches.
+    lp.add_range({0: 1.0}, 0.0, 1.0)
+    assert lp.dense_matrix().shape == (3, 2)
+
+
 @pytest.mark.parametrize("lo,hi", [(math.nan, math.nan), (math.nan, 1.0), (0.0, math.nan),
                                    (1.0, 0.0)])
 def test_nan_row_bounds_are_rejected(lo, hi):
