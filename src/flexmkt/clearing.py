@@ -4,14 +4,18 @@ common benchmark, and interface-pricing rules. Every program is built and
 solved here, and :class:`CaseClearings` keys every shared solve.
 
 Every system contributes the same constraint block to a program, and
-:func:`add_network_block` is the only code that writes it: one balance
+:func:`add_network_block` is the only code that writes a block: one balance
 row per bus (upward volumes minus downward volumes minus the net
 injection, plus the interface flow at the root or coupling bus, equals
 the base injection), a row forcing the net injections to sum to zero so
 the interface flow genuinely couples the systems, and one range row per
-line limit through the injection-to-flow sensitivities. Summing a
-distribution system's balance rows therefore reproduces the aggregated
-balance used by the practical TSO layer.
+line limit through the injection-to-flow sensitivities, the network's
+line terms, made once per network object, mapped onto the block's
+columns. Summing a distribution system's balance rows therefore
+reproduces the aggregated balance used by the practical TSO layer. A
+program that copies a row set kept in :class:`CaseClearings` writes no
+block of its own: it shares the row set's rows under its own bounds and
+costs.
 
 Every program enters its inputs the same way. Interface flows are
 declared first and attach themselves: a DSO's flow to its feeder root and
@@ -138,11 +142,12 @@ def add_network_block(lp: LinearProgram, net: Network, rhs: list[float],
     Adds a free net-injection variable per bus, then per bus the balance
     row ``sum(terms at the bus) - p = rhs``, the consistency row
     ``sum(p) = 0``, and one row per line bounding the sensitivity-weighted
-    injections by the line's limits. ``terms`` holds (bus, variable,
-    coefficient) triples, summed per bus in their order. With
-    ``flow_slack`` each limit becomes a pair of one-sided rows that the
-    (non-negative) slack variable relaxes. ``tag`` names the rows and
-    variables.
+    injections by the line's limits: the network's ``line_terms``, made
+    once per network object, mapped onto the ``p`` columns. ``terms``
+    holds (bus, variable, coefficient) triples, summed per bus in their
+    order. With ``flow_slack`` each limit becomes a pair of one-sided rows
+    that the (non-negative) slack variable relaxes. ``tag`` names the
+    variables and the balance and consistency rows.
     """
     p_vars = [lp.add_variable(f"p[{tag},{bus}]", -INF, INF) for bus in net.buses]
     balance: list[dict[int, float]] = [{pv: -1.0} for pv in p_vars]
@@ -153,15 +158,13 @@ def add_network_block(lp: LinearProgram, net: Network, rhs: list[float],
             for k, (bus, coeffs) in enumerate(zip(net.buses, balance))}
     lp.add_equality({pv: 1.0 for pv in p_vars}, 0.0, name=f"netsum[{tag}]")
 
-    entries = sensitivity(net)
-    for li, ln in enumerate(net.lines):
-        coeffs = {p_vars[k]: entries[li, k]
-                  for k in range(net.n_buses) if entries[li, k] != 0.0}
-        if flow_slack is None:
-            lp.add_range(coeffs, ln.f_min, ln.f_max, name=f"flow[{tag},{li}]")
-        else:
-            lp.add_range({**coeffs, flow_slack: -1.0}, -INF, ln.f_max, name=f"fhi[{tag},{li}]")
-            lp.add_range({**coeffs, flow_slack: +1.0}, ln.f_min, INF, name=f"flo[{tag},{li}]")
+    if flow_slack is None:
+        limits = [(li, ln.f_min, ln.f_max, None) for li, ln in enumerate(net.lines)]
+    else:
+        limits = [limit for li, ln in enumerate(net.lines)
+                  for limit in ((li, -INF, ln.f_max, (flow_slack, -1.0)),
+                                (li, ln.f_min, INF, (flow_slack, +1.0)))]
+    lp.add_sparse_rows(net.line_terms, p_vars, limits)
     return rows
 
 
@@ -328,8 +331,9 @@ def _kept(clearings: CaseClearings | None, key: tuple, build) -> _CaseProgram:
     ``clearings`` it is made once per case, its LP given the phase-1
     Start that every re-costed copy resumes from, and kept there under
     ``key``, which holds the exact bits of every input but the costs: a
-    DSO's Layer-1 program by its DSO, a Layer-2 program by its row set
-    and bounds, the MILP by its flows. Without them it is made afresh,
+    DSO's Layer-1 program, a copy of the DSO's Layer-1 row set, by its
+    DSO; a Layer-2 program, a copy of its row set, by that row set and
+    its bounds; the MILP by its flows. Without them it is made afresh,
     and its one solve runs phase 1."""
     if clearings is None:
         return build()
@@ -337,6 +341,19 @@ def _kept(clearings: CaseClearings | None, key: tuple, build) -> _CaseProgram:
     def made():
         prog = build()
         prog.lp.start = phase_one(prog.lp)
+        return prog
+
+    return clearings._once(("program", *key), made)
+
+
+def _row_set(clearings: CaseClearings, key: tuple, build) -> _CaseProgram:
+    """``build()``'s program, made once per case, its matrix densified, and
+    kept in the shared ``clearings`` under ``key``: the rows that each
+    program of its kind shares as a :meth:`_CaseProgram.rebuilt` copy with
+    its own inputs. It is never solved itself, so it runs no phase 1."""
+    def made():
+        prog = build()
+        prog.lp.keep_matrix()
         return prog
 
     return clearings._once(("program", *key), made)
@@ -359,14 +376,36 @@ def _clamp(v: float, lo: float, hi: float) -> float:
 # Layer 1
 # ---------------------------------------------------------------------------
 
-def _layer1_program(case: MarketCase, m: int) -> _CaseProgram:
+def _dso_program(case: MarketCase, m: int, z_bounds: tuple[float, float],
+                 inputs: tuple[list, list[float]],
+                 clearings: CaseClearings | None) -> _CaseProgram:
+    """DSO ``m``'s program over its interface flow, bounded by ``z_bounds``
+    and priced at zero, and its network block, with the ``inputs`` that
+    :func:`_system_inputs` gives: Layer 1, a Layer-3 correction, or the
+    flow interval's program.
+
+    Through the shared ``clearings`` it is a :meth:`_CaseProgram.rebuilt`
+    copy of the DSO's Layer-1 row set, which the first such program of the
+    case builds and densifies; each copy replaces every bound and cost
+    that differs between them. Without them it is built afresh."""
+    def build() -> _CaseProgram:
+        prog = _CaseProgram(case)
+        prog.add_z(m, *z_bounds)
+        prog.add_system(m, inputs=inputs)
+        return prog
+
+    if clearings is None:
+        return build()
+    return _row_set(clearings, ("layer1 rows", m), build).rebuilt({m: z_bounds}, {m: inputs})
+
+
+def _layer1_program(case: MarketCase, m: int,
+                    clearings: CaseClearings | None) -> _CaseProgram:
     """DSO ``m``'s Layer-1 program with its interface flow's price at zero:
     each pricing rule re-costs it."""
     dso = case.dso(m)
-    prog = _CaseProgram(case)
-    prog.add_z(m, dso.z_min, dso.z_max)
-    prog.add_system(m)
-    return prog
+    return _dso_program(case, m, (dso.z_min, dso.z_max),
+                        _system_inputs(case, m, (), None, False), clearings)
 
 
 def clear_dso_layer1(case: MarketCase, m: int, pricing: PricingRule, *,
@@ -376,9 +415,10 @@ def clear_dso_layer1(case: MarketCase, m: int, pricing: PricingRule, *,
     Minimizes bid cost plus the interface-flow price times the import,
     subject to nodal balances, line limits, bid boxes, and interface
     bounds. Through the shared ``clearings`` of ``case`` the program is
-    built once, and every pricing rule resumes from its phase-1 Start.
+    made once, a copy of the DSO's Layer-1 row set, and every pricing rule
+    resumes from its phase-1 Start.
     """
-    prog = _kept(clearings, ("layer1", m), lambda: _layer1_program(case, m))
+    prog = _kept(clearings, ("layer1", m), lambda: _layer1_program(case, m, clearings))
     return prog.extract(solve_lp(_recost(prog.lp, {prog.z_vars[m]: pricing.price(m)})))
 
 
@@ -431,10 +471,11 @@ def _layer2_program(case: MarketCase, layer1: dict[int, ClearingResult],
 
     Through the shared ``clearings`` the programs of one row set, the
     aggregated DSO balances (practical and fragmented) or the full DSO
-    networks (idealized), share the rows and dense matrix of one build per
-    case. Each bound set is kept, with its phase-1 Start, under the exact
-    bits of its flow bounds, bid caps and balance right-hand sides, all it
-    reads of the mode, the frozen flows, the prior volumes and the caps.
+    networks (idealized), are copies that share the rows and dense matrix
+    of one build per case. Each bound set is kept, with its phase-1 Start,
+    under the exact bits of its flow bounds, bid caps and balance
+    right-hand sides, all it reads of the mode, the frozen flows, the
+    prior volumes and the caps.
     """
     if mode not in ("practical", "idealized", "fragmented"):
         raise ContractError(f"unknown layer-2 mode {mode}")
@@ -465,13 +506,7 @@ def _layer2_program(case: MarketCase, layer1: dict[int, ClearingResult],
         return build()
 
     def made() -> _CaseProgram:
-        # The first program of a row set is its build; later ones copy it.
-        rows_key = ("program", "layer2 rows", aggregate)
-        if rows_key in clearings._solved:
-            return clearings._solved[rows_key].rebuilt(z_bounds, inputs)
-        prog = clearings._solved[rows_key] = build()
-        prog.lp.keep_matrix()
-        return prog
+        return _row_set(clearings, ("layer2 rows", aggregate), build).rebuilt(z_bounds, inputs)
 
     # The exact bits of every bound, in an order the row set fixes; the bid
     # costs are the case's prices, the same in every bound set.
@@ -524,22 +559,26 @@ def clear_fragmented_layer2(case: MarketCase, layer1: dict[int, ClearingResult],
 
 
 def _layer3_program(case: MarketCase, m: int, prior: tuple[ClearingResult, ...],
-                    z_value: float,
-                    diagnostic: bool = False) -> tuple[_CaseProgram, int | None]:
+                    z_value: float, clearings: CaseClearings | None = None) -> _CaseProgram:
     """Corrective DSO problem: the volumes of the ``prior`` clearings are
     constants, corrective volumes fill the residual boxes, the interface
-    flow is frozen.
+    flow is frozen. Through the shared ``clearings``, a copy of the DSO's
+    Layer-1 row set."""
+    return _dso_program(case, m, (z_value, z_value),
+                        _system_inputs(case, m, prior, None, False), clearings)
 
-    The ``diagnostic`` variant drops the bid costs and relaxes every line
-    limit by one slack, whose optimum is the smallest possible max line
-    overload when the correction problem itself is infeasible. Returns
-    the program and that slack variable (None without ``diagnostic``).
-    """
+
+def _overload_program(case: MarketCase, m: int, prior: tuple[ClearingResult, ...],
+                      z_value: float) -> tuple[_CaseProgram, int]:
+    """The Layer-3 correction's diagnostic program: the bid costs dropped
+    and every line limit relaxed by one slack, whose optimum is the
+    smallest possible max line overload when the correction problem itself
+    is infeasible. Its rows differ from the correction's, so it is built
+    afresh. Returns the program and that slack variable."""
     prog = _CaseProgram(case)
     prog.add_z(m, z_value, z_value)
-    worst = prog.lp.add_variable("worst", 0.0, INF, 1.0) if diagnostic else None
-    prog.add_system(m, prior=prior, cost_scale=0.0 if diagnostic else 1.0,
-                    flow_slack=worst)
+    worst = prog.lp.add_variable("worst", 0.0, INF, 1.0)
+    prog.add_system(m, prior=prior, cost_scale=0.0, flow_slack=worst)
     return prog, worst
 
 
@@ -620,14 +659,16 @@ def clear_common(case: MarketCase) -> ClearingResult:
     return prog.extract(sol)
 
 
-def dso_flow_interval(case: MarketCase, m: int) -> tuple[float, float]:
+def dso_flow_interval(case: MarketCase, m: int, *,
+                      clearings: CaseClearings | None = None) -> tuple[float, float]:
     """Smallest and largest feasible interface flow of DSO ``m``: one
     program, solved with the flow's cost +1 and then -1, both from one
-    phase-1 Start."""
+    phase-1 Start. Through the shared ``clearings`` of ``case`` the
+    program is a copy of the DSO's Layer-1 row set."""
     dso = case.dso(m)
-    prog = _CaseProgram(case)
-    zv = prog.add_z(m, dso.z_min, dso.z_max)
-    prog.add_system(m, cost_scale=0.0)
+    prog = _dso_program(case, m, (dso.z_min, dso.z_max),
+                        _system_inputs(case, m, (), None, False, 0.0), clearings)
+    zv = prog.z_vars[m]
     prog.lp.start = phase_one(prog.lp)
     out = []
     for sense in (+1.0, -1.0):
@@ -685,12 +726,19 @@ class CaseClearings:
     with its phase-1 Start: every DSO's Layer-1 program, which each
     pricing rule re-costs; every Layer-2 program, keyed by its row set and
     the exact bits of its flow bounds, bid caps and balance right-hand
-    sides, which each pricing rule re-costs, and the two row sets these
-    programs share (aggregated DSO balances, full DSO networks), each
-    built and densified once; and aggregation's MILP per set of forwarded
-    flows, which each RSF variant re-costs. They live as long as it does,
-    or until :meth:`release_programs`. A resumed solve reports its
-    Start's phase-1 counters and counts as one solve.
+    sides, which each pricing rule re-costs; and aggregation's MILP per
+    set of forwarded flows, which each RSF variant re-costs.
+
+    It keeps the row sets as well, each built and densified once per case
+    and never solved itself: each DSO's Layer-1 row set (its flow and
+    network block), whose copies are its Layer-1 program, each of its
+    Layer-3 corrections and its :func:`dso_flow_interval` program; and the
+    two Layer-2 row sets (aggregated DSO balances, full DSO networks),
+    whose copies are the Layer-2 programs. A copy shares the ``rows``
+    object and kept matrix and has its own bounds and costs. Programs and
+    row sets live as long as this object does, or until
+    :meth:`release_programs`. A resumed solve reports its Start's phase-1
+    counters and counts as one solve.
     """
 
     def __init__(self, case: MarketCase, common: ClearingResult | None = None):
@@ -736,7 +784,7 @@ class CaseClearings:
         of each of the DSO's bids. Only the correction is solved; its least
         line overload, when it is infeasible, is :meth:`overload`."""
         def solve():
-            prog, _ = _layer3_program(self.case, m, prior, z)
+            prog = _layer3_program(self.case, m, prior, z, self)
             return prog.extract(solve_lp(prog.lp))
 
         return self._once(("layer3", *self._layer3_key(m, prior, z)), solve)
@@ -747,7 +795,7 @@ class CaseClearings:
         diagnostic program, solved on first use under the correction's
         key, and ``inf`` when that program has no optimum."""
         def solve():
-            prog, worst = _layer3_program(self.case, m, prior, z, diagnostic=True)
+            prog, worst = _overload_program(self.case, m, prior, z)
             sol = solve_lp(prog.lp)
             return float(sol.x[worst]) if sol.status == "optimal" else float("inf")
 
@@ -777,11 +825,12 @@ class CaseClearings:
         return self._once(key, run)
 
     def release_programs(self) -> None:
-        """Drop the kept programs and their Starts; every clearing stays. A
-        caller may hold on to the clearings after the last method ran on
-        the case (perfbench's recorder keeps each call's arguments to the
-        end of a pass), when nothing re-costs the programs any more. A
-        later re-costed solve builds its program again."""
+        """Drop the kept programs, their Starts and the row sets; every
+        clearing stays. A caller may hold on to the clearings after the
+        last method ran on the case (perfbench's recorder keeps each call's
+        arguments to the end of a pass), when nothing re-costs the programs
+        any more. A later re-costed solve builds its program, and its row
+        set, again."""
         self._solved = {key: value for key, value in self._solved.items()
                         if key[0] != "program"}
 

@@ -598,16 +598,18 @@ def suboptimality_constant(case: MarketCase, *,
     A and D) at five step sizes, the pseudo-inverse norm alone times the
     step size is below the realized cost gap in 121 of 250 aggregation
     runs, and the sampled shadow prices set the constant in all 50 cases.
-    The benchmark optimum comes from the shared ``clearings``.
+    The benchmark optimum and each DSO's Layer-1 row set, which the flow
+    intervals' programs copy, come from the shared ``clearings``.
     """
     if len(case.dsos) > 10:
         raise ContractError("corner sampling is limited to 10 DSOs")
     paper_norm = _pinv_norm(case)
 
-    common = _shared(case, clearings).common
+    clearings = _shared(case, clearings)
+    common = clearings.common
     if common.status != "optimal":
         raise ModelError("suboptimality constant requires a feasible benchmark")
-    intervals = {m: dso_flow_interval(case, m) for m in case.dso_indices}
+    intervals = {m: dso_flow_interval(case, m, clearings=clearings) for m in case.dso_indices}
     z_opt = dict(common.interface_flows)
     samples: list[dict[int, float]] = [z_opt]
     # Single-coordinate deviations from the benchmark optimum, then the

@@ -2,10 +2,11 @@
 
 A :class:`LinearProgram` is a builder: declare variables with bounds and
 objective coefficients, then attach equality or range constraints that
-reference them by index. A :class:`MixedProgram` wraps a linear program
-with one-hot groups of binary variables; constructing it appends the
-sum-to-one equality row for every group so the group structure is part
-of the program.
+reference them by index, one at a time or, for rows that several programs
+repeat, as :class:`SparseRows` mapped onto the program's columns. A
+:class:`MixedProgram` wraps a linear program with one-hot groups of binary
+variables; constructing it appends the sum-to-one equality row for every
+group so the group structure is part of the program.
 """
 
 from __future__ import annotations
@@ -18,7 +19,7 @@ import numpy as np
 
 from ..errors import ContractError
 
-__all__ = ["LinearProgram", "MixedProgram", "Solution"]
+__all__ = ["LinearProgram", "MixedProgram", "Solution", "SparseRows"]
 
 INF = math.inf
 
@@ -84,6 +85,38 @@ class LinearProgram:
         self.row_hi.append(float(hi))
         return len(self.rows) - 1
 
+    def add_sparse_rows(self, block: SparseRows, cols: list[int],
+                        rows: list[tuple[int, float, float, tuple[int, float] | None]]) -> None:
+        """Append, for each ``(i, lo, hi, extra)`` of ``rows``, the row
+        ``lo <= sum(coeff * x[cols[k]] for k, coeff in block.rows[i]) <= hi``,
+        with the term ``extra = (variable, coefficient)`` last unless it is
+        None. The rows hold what :meth:`add_range` would make of the same
+        terms in that order. ``block`` was checked when it was made, so only
+        ``cols`` (one distinct declared variable per block column), each
+        ``extra`` (a declared variable outside ``cols``, a finite nonzero
+        coefficient), each ``i`` and each row's bounds are checked here."""
+        distinct = set(cols)
+        if len(cols) != block.width or len(distinct) != len(cols):
+            raise ContractError(f"{len(cols)} columns for a block of width {block.width}, "
+                                "or a column repeated")
+        for idx in cols:
+            self._check_index(idx)
+        for i, lo, hi, extra in rows:
+            name = len(self.rows)
+            _check_row(name, lo, hi)
+            if not 0 <= i < len(block.rows):
+                raise ContractError(f"row {name}: no block row {i}")
+            terms = [(cols[k], coeff) for k, coeff in block.rows[i]]
+            if extra is not None:
+                idx, coeff = extra
+                self._check_index(idx)
+                if idx in distinct or not math.isfinite(coeff) or coeff == 0.0:
+                    raise ContractError(f"row {name}: bad extra term {extra}")
+                terms.append((idx, float(coeff)))
+            self.rows.append(terms)
+            self.row_lo.append(float(lo))
+            self.row_hi.append(float(hi))
+
     def _check_index(self, idx: int) -> None:
         if not 0 <= idx < len(self.var_names):
             raise ContractError(f"constraint references undeclared variable {idx}")
@@ -138,6 +171,22 @@ class LinearProgram:
             cols, vals = zip(*terms)
             a[np.repeat(np.arange(self.n_rows), [len(row) for row in self.rows]), cols] = vals
         return a
+
+
+class SparseRows:
+    """The nonzero entries of a finite dense matrix, row by row, as
+    ``(column position, coefficient)`` pairs in column order, the
+    coefficients Python floats. They are checked once, when made, so that
+    :meth:`LinearProgram.add_sparse_rows` maps them onto any program's
+    columns without checking a term again."""
+
+    def __init__(self, matrix: np.ndarray):
+        a = np.asarray(matrix, dtype=float)
+        if a.ndim != 2 or not np.isfinite(a).all():
+            raise ContractError("sparse rows need a finite two-dimensional matrix")
+        self.width = a.shape[1]
+        self.rows = tuple(tuple((k, v) for k, v in enumerate(row) if v != 0.0)
+                          for row in a.tolist())
 
 
 def _check_variable(name: str, lb: float, ub: float, cost: float) -> None:

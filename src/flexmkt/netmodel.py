@@ -18,6 +18,7 @@ from functools import cached_property
 import numpy as np
 
 from .errors import ContractError, NumericalError, TopologyError
+from .mp_solver import SparseRows
 
 __all__ = ["Line", "Network", "build_sensitivity", "line_flows", "is_radial"]
 
@@ -41,6 +42,11 @@ class Network:
     Invariants enforced at construction: no self-loops, strictly positive
     reactances, flow bounds that bracket zero, root membership, and
     connectivity. Instances are immutable and safe to share.
+
+    Each network object builds on first use, and keeps for its lifetime,
+    its injection-to-flow ``sensitivity`` and, from that, its
+    ``line_terms``: every line's nonzero (bus position, coefficient) pairs,
+    which each program's line rows map onto its own columns.
     """
 
     buses: tuple[int, ...]
@@ -92,6 +98,13 @@ class Network:
         """Injection-to-flow sensitivities, built on first use and kept for
         the lifetime of this network object."""
         return build_sensitivity(self)
+
+    @cached_property
+    def line_terms(self) -> SparseRows:
+        """Each line's nonzero sensitivities as (bus position, coefficient)
+        pairs in bus order, checked finite once, when first used, and kept
+        for the lifetime of this network object."""
+        return SparseRows(self.sensitivity)
 
     @property
     def n_buses(self) -> int:

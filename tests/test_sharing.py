@@ -215,6 +215,8 @@ def test_re_costed_programs_are_built_and_run_phase_one_once(monkeypatch, tmp_pa
     # once and runs phase 1 once; every other solve resumes from there.
     # Each Layer-2 row set is built once per case, and each bound set on
     # it runs phase 1 once, whichever pricing rule and method clears it.
+    # Each DSO's Layer-1 row set is built once per case too, and the
+    # Layer-1 program is a copy of it; no row set runs phase 1.
     case = generate_case(CaseRecipe(style="B", n_dsos=2), 1)
     layer1 = counted(monkeypatch, clearing.clear_dso_layer1)
     milps = counted(monkeypatch, clearing.solve_milp)
@@ -231,6 +233,12 @@ def test_re_costed_programs_are_built_and_run_phase_one_once(monkeypatch, tmp_pa
                                     out_dir=str(tmp_path)))
     assert len(layer1) == 2 * len(PRICINGS)
     assert [list(prog.z_vars) for prog in layer1_programs] == [[m] for m in case.dso_indices]
+    assert not any(lp is row_set for lp, in runs for row_set in row_sets)
+    layer1_rows = [lp for lp in row_sets
+                   if any(lp.rows is prog.lp.rows for prog in layer1_programs)]
+    assert len(layer1_rows) == len(case.dso_indices)
+    assert all(prog.lp.rows is lp.rows and prog.lp.dense_matrix() is lp.dense_matrix()
+               for prog, lp in zip(layer1_programs, layer1_rows))
     # Both variants forward the same flows in the first round.
     assert len(milps) == 4 and 1 <= len(milp_programs) < len(milps)
     assert all(mp.lp.start is not None for mp, in milps)
@@ -243,7 +251,9 @@ def test_re_costed_programs_are_built_and_run_phase_one_once(monkeypatch, tmp_pa
     assert len(layer2_programs) == 4 * len(PRICINGS)
     bound_sets = list({id(prog): prog for prog in layer2_programs}.values())
     assert len(bound_sets) < len(layer2_programs)
-    assert len(row_sets) == len({id(prog.lp.rows) for prog in bound_sets}) == 2
+    layer2_rows = [lp for lp in row_sets if any(lp.rows is prog.lp.rows for prog in bound_sets)]
+    assert len(layer2_rows) == len({id(prog.lp.rows) for prog in bound_sets}) == 2
+    assert len(row_sets) == len(layer1_rows) + len(layer2_rows)
     assert [phase_ones_of(prog, runs) for prog in bound_sets] == [1] * len(bound_sets)
     layer2_solves = [lp for lp, in solves if any(lp.rows is prog.lp.rows for prog in bound_sets)]
     assert len(layer2_solves) == len(layer2_programs)
@@ -283,9 +293,14 @@ def test_run_experiment_releases_each_case_s_programs(monkeypatch, tmp_path):
     assert shared._solved and not any(key[0] == "program" for key in shared._solved)
     rule = interface_price(case, "none")
     programs = built(monkeypatch, "_layer1_program")
+    row_sets, keep = [], clearing.LinearProgram.keep_matrix
+    monkeypatch.setattr(clearing.LinearProgram, "keep_matrix",
+                        lambda lp: row_sets.append(lp) or keep(lp))
     again = {m: clearing.clear_dso_layer1(case, m, rule, clearings=shared)
              for m in case.dso_indices}
-    assert len(programs) == len(case.dso_indices)
+    # The Layer-1 row sets were dropped too: each is built again.
+    assert len(programs) == len(row_sets) == len(case.dso_indices)
+    assert all(prog.lp.rows is lp.rows for prog, lp in zip(programs, row_sets))
     assert repr(again) == repr(shared.layer1(rule))
 
 
@@ -409,6 +424,38 @@ def test_dso_flow_interval_equals_two_solves_from_scratch(style):
             assert [z.hex() for z in clearing.dso_flow_interval(case, m)] == reference
 
 
+def test_corrections_and_flow_intervals_copy_the_dso_s_layer1_row_set(monkeypatch):
+    # Every Layer-3 correction and flow-interval program of a DSO shares the
+    # rows object and kept matrix of its Layer-1 program, and clears as a
+    # fresh build does.
+    case = generate_case(CaseRecipe(style="B"), 0)
+    shared = CaseClearings(case, clear_common(case))
+    rule = interface_price(case, "none")
+    layer1_programs = built(monkeypatch, "_layer1_program")
+    shared.layer1(rule)
+    rows = {list(prog.z_vars)[0]: prog.lp for prog in layer1_programs}
+    assert list(rows) == case.dso_indices
+
+    corrections = built(monkeypatch, "_layer3_program")
+    out = run_three_layer(case, rule, clearings=shared)
+    assert out.status == "ok" and len(corrections) == len(out.layer3) == len(rows)
+    for prog in list(corrections):
+        [m] = prog.z_vars
+        assert prog.lp.rows is rows[m].rows
+        assert prog.lp.dense_matrix() is rows[m].dense_matrix()
+        prior, z = (out.layer1[m], out.layer2), out.layer2.interface_flows[m]
+        fresh = clearing._layer3_program(case, m, prior, z)
+        assert repr(out.layer3[m]) == repr(fresh.extract(clearing.solve_lp(fresh.lp)))
+
+    runs = counted(monkeypatch, simplex.phase_one)
+    for m, lp in rows.items():
+        before = len(runs)
+        interval = clearing.dso_flow_interval(case, m, clearings=shared)
+        [(run,)] = runs[before:]
+        assert run.rows is lp.rows and run.dense_matrix() is lp.dense_matrix()
+        assert [z.hex() for z in interval] == [z.hex() for z in clearing.dso_flow_interval(case, m)]
+
+
 def test_layer3_correction_is_keyed_by_exact_prior_volumes(monkeypatch):
     case = generate_case(CaseRecipe(style="B", n_dsos=2), 3)
     shared = CaseClearings(case)
@@ -469,7 +516,7 @@ def test_layer3_overload_is_the_diagnostic_program_solved_once(monkeypatch):
     assert list(overload) == infeasible and len(solves) == len(infeasible)
     for m, worst in overload.items():
         prior, z = (out.layer1[m], out.layer2), out.layer2.interface_flows[m]
-        prog, slack = clearing._layer3_program(case, m, prior, z, diagnostic=True)
+        prog, slack = clearing._overload_program(case, m, prior, z)
         sol = clearing.solve_lp(prog.lp)
         assert sol.status == "optimal"
         assert worst == float(sol.x[slack])
