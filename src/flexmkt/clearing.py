@@ -13,9 +13,8 @@ line limit through the injection-to-flow sensitivities, the network's
 line terms, made once per network object, mapped onto the block's
 columns. Summing a distribution system's balance rows therefore
 reproduces the aggregated balance used by the practical TSO layer. A
-program that copies a row set kept in :class:`CaseClearings` writes no
-block of its own: it shares the row set's rows under its own bounds and
-costs.
+:meth:`_CaseProgram.rebuilt` copy writes no block of its own: it shares
+the rows of the program it copies under its own bounds and costs.
 
 Every program enters its inputs the same way. Interface flows are
 declared first and attach themselves: a DSO's flow to its feeder root and
@@ -318,7 +317,11 @@ def _system_inputs(case: MarketCase, system: int, prior: tuple[ClearingResult, .
 
 def _recost(lp: LinearProgram, costs: dict[int, float]) -> LinearProgram:
     """``lp`` with the cost of each variable in ``costs`` replaced: a copy
-    that shares every other input, its rows and its Start included."""
+    that shares every other input, its rows and its Start included. The
+    first re-cost of ``lp`` gives it that Start, the phase 1 which every
+    re-costed copy resumes from."""
+    if lp.start is None:
+        lp.start = phase_one(lp)
     recosted = copy.copy(lp)
     recosted.var_cost = list(lp.var_cost)
     for var, cost in costs.items():
@@ -326,37 +329,23 @@ def _recost(lp: LinearProgram, costs: dict[int, float]) -> LinearProgram:
     return recosted
 
 
-def _kept(clearings: CaseClearings | None, key: tuple, build) -> _CaseProgram:
-    """``build()``'s program, which solves re-cost. Through the shared
-    ``clearings`` it is made once per case, its LP given the phase-1
-    Start that every re-costed copy resumes from, and kept there under
-    ``key``, which holds the exact bits of every input but the costs: a
-    DSO's Layer-1 program, a copy of the DSO's Layer-1 row set, by its
-    DSO; a Layer-2 program, a copy of its row set, by that row set and
-    its bounds; the MILP by its flows. Without them it is made afresh,
-    and its one solve runs phase 1."""
-    if clearings is None:
-        return build()
-
-    def made():
-        prog = build()
-        prog.lp.start = phase_one(prog.lp)
-        return prog
-
-    return clearings._once(("program", *key), made)
-
-
-def _row_set(clearings: CaseClearings, key: tuple, build) -> _CaseProgram:
-    """``build()``'s program, made once per case, its matrix densified, and
-    kept in the shared ``clearings`` under ``key``: the rows that each
-    program of its kind shares as a :meth:`_CaseProgram.rebuilt` copy with
-    its own inputs. It is never solved itself, so it runs no phase 1."""
-    def made():
+def _kept(clearings: CaseClearings, rows: tuple, bits: bytes, build,
+          z_bounds: dict[int, tuple[float, float]],
+          inputs: dict[int, tuple[list, list[float]]]) -> _CaseProgram:
+    """The program of the row set ``rows`` under the bounds whose exact
+    bits are ``bits``, kept in ``clearings``. The first bound set of a row
+    set is ``build()`` itself, its matrix densified; each later one is a
+    :meth:`_CaseProgram.rebuilt` copy of it with the flow bounds
+    ``z_bounds`` and the system ``inputs``, kept under its ``bits``."""
+    def first():
         prog = build()
         prog.lp.keep_matrix()
-        return prog
+        return prog, bits
 
-    return clearings._once(("program", *key), made)
+    prog, first_bits = clearings._once(("program", *rows), first)
+    if bits == first_bits:
+        return prog
+    return clearings._once(("program", *rows, bits), lambda: prog.rebuilt(z_bounds, inputs))
 
 
 def _used_volume(bid: Bid, prior: tuple[ClearingResult, ...]) -> float:
@@ -376,36 +365,19 @@ def _clamp(v: float, lo: float, hi: float) -> float:
 # Layer 1
 # ---------------------------------------------------------------------------
 
-def _dso_program(case: MarketCase, m: int, z_bounds: tuple[float, float],
-                 inputs: tuple[list, list[float]],
-                 clearings: CaseClearings | None) -> _CaseProgram:
-    """DSO ``m``'s program over its interface flow, bounded by ``z_bounds``
-    and priced at zero, and its network block, with the ``inputs`` that
-    :func:`_system_inputs` gives: Layer 1, a Layer-3 correction, or the
-    flow interval's program.
-
-    Through the shared ``clearings`` it is a :meth:`_CaseProgram.rebuilt`
-    copy of the DSO's Layer-1 row set, which the first such program of the
-    case builds and densifies; each copy replaces every bound and cost
-    that differs between them. Without them it is built afresh."""
+def _layer1_program(case: MarketCase, m: int, clearings: CaseClearings) -> _CaseProgram:
+    """DSO ``m``'s Layer-1 program with its interface flow's price at zero:
+    each pricing rule re-costs it. It is the DSO's row set: each Layer-3
+    correction and the flow interval's program is a
+    :meth:`_CaseProgram.rebuilt` copy of it."""
     def build() -> _CaseProgram:
+        dso = case.dso(m)
         prog = _CaseProgram(case)
-        prog.add_z(m, *z_bounds)
-        prog.add_system(m, inputs=inputs)
+        prog.add_z(m, dso.z_min, dso.z_max)
+        prog.add_system(m)
         return prog
 
-    if clearings is None:
-        return build()
-    return _row_set(clearings, ("layer1 rows", m), build).rebuilt({m: z_bounds}, {m: inputs})
-
-
-def _layer1_program(case: MarketCase, m: int,
-                    clearings: CaseClearings | None) -> _CaseProgram:
-    """DSO ``m``'s Layer-1 program with its interface flow's price at zero:
-    each pricing rule re-costs it."""
-    dso = case.dso(m)
-    return _dso_program(case, m, (dso.z_min, dso.z_max),
-                        _system_inputs(case, m, (), None, False), clearings)
+    return _kept(clearings, ("layer1", m), b"", build, {}, {})
 
 
 def clear_dso_layer1(case: MarketCase, m: int, pricing: PricingRule, *,
@@ -414,11 +386,10 @@ def clear_dso_layer1(case: MarketCase, m: int, pricing: PricingRule, *,
 
     Minimizes bid cost plus the interface-flow price times the import,
     subject to nodal balances, line limits, bid boxes, and interface
-    bounds. Through the shared ``clearings`` of ``case`` the program is
-    made once, a copy of the DSO's Layer-1 row set, and every pricing rule
-    resumes from its phase-1 Start.
+    bounds. The program is kept in the ``clearings`` of ``case``, and
+    every pricing rule resumes from its phase-1 Start.
     """
-    prog = _kept(clearings, ("layer1", m), lambda: _layer1_program(case, m, clearings))
+    prog = _layer1_program(case, m, CaseClearings.of(case, clearings))
     return prog.extract(solve_lp(_recost(prog.lp, {prog.z_vars[m]: pricing.price(m)})))
 
 
@@ -465,17 +436,15 @@ def clear_dso_fixed_interface(case: MarketCase, flows: dict[int, list[float]]
 
 def _layer2_program(case: MarketCase, layer1: dict[int, ClearingResult],
                     dist_bid_caps: dict[str, float] | None, mode: str,
-                    clearings: CaseClearings | None) -> _CaseProgram:
+                    clearings: CaseClearings) -> _CaseProgram:
     """The TSO layer's program in ``mode`` with the interface flows' prices
     at zero: each pricing rule re-costs it.
 
-    Through the shared ``clearings`` the programs of one row set, the
-    aggregated DSO balances (practical and fragmented) or the full DSO
-    networks (idealized), are copies that share the rows and dense matrix
-    of one build per case. Each bound set is kept, with its phase-1 Start,
-    under the exact bits of its flow bounds, bid caps and balance
-    right-hand sides, all it reads of the mode, the frozen flows, the
-    prior volumes and the caps.
+    Its row set is the aggregated DSO balances (practical and fragmented)
+    or the full DSO networks (idealized). Each bound set is kept under the
+    exact bits of its flow bounds, bid caps and balance right-hand sides,
+    all it reads of the mode, the frozen flows, the prior volumes and the
+    caps.
     """
     if mode not in ("practical", "idealized", "fragmented"):
         raise ContractError(f"unknown layer-2 mode {mode}")
@@ -502,24 +471,18 @@ def _layer2_program(case: MarketCase, layer1: dict[int, ClearingResult],
             prog.add_system(m, aggregate=aggregate, inputs=inputs[m])
         return prog
 
-    if clearings is None:
-        return build()
-
-    def made() -> _CaseProgram:
-        return _row_set(clearings, ("layer2 rows", aggregate), build).rebuilt(z_bounds, inputs)
-
     # The exact bits of every bound, in an order the row set fixes; the bid
     # costs are the case's prices, the same in every bound set.
     bits = array("d", [v for bounds in z_bounds.values() for v in bounds]
                  + [cap for bids, _ in inputs.values() for _, cap, _ in bids]
                  + [value for _, rhs in inputs.values() for value in rhs]).tobytes()
-    return _kept(clearings, ("layer2", aggregate, bits), made)
+    return _kept(clearings, ("layer2", aggregate), bits, build, z_bounds, inputs)
 
 
 def _clear_layer2(case: MarketCase, layer1: dict[int, ClearingResult],
                   pricing: PricingRule, dist_bid_caps: dict[str, float] | None, mode: str,
                   clearings: CaseClearings | None) -> ClearingResult:
-    prog = _layer2_program(case, layer1, dist_bid_caps, mode, clearings)
+    prog = _layer2_program(case, layer1, dist_bid_caps, mode, CaseClearings.of(case, clearings))
     # Interface-flow revenue enters the TSO objective with a minus sign.
     return prog.extract(solve_lp(_recost(prog.lp, {
         prog.z_vars[m]: -pricing.price(m) for m in case.dso_indices})))
@@ -531,10 +494,9 @@ def clear_tso_layer2(case: MarketCase, layer1: dict[int, ClearingResult],
                      clearings: CaseClearings | None = None) -> ClearingResult:
     """Practical TSO clearing: full transmission model, aggregated
     distribution balances, residual distribution bids. ``dist_bid_caps``
-    replaces the residual cap of every bid it names. Through the shared
-    ``clearings`` of ``case`` each bound set's program is built once on
-    the case's aggregated row set, and every pricing rule resumes from its
-    phase-1 Start."""
+    replaces the residual cap of every bid it names. Each bound set's
+    program is kept in the ``clearings`` of ``case``, and every pricing
+    rule resumes from its phase-1 Start."""
     return _clear_layer2(case, layer1, pricing, dist_bid_caps, "practical", clearings)
 
 
@@ -543,8 +505,7 @@ def clear_idealized_layer2(case: MarketCase, layer1: dict[int, ClearingResult],
                            dist_bid_caps: dict[str, float] | None = None, *,
                            clearings: CaseClearings | None = None) -> ClearingResult:
     """TSO clearing with full per-DSO network constraints in place of the
-    aggregated balances; ``clearings`` as for :func:`clear_tso_layer2`,
-    on the case's row set of full networks."""
+    aggregated balances; ``clearings`` as for :func:`clear_tso_layer2`."""
     return _clear_layer2(case, layer1, pricing, dist_bid_caps, "idealized", clearings)
 
 
@@ -559,13 +520,12 @@ def clear_fragmented_layer2(case: MarketCase, layer1: dict[int, ClearingResult],
 
 
 def _layer3_program(case: MarketCase, m: int, prior: tuple[ClearingResult, ...],
-                    z_value: float, clearings: CaseClearings | None = None) -> _CaseProgram:
+                    z_value: float, clearings: CaseClearings) -> _CaseProgram:
     """Corrective DSO problem: the volumes of the ``prior`` clearings are
     constants, corrective volumes fill the residual boxes, the interface
-    flow is frozen. Through the shared ``clearings``, a copy of the DSO's
-    Layer-1 row set."""
-    return _dso_program(case, m, (z_value, z_value),
-                        _system_inputs(case, m, prior, None, False), clearings)
+    flow is frozen. A copy of the DSO's Layer-1 program."""
+    return _layer1_program(case, m, clearings).rebuilt(
+        {m: (z_value, z_value)}, {m: _system_inputs(case, m, prior, None, False)})
 
 
 def _overload_program(case: MarketCase, m: int, prior: tuple[ClearingResult, ...],
@@ -608,15 +568,16 @@ def clear_tso_rsf(case: MarketCase, rsfs: dict[int, Rsf], *,
     nodes it explored, and the selected step per DSO, which is empty when
     the MILP has no optimum.
 
-    Through the shared ``clearings`` of ``case`` the program is built once
-    per set of forwarded flows, keyed by their exact bits, and the root
-    relaxation of every set of step costs, such as the other RSF
-    variant's, resumes from its phase-1 Start."""
+    The program is kept in the ``clearings`` of ``case`` per set of
+    forwarded flows, keyed by their exact bits, and the root relaxation of
+    every set of step costs, such as the other RSF variant's, resumes from
+    its phase-1 Start."""
     for m in case.dso_indices:
         if m not in rsfs:
             raise ContractError(f"missing RSF for DSO {m}")
     key = ("tso_rsf", tuple(tuple(_exact(s.z) for s in rsfs[m].steps) for m in case.dso_indices))
-    prog = _kept(clearings, key, lambda: _tso_rsf_program(case, rsfs))
+    prog = _kept(CaseClearings.of(case, clearings), key, b"",
+                 lambda: _tso_rsf_program(case, rsfs), {}, {})
     mp = copy.copy(prog.mixed)
     y_vars = dict(zip(case.dso_indices, mp.groups))
     mp.lp = _recost(mp.lp, {y: step.cost for m in case.dso_indices
@@ -663,13 +624,11 @@ def dso_flow_interval(case: MarketCase, m: int, *,
                       clearings: CaseClearings | None = None) -> tuple[float, float]:
     """Smallest and largest feasible interface flow of DSO ``m``: one
     program, solved with the flow's cost +1 and then -1, both from one
-    phase-1 Start. Through the shared ``clearings`` of ``case`` the
-    program is a copy of the DSO's Layer-1 row set."""
-    dso = case.dso(m)
-    prog = _dso_program(case, m, (dso.z_min, dso.z_max),
-                        _system_inputs(case, m, (), None, False, 0.0), clearings)
+    phase-1 Start. The program is a copy of the DSO's Layer-1 program in
+    the ``clearings`` of ``case``, with every bid cost at zero."""
+    prog = _layer1_program(case, m, CaseClearings.of(case, clearings)).rebuilt(
+        {}, {m: _system_inputs(case, m, (), None, False, 0.0)})
     zv = prog.z_vars[m]
-    prog.lp.start = phase_one(prog.lp)
     out = []
     for sense in (+1.0, -1.0):
         sol = solve_lp(_recost(prog.lp, {zv: sense}))
@@ -723,20 +682,17 @@ class CaseClearings:
     every pricing rule shares.
 
     It also keeps the programs that solves under other costs share, each
-    with its phase-1 Start: every DSO's Layer-1 program, which each
-    pricing rule re-costs; every Layer-2 program, keyed by its row set and
-    the exact bits of its flow bounds, bid caps and balance right-hand
-    sides, which each pricing rule re-costs; and aggregation's MILP per
-    set of forwarded flows, which each RSF variant re-costs.
-
-    It keeps the row sets as well, each built and densified once per case
-    and never solved itself: each DSO's Layer-1 row set (its flow and
-    network block), whose copies are its Layer-1 program, each of its
-    Layer-3 corrections and its :func:`dso_flow_interval` program; and the
-    two Layer-2 row sets (aggregated DSO balances, full DSO networks),
-    whose copies are the Layer-2 programs. A copy shares the ``rows``
-    object and kept matrix and has its own bounds and costs. Programs and
-    row sets live as long as this object does, or until
+    with the phase-1 Start its first re-cost makes: every DSO's Layer-1
+    program, which each pricing rule re-costs; every Layer-2 program,
+    keyed by its row set and the exact bits of its flow bounds, bid caps
+    and balance right-hand sides, which each pricing rule re-costs; and
+    aggregation's MILP per set of forwarded flows, which each RSF variant
+    re-costs. The first program on each row set is densified once, and
+    the later ones are copies that share its ``rows`` object and kept
+    matrix: every later Layer-2 bound set, and each DSO's Layer-3
+    corrections and :func:`dso_flow_interval` program, copies of its
+    Layer-1 program.
+    Programs live as long as this object does, or until
     :meth:`release_programs`. A resumed solve reports its Start's phase-1
     counters and counts as one solve.
     """
@@ -745,6 +701,16 @@ class CaseClearings:
         self.case = case
         self._common = common
         self._solved: dict[tuple, object] = {}
+
+    @classmethod
+    def of(cls, case: MarketCase, clearings: CaseClearings | None) -> CaseClearings:
+        """The clearings a call on ``case`` shares: ``clearings``, or a
+        fresh object when None. Another case's raise ``ContractError``."""
+        if clearings is None:
+            return cls(case)
+        if clearings.case is not case:
+            raise ContractError("the shared clearings belong to another case")
+        return clearings
 
     @property
     def common(self) -> ClearingResult:
@@ -825,12 +791,11 @@ class CaseClearings:
         return self._once(key, run)
 
     def release_programs(self) -> None:
-        """Drop the kept programs, their Starts and the row sets; every
-        clearing stays. A caller may hold on to the clearings after the
-        last method ran on the case (perfbench's recorder keeps each call's
-        arguments to the end of a pass), when nothing re-costs the programs
-        any more. A later re-costed solve builds its program, and its row
-        set, again."""
+        """Drop the kept programs and their Starts; every clearing stays.
+        A caller may hold on to the clearings after the last method ran on
+        the case (perfbench's recorder keeps each call's arguments to the
+        end of a pass), when nothing re-costs the programs any more. A
+        later solve builds its program again."""
         self._solved = {key: value for key, value in self._solved.items()
                         if key[0] != "program"}
 

@@ -108,16 +108,6 @@ def _final_volumes(*parts: ClearingResult | None):
             {b: v for b, v in down.items() if v != 0.0})
 
 
-def _shared(case: MarketCase, clearings: CaseClearings | None) -> CaseClearings:
-    """The clearings a run on ``case`` shares: ``clearings``, or a fresh
-    object when None."""
-    if clearings is None:
-        return CaseClearings(case)
-    if clearings.case is not case:
-        raise ContractError("the shared clearings belong to another case")
-    return clearings
-
-
 def _outcome(clearings: CaseClearings, method: str, t0: float, *,
              layer1: dict[int, ClearingResult], layer2: ClearingResult | None = None,
              layer3: dict[int, ClearingResult] | None = None, lp_solves: int,
@@ -188,7 +178,7 @@ def run_sequential(case: MarketCase, pricing: PricingRule,
     if variant not in methods:
         raise ContractError(f"unknown sequential variant {variant!r}")
     method = methods[variant]
-    clearings = _shared(case, clearings)
+    clearings = CaseClearings.of(case, clearings)
     layer1 = clearings.layer1(pricing)
     if not _optimal(layer1.values()):
         return _outcome(clearings, method, t0, layer1=layer1, lp_solves=len(layer1))
@@ -220,7 +210,7 @@ def run_three_layer(case: MarketCase, pricing: PricingRule, *,
     earlier run already met, come from the shared ``clearings``.
     """
     t0 = time.perf_counter()
-    clearings = _shared(case, clearings)
+    clearings = CaseClearings.of(case, clearings)
     layer1 = clearings.layer1(pricing)
     if not _optimal(layer1.values()):
         return _outcome(clearings, "three_layer", t0, layer1=layer1,
@@ -248,7 +238,7 @@ def layer3_overload(case: MarketCase, outcome: Outcome, *,
     if outcome.method != "three_layer" or outcome.status != "ok":
         raise ContractError(f"layer3_overload needs an ok three_layer outcome, "
                             f"got {outcome.method} with status {outcome.status}")
-    clearings = _shared(case, clearings)
+    clearings = CaseClearings.of(case, clearings)
     layer2 = outcome.layer2
     return {m: clearings.overload(m, (outcome.layer1[m], layer2), layer2.interface_flows[m])
             for m, correction in outcome.layer3.items() if correction.status != "optimal"}
@@ -331,7 +321,7 @@ def run_bid_filtering(case: MarketCase, pricing: PricingRule, *,
     ``clearings`` keep for its bounds. Safe under price-ordering and
     radiality assumptions."""
     t0 = time.perf_counter()
-    clearings = _shared(case, clearings)
+    clearings = CaseClearings.of(case, clearings)
     layer1 = clearings.layer1(pricing)
     if not _optimal(layer1.values()):
         return _outcome(clearings, "filtering", t0, layer1=layer1,
@@ -395,7 +385,7 @@ def _rsf(case: MarketCase, m: int, grid, clearings: CaseClearings | None, pins) 
     first entry that is an error, in flow order, is raised."""
     if pins is None:
         flows = _rsf_flows(case, m, grid)
-        pins = flows, _shared(case, clearings).pin({m: flows})[m]
+        pins = flows, CaseClearings.of(case, clearings).pin({m: flows})[m]
     flows, entries = pins
     for entry in entries:
         if isinstance(entry, Exception):
@@ -465,9 +455,10 @@ def run_bid_aggregation(case: MarketCase, delta_bar: float,
     grid, so refinement never worsens the outcome. ``extra_grid`` lets
     tests inject specific flow values (for example common-market optima).
 
-    No interface price enters the method, so with shared ``clearings``
-    and no ``extra_grid`` its Outcome is made once per variant, step size
-    and refinement count (:meth:`CaseClearings.aggregation`) and every
+    No interface price enters the method, so without an ``extra_grid``
+    its Outcome is made once per variant, step size and refinement count
+    in the ``clearings`` of ``case``, a fresh object when None
+    (:meth:`CaseClearings.aggregation`), and every
     later call, such as each further pricing row of a case, returns it
     with ``wall_ms`` set to that call's own time; ``lp_solves`` and
     ``milp_nodes`` still count a run alone. Within that one run the pinned
@@ -486,9 +477,9 @@ def run_bid_aggregation(case: MarketCase, delta_bar: float,
         raise ContractError(f"unknown RSF variant {variant!r}")
     if not isinstance(refine_rounds, numbers.Integral) or refine_rounds < 0:
         raise ContractError(f"refine_rounds must be a non-negative integer, got {refine_rounds!r}")
-    shared = _shared(case, clearings)
-    if clearings is None or extra_grid is not None:
-        return _aggregate(shared, delta_bar, refine_rounds, variant, extra_grid or {})
+    shared = CaseClearings.of(case, clearings)
+    if extra_grid is not None:
+        return _aggregate(shared, delta_bar, refine_rounds, variant, extra_grid)
     t0 = time.perf_counter()
     out = shared.aggregation(variant, delta_bar, refine_rounds,
                              lambda: _aggregate(shared, delta_bar, refine_rounds, variant, {}))
@@ -598,14 +589,14 @@ def suboptimality_constant(case: MarketCase, *,
     A and D) at five step sizes, the pseudo-inverse norm alone times the
     step size is below the realized cost gap in 121 of 250 aggregation
     runs, and the sampled shadow prices set the constant in all 50 cases.
-    The benchmark optimum and each DSO's Layer-1 row set, which the flow
+    The benchmark optimum and each DSO's Layer-1 program, which the flow
     intervals' programs copy, come from the shared ``clearings``.
     """
     if len(case.dsos) > 10:
         raise ContractError("corner sampling is limited to 10 DSOs")
     paper_norm = _pinv_norm(case)
 
-    clearings = _shared(case, clearings)
+    clearings = CaseClearings.of(case, clearings)
     common = clearings.common
     if common.status != "optimal":
         raise ModelError("suboptimality constant requires a feasible benchmark")

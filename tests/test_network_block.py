@@ -1,7 +1,8 @@
 """The network blocks the package writes from each network's line terms,
 against the per-coefficient builder they replace: every program kind, built
-afresh and through a case's shared clearings, has the rows, bounds, costs
-and dense matrix of the reference build."""
+through a fresh CaseClearings per kind and through one case's shared
+clearings, has the rows, bounds, costs and dense matrix of the reference
+build."""
 
 from types import SimpleNamespace
 
@@ -55,24 +56,28 @@ def reference_add_network_block(lp: LinearProgram, net: Network, rhs: list[float
 
 def every_program(case, clearings):
     """Each kind of program the package builds for ``case`` outside the
-    solver calls, by name: its LP. ``clearings`` serves the kinds that copy
-    a row set; None builds every program afresh."""
+    solver calls, by name: its LP. ``clearings`` keeps the programs of
+    every kind; None gives each kind a fresh CaseClearings, on which it is
+    the first program built."""
+    def kept():
+        return clearings or CaseClearings(case)
+
     rule = interface_price(case, "none")
-    shared = clearings or CaseClearings(case)
+    shared = kept()
     layer1 = shared.layer1(rule)
     layer2 = shared.layer2(rule)
     capped = {b.id: 0.0 for b in case.bids if b.system != 0 and b.direction == DIR_UP}
     out = {"common": clearing._common_program(case).lp}
     for m in case.dso_indices:
         prior, z = (layer1[m], layer2), layer2.interface_flows[m]
-        out["layer1", m] = clearing._layer1_program(case, m, clearings).lp
-        out["layer3", m] = clearing._layer3_program(case, m, prior, z, clearings).lp
+        out["layer1", m] = clearing._layer1_program(case, m, kept()).lp
+        out["layer3", m] = clearing._layer3_program(case, m, prior, z, kept()).lp
         # The diagnostic relaxes every line limit by a flow slack.
         out["overload", m] = clearing._overload_program(case, m, prior, z)[0].lp
     for mode in ("practical", "idealized", "fragmented"):
         # Practical and fragmented aggregate the DSO balances.
-        out["layer2", mode] = clearing._layer2_program(case, layer1, None, mode, clearings).lp
-    out["filtering"] = clearing._layer2_program(case, layer1, capped, "practical", clearings).lp
+        out["layer2", mode] = clearing._layer2_program(case, layer1, None, mode, kept()).lp
+    out["filtering"] = clearing._layer2_program(case, layer1, capped, "practical", kept()).lp
     # The MILP's steps enter the transmission balances as step terms; a
     # step at zero flow adds none.
     rsfs = {m: SimpleNamespace(steps=[SimpleNamespace(z=z) for z in (-1.5, 0.0, 2.25)])

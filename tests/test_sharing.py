@@ -209,21 +209,29 @@ def phase_ones_of(prog, runs) -> int:
                for lp, in runs)
 
 
+def distinct(programs):
+    """``programs`` without repeats, by identity, in first-seen order."""
+    return list({id(prog): prog for prog in programs}.values())
+
+
 def test_re_costed_programs_are_built_and_run_phase_one_once(monkeypatch, tmp_path):
     # Each DSO's Layer-1 program serves every pricing rule, and each MILP
     # program every RSF variant that forwards its flows: each is built
     # once and runs phase 1 once; every other solve resumes from there.
-    # Each Layer-2 row set is built once per case, and each bound set on
-    # it runs phase 1 once, whichever pricing rule and method clears it.
-    # Each DSO's Layer-1 row set is built once per case too, and the
-    # Layer-1 program is a copy of it; no row set runs phase 1.
+    # Each Layer-2 row set is built once per case, as the first bound set
+    # cleared on it, and each bound set runs phase 1 once, whichever
+    # pricing rule and method clears it. Every program built to be kept is
+    # densified once; the Layer-1 program is its DSO's row set.
     case = generate_case(CaseRecipe(style="B", n_dsos=2), 1)
     layer1 = counted(monkeypatch, clearing.clear_dso_layer1)
     milps = counted(monkeypatch, clearing.solve_milp)
     solves = counted(monkeypatch, clearing.solve_lp)
-    layer1_programs = built(monkeypatch, "_layer1_program")
+    layer1_calls = built(monkeypatch, "_layer1_program")
     milp_programs = built(monkeypatch, "_tso_rsf_program")
-    layer2_programs = built(monkeypatch, "_layer2_program")
+    layer2_calls = built(monkeypatch, "_layer2_program")
+    builds, init = [], clearing._CaseProgram.__init__
+    monkeypatch.setattr(clearing._CaseProgram, "__init__",
+                        lambda prog, case: builds.append(prog) or init(prog, case))
     row_sets, keep = [], clearing.LinearProgram.keep_matrix
     monkeypatch.setattr(clearing.LinearProgram, "keep_matrix",
                         lambda lp: row_sets.append(lp) or keep(lp))
@@ -231,14 +239,12 @@ def test_re_costed_programs_are_built_and_run_phase_one_once(monkeypatch, tmp_pa
     run_experiment(ExperimentConfig(cases=((case.name, 3, case),), methods=METHODS,
                                     pricings=PRICINGS, deltas=(2.0,), refine_rounds=1,
                                     out_dir=str(tmp_path)))
+    # With every row set built apart from the programs on it, this case
+    # builds 11 programs and runs phase 1 17 times; sharing needs no more.
+    assert len(builds) <= 11 and len(runs) <= 17
     assert len(layer1) == 2 * len(PRICINGS)
+    layer1_programs = distinct(layer1_calls)
     assert [list(prog.z_vars) for prog in layer1_programs] == [[m] for m in case.dso_indices]
-    assert not any(lp is row_set for lp, in runs for row_set in row_sets)
-    layer1_rows = [lp for lp in row_sets
-                   if any(lp.rows is prog.lp.rows for prog in layer1_programs)]
-    assert len(layer1_rows) == len(case.dso_indices)
-    assert all(prog.lp.rows is lp.rows and prog.lp.dense_matrix() is lp.dense_matrix()
-               for prog, lp in zip(layer1_programs, layer1_rows))
     # Both variants forward the same flows in the first round.
     assert len(milps) == 4 and 1 <= len(milp_programs) < len(milps)
     assert all(mp.lp.start is not None for mp, in milps)
@@ -248,17 +254,25 @@ def test_re_costed_programs_are_built_and_run_phase_one_once(monkeypatch, tmp_pa
     # Four Layer-2 clearings per pricing rule: the practical one that
     # three_layer and sequential_raw share, filtering's, idealized and
     # fragmented. Two row sets: aggregated DSO balances and full networks.
-    assert len(layer2_programs) == 4 * len(PRICINGS)
-    bound_sets = list({id(prog): prog for prog in layer2_programs}.values())
-    assert len(bound_sets) < len(layer2_programs)
-    layer2_rows = [lp for lp in row_sets if any(lp.rows is prog.lp.rows for prog in bound_sets)]
-    assert len(layer2_rows) == len({id(prog.lp.rows) for prog in bound_sets}) == 2
-    assert len(row_sets) == len(layer1_rows) + len(layer2_rows)
+    assert len(layer2_calls) == 4 * len(PRICINGS)
+    bound_sets = distinct(layer2_calls)
+    assert len(bound_sets) < len(layer2_calls)
+    firsts = {}
+    for prog in bound_sets:
+        first = firsts.setdefault(id(prog.lp.rows), prog)
+        assert prog.lp.dense_matrix() is first.lp.dense_matrix()
+        # The first bound set on a row set is its build; the later ones
+        # are copies of it.
+        assert any(prog is b for b in builds) == (prog is first)
+    assert len(firsts) == 2
+    kept = (*layer1_programs, *firsts.values(), *milp_programs)
+    assert Counter(map(id, row_sets)) == Counter(id(prog.lp) for prog in kept)
+    assert all(any(prog is b for b in builds) for prog in kept)
     assert [phase_ones_of(prog, runs) for prog in bound_sets] == [1] * len(bound_sets)
     layer2_solves = [lp for lp, in solves if any(lp.rows is prog.lp.rows for prog in bound_sets)]
-    assert len(layer2_solves) == len(layer2_programs)
+    assert len(layer2_solves) == len(layer2_calls)
     assert all(lp.start is prog.lp.start is not None
-               for lp, prog in zip(layer2_solves, layer2_programs))
+               for lp, prog in zip(layer2_solves, layer2_calls))
 
 
 def test_aggregation_dual_resumes_the_primal_milp_root(monkeypatch):
@@ -424,10 +438,78 @@ def test_dso_flow_interval_equals_two_solves_from_scratch(style):
             assert [z.hex() for z in clearing.dso_flow_interval(case, m)] == reference
 
 
+def scratch_layer2(case, layer1, rule, mode, caps=None):
+    """The TSO layer in ``mode``, its program written out and solved
+    without a Start."""
+    prog = clearing._CaseProgram(case)
+    for dso in case.dsos:
+        lo, hi = dso.z_min, dso.z_max
+        if mode == "fragmented":
+            lo = hi = layer1[dso.index].interface_flows[dso.index]
+        prog.add_z(dso.index, lo, hi, -rule.price(dso.index))
+    prog.add_system(0)
+    for m in case.dso_indices:
+        prog.add_system(m, prior=(layer1[m],), bid_caps=caps, aggregate=mode != "idealized")
+    assert prog.lp.start is None
+    return prog.extract(clearing.solve_lp(prog.lp))
+
+
+def scratch_tso_rsf(case, rsfs):
+    """The TSO MILP over ``rsfs``, written out with its step costs and
+    solved without a Start: its clearing and the selected step per DSO."""
+    prog = clearing._CaseProgram(case)
+    groups, terms = [], []
+    for dso in case.dsos:
+        steps = rsfs[dso.index].steps
+        ys = [prog.lp.add_variable(f"y{k}", 0.0, 1.0, step.cost) for k, step in enumerate(steps)]
+        terms += [(dso.coupling_bus, y, step.z) for y, step in zip(ys, steps) if step.z != 0.0]
+        groups.append(ys)
+    prog.add_system(0, step_terms=terms)
+    assert prog.lp.start is None
+    sol = clearing.solve_milp(clearing.MixedProgram(prog.lp, groups))
+    selected = {m: max(range(len(ys)), key=lambda k: sol.x[ys[k]])
+                for m, ys in zip(case.dso_indices, groups)}
+    flows = {m: rsfs[m].steps[k].z for m, k in selected.items()}
+    return replace(prog.extract(sol), interface_flows=flows), selected
+
+
+@pytest.mark.parametrize("style", "ABCD")
+def test_clearings_without_shared_ones_equal_programs_solved_from_scratch(style):
+    # A call without clearings keeps its program in a fresh CaseClearings
+    # and resumes its solve from the phase-1 Start of its first re-cost;
+    # it clears, bit for bit, what the program written out and solved
+    # from scratch gives.
+    case = generate_case(CaseRecipe(style=style, n_dsos=2), 5)
+    common = clear_common(case)
+    capped = {b.id: 0.0 for b in case.bids if b.system != 0 and b.direction == DIR_UP}
+    for kind in PRICINGS:
+        rule = interface_price(case, kind, common)
+        layer1 = {}
+        for m in case.dso_indices:
+            dso = case.dso(m)
+            prog = clearing._CaseProgram(case)
+            prog.add_z(m, dso.z_min, dso.z_max, rule.price(m))
+            prog.add_system(m)
+            layer1[m] = prog.extract(clearing.solve_lp(prog.lp))
+            assert repr(clearing.clear_dso_layer1(case, m, rule)) == repr(layer1[m]), (kind, m)
+        assert all(r.status == "optimal" for r in layer1.values()), kind
+        for mode, clear in LAYER2.items():
+            got = clear(case, layer1, rule)
+            caps = {b.id: 0.0 for b in case.bids if b.system != 0} if mode == "fragmented" else None
+            assert repr(got) == repr(scratch_layer2(case, layer1, rule, mode, caps)), (kind, mode)
+        got = clearing.clear_tso_layer2(case, layer1, rule, capped)
+        assert repr(got) == repr(scratch_layer2(case, layer1, rule, "practical", capped)), kind
+    shared = CaseClearings(case, common)
+    grids = {dso.index: [dso.z_min, 0.5 * (dso.z_min + dso.z_max), dso.z_max] for dso in case.dsos}
+    for build in (forwarding.build_rsf, forwarding.build_rsf_dual):
+        rsfs = {m: build(case, m, grid, clearings=shared) for m, grid in grids.items()}
+        assert repr(clearing.clear_tso_rsf(case, rsfs)) == repr(scratch_tso_rsf(case, rsfs))
+
+
 def test_corrections_and_flow_intervals_copy_the_dso_s_layer1_row_set(monkeypatch):
-    # Every Layer-3 correction and flow-interval program of a DSO shares the
-    # rows object and kept matrix of its Layer-1 program, and clears as a
-    # fresh build does.
+    # A DSO's Layer-1 program is its row set: every Layer-3 correction and
+    # flow-interval program of the DSO is a copy that shares its rows
+    # object and kept matrix, and clears as a fresh build does.
     case = generate_case(CaseRecipe(style="B"), 0)
     shared = CaseClearings(case, clear_common(case))
     rule = interface_price(case, "none")
@@ -441,10 +523,10 @@ def test_corrections_and_flow_intervals_copy_the_dso_s_layer1_row_set(monkeypatc
     assert out.status == "ok" and len(corrections) == len(out.layer3) == len(rows)
     for prog in list(corrections):
         [m] = prog.z_vars
-        assert prog.lp.rows is rows[m].rows
+        assert prog.lp is not rows[m] and prog.lp.rows is rows[m].rows
         assert prog.lp.dense_matrix() is rows[m].dense_matrix()
         prior, z = (out.layer1[m], out.layer2), out.layer2.interface_flows[m]
-        fresh = clearing._layer3_program(case, m, prior, z)
+        fresh = clearing._layer3_program(case, m, prior, z, CaseClearings(case))
         assert repr(out.layer3[m]) == repr(fresh.extract(clearing.solve_lp(fresh.lp)))
 
     runs = counted(monkeypatch, simplex.phase_one)
@@ -452,7 +534,7 @@ def test_corrections_and_flow_intervals_copy_the_dso_s_layer1_row_set(monkeypatc
         before = len(runs)
         interval = clearing.dso_flow_interval(case, m, clearings=shared)
         [(run,)] = runs[before:]
-        assert run.rows is lp.rows and run.dense_matrix() is lp.dense_matrix()
+        assert run is not lp and run.rows is lp.rows and run.dense_matrix() is lp.dense_matrix()
         assert [z.hex() for z in interval] == [z.hex() for z in clearing.dso_flow_interval(case, m)]
 
 
@@ -626,6 +708,58 @@ def test_shared_clearings_belong_to_one_case():
     other = generate_case(CaseRecipe(style="A"), 2)
     with pytest.raises(ContractError, match="another case"):
         run_three_layer(case, interface_price(case, "none"), clearings=CaseClearings(other))
+
+
+OTHER_CASE_CALLS = {
+    "clear_dso_layer1": lambda b, m, rule, layer1, rsfs, clearings: clearing.clear_dso_layer1(
+        b, m, rule, clearings=clearings),
+    "clear_tso_layer2": lambda b, m, rule, layer1, rsfs, clearings: clearing.clear_tso_layer2(
+        b, layer1, rule, clearings=clearings),
+    "clear_idealized_layer2": lambda b, m, rule, layer1, rsfs, clearings:
+        clearing.clear_idealized_layer2(b, layer1, rule, clearings=clearings),
+    "clear_fragmented_layer2": lambda b, m, rule, layer1, rsfs, clearings:
+        clearing.clear_fragmented_layer2(b, layer1, rule, clearings=clearings),
+    "clear_tso_rsf": lambda b, m, rule, layer1, rsfs, clearings: clearing.clear_tso_rsf(
+        b, rsfs, clearings=clearings),
+    "dso_flow_interval": lambda b, m, rule, layer1, rsfs, clearings: clearing.dso_flow_interval(
+        b, m, clearings=clearings),
+}
+
+
+@pytest.mark.parametrize("name", OTHER_CASE_CALLS)
+def test_every_clearing_function_refuses_another_case_s_clearings(name):
+    # Case a's clearings keep a's programs under keys that name no case,
+    # such as a DSO's Layer-1 program under its DSO alone. Handed to a call
+    # on case b, they are refused rather than serve b a program of a's.
+    a, b = (generate_case(CaseRecipe(style="B"), seed) for seed in (1, 2))
+    theirs = CaseClearings(a)
+    theirs.layer2(interface_price(a, "none"))
+    own = CaseClearings(b)
+    rule = interface_price(b, "none")
+    layer1 = own.layer1(rule)
+    rsfs = {dso.index: forwarding.build_rsf(b, dso.index, [dso.z_min, 0.0, dso.z_max],
+                                            clearings=own) for dso in b.dsos}
+    call = OTHER_CASE_CALLS[name]
+    args = (b, b.dso_indices[0], rule, layer1, rsfs)
+    with pytest.raises(ContractError, match="another case"):
+        call(*args, theirs)
+    assert repr(call(*args, own)) == repr(call(*args, None))
+
+
+def test_aggregation_without_clearings_runs_through_a_fresh_store(monkeypatch):
+    # Only an extra grid bypasses the store: a call without clearings is
+    # served through a fresh object's, and gives a shared call's Outcome.
+    case = generate_case(CaseRecipe(style="B", n_dsos=2), 3)
+    shared = CaseClearings(case, clear_common(case))
+    stores, aggregation = [], CaseClearings.aggregation
+    monkeypatch.setattr(CaseClearings, "aggregation",
+                        lambda self, *args: stores.append(self) or aggregation(self, *args))
+    for variant in ("primal", "dual"):
+        together = forwarding.run_bid_aggregation(case, DELTA, 1, variant, clearings=shared)
+        alone = forwarding.run_bid_aggregation(case, DELTA, 1, variant)
+        assert plain(alone) == plain(together), variant
+    assert [store is shared for store in stores] == [True, False, True, False]
+    assert stores[1] is not stores[3] and stores[1].case is stores[3].case is case
 
 
 def test_fresh_clearings_clear_the_common_market_on_first_use(monkeypatch):
